@@ -61,7 +61,6 @@ class GeneratorConfig:
     pe: PEParams
     schedule: AnnealingSchedule
     conjugate_q: bool = False
-    file_prefix: str = "test"
 
     @property
     def nb(self) -> int:

@@ -70,7 +70,6 @@ def cmd_generate(args: argparse.Namespace) -> int:
         pe=PEParams(args.probe_bits, args.pe_steps, args.grover_depth),
         schedule=AnnealingSchedule(args.delta_beta, args.num_betas - 1),
         conjugate_q=args.conjugate_q,
-        file_prefix=args.prefix,
     )
     circuit = emit_full(config, prep=args.prep)
     num_ops = count_elementary_ops(circuit)
@@ -156,13 +155,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 # --- verify ---------------------------------------------------------------------
 
-def _verify_checks(args: argparse.Namespace):
+def _verify_checks(args: argparse.Namespace, config: GeneratorConfig):
     """Yield (name, beta, callable) triples; each callable returns a defect
     that must stay inside the advertised tolerance."""
-    problem = default_problem(args.nb, args.up_bd_neig)
-    nb = args.nb
-    a, c = args.probe_bits, args.pe_steps
-    config = GeneratorConfig(problem, PEParams(a, c, 1), AnnealingSchedule(0.5, 1))
+    problem, nb = config.problem, config.nb
     layout = WalkLayout(nb)
 
     for beta in args.beta:
@@ -205,9 +201,8 @@ def _verify_checks(args: argparse.Namespace):
 
         def fixed_point(m=m, pi=pi, beta=beta):
             data = spectral(m, pi)
-            r = sim.to_matrix(emit_R_tilde(beta, config))
             state = walk_state(data.vectors[:, 0], config.layout)
-            out = r @ state
+            out = sim.apply(emit_R_tilde(beta, config), state)
             want = np.exp(1j * np.pi / 3) * state
             return float(np.abs(out - want).max()), 1e-8
 
@@ -240,8 +235,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
                      f"{sim.MAX_SIM_QUBITS}", 2)
     if any(b < 0 for b in args.beta):
         return _fail("betas must be non-negative")
+    try:
+        config = GeneratorConfig(default_problem(args.nb, args.up_bd_neig),
+                                 PEParams(args.probe_bits, args.pe_steps, 1),
+                                 AnnealingSchedule(0.5, 1))
+    except ValueError as err:
+        return _fail(str(err))
     failures = 0
-    for name, beta, check in _verify_checks(args):
+    for name, beta, check in _verify_checks(args, config):
         try:
             defect, tol = check()
             ok = defect <= tol

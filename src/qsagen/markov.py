@@ -56,10 +56,9 @@ class ProblemSpec:
 
 def default_problem(nb: int, up_bd_neig: float = 3.0) -> ProblemSpec:
     """The stock problem: E(x) = (x - NS/2)^2, neighbors within distance 1."""
-    ns = 1 << nb
     return ProblemSpec(
         nb=nb,
-        energy=lambda x: (x - ns / 2) ** 2,
+        energy=lambda x: (x - (1 << nb) / 2) ** 2,
         neighbor=lambda x, y: abs(x - y) <= 1,
         up_bd_neig=up_bd_neig,
     )

@@ -16,6 +16,15 @@ angle converted from degrees to radians, the gate unitaries are:
 
 Plain controls restrict any gate to the matching computational subspace.
 Loops are unrolled.  All operations are pure; inputs are never mutated.
+
+The kernel views the 2^n amplitudes, without copying, as a tensor of shape
+(2,)*n with bit b on axis n-1-b; `to_matrix` runs the same loop on the
+identity, with one trailing column axis.  A plain control pins its axis to 0
+or 1 and the target axis splits into a 0-half and a 1-half, all by basic
+slicing, so every gate reads and writes views.  The 2x2 unitary mixes the two
+halves; SWAP exchanges the 10- and 01-views; PHAS scales the control view.
+MP_Y is a single pass: the mux word of every amplitude pair is broadcast from
+one arange(2) << name term per mux axis and gathers that pair's cos/sin.
 """
 from __future__ import annotations
 
@@ -26,91 +35,86 @@ import numpy as np
 from .ir import Circuit, Instruction, Opcode, unrolled
 
 MAX_SIM_QUBITS = 12
+_PIN = (slice(0, 1), slice(1, 2))  # size-1 slices keep every axis for broadcasting
 
 _SIGX = np.array([[0, 1], [1, 0]], dtype=complex)
 _SIGY = np.array([[0, -1j], [1j, 0]], dtype=complex)
 _SIGZ = np.array([[1, 0], [0, -1]], dtype=complex)
 _HAD = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
+_FIXED = {op: tuple(u.flat) for op, u in (
+    (Opcode.SIGX, _SIGX), (Opcode.SIGY, _SIGY), (Opcode.SIGZ, _SIGZ), (Opcode.HAD2, _HAD))}
 
 
-def _roty_full(angle_deg: float) -> np.ndarray:
-    """exp(+i*r*sigma_y): the multiplexor kernel (no half-angle)."""
-    r = math.radians(angle_deg)
-    c, s = math.cos(r), math.sin(r)
-    return np.array([[c, s], [-s, c]], dtype=complex)
-
-
-def _single_qubit_unitary(op: Opcode, angles_deg: tuple[float, ...]) -> np.ndarray:
-    if op is Opcode.SIGX:
-        return _SIGX
-    if op is Opcode.SIGY:
-        return _SIGY
-    if op is Opcode.SIGZ:
-        return _SIGZ
-    if op is Opcode.HAD2:
-        return _HAD
+def _single_qubit_unitary(op: Opcode, angles_deg: tuple[float, ...]) -> tuple:
+    """Entries (u00, u01, u10, u11) of the 2x2 unitary a gate applies to its target."""
+    if op in _FIXED:
+        return _FIXED[op]
     if op is Opcode.P0PH:
-        return np.diag([np.exp(1j * math.radians(angles_deg[0])), 1.0])
+        return np.exp(1j * math.radians(angles_deg[0])), 0j, 0j, 1 + 0j
     if op is Opcode.P1PH:
-        return np.diag([1.0, np.exp(1j * math.radians(angles_deg[0]))])
+        return 1 + 0j, 0j, 0j, np.exp(1j * math.radians(angles_deg[0]))
     if op in (Opcode.ROTX, Opcode.ROTY, Opcode.ROTZ):
         half = math.radians(angles_deg[0]) / 2
         c, s = math.cos(half), math.sin(half)
         if op is Opcode.ROTX:
-            return np.array([[c, 1j * s], [1j * s, c]])
+            return complex(c), 1j * s, 1j * s, complex(c)
         if op is Opcode.ROTY:
-            return np.array([[c, s], [-s, c]], dtype=complex)
-        return np.diag([np.exp(1j * half), np.exp(-1j * half)])
+            return complex(c), complex(s), complex(-s), complex(c)
+        return np.exp(1j * half), 0j, 0j, np.exp(-1j * half)
     # ROTN: exp(i/2 * v . sigma) with v the angle vector in radians
     v = np.radians(np.asarray(angles_deg, dtype=float))
     norm = float(np.linalg.norm(v))
     if norm == 0.0:
-        return np.eye(2, dtype=complex)
+        return 1 + 0j, 0j, 0j, 1 + 0j
     axis = v / norm
     n_sigma = axis[0] * _SIGX + axis[1] * _SIGY + axis[2] * _SIGZ
     half = norm / 2
-    return math.cos(half) * np.eye(2) + 1j * math.sin(half) * n_sigma
+    return tuple((math.cos(half) * np.eye(2) + 1j * math.sin(half) * n_sigma).flat)
 
 
-def _control_select(idx: np.ndarray, ins: Instruction) -> np.ndarray:
-    sel = np.ones(idx.shape, dtype=bool)
+def _apply_gate(psi: np.ndarray, ins: Instruction, n: int) -> None:
+    index = [slice(None)] * n
     for c in ins.controls:
-        sel &= ((idx >> c.bit) & 1) == int(c.on)
-    return sel
-
-
-def _mix(amp: np.ndarray, u: np.ndarray, target: int,
-         sel: np.ndarray, idx: np.ndarray) -> None:
-    rows0 = idx[sel & (((idx >> target) & 1) == 0)]
-    rows1 = rows0 | (1 << target)
-    a0 = amp[rows0].copy()
-    a1 = amp[rows1]
-    amp[rows0] = u[0, 0] * a0 + u[0, 1] * a1
-    amp[rows1] = u[1, 0] * a0 + u[1, 1] * a1
-
-
-def _apply_inplace(amp: np.ndarray, ins: Instruction, idx: np.ndarray) -> None:
-    sel = _control_select(idx, ins)
+        index[n - 1 - c.bit] = _PIN[c.on]
     op = ins.opcode
     if op is Opcode.PHAS:
-        amp[sel] *= np.exp(1j * math.radians(ins.angles_deg[0]))
-    elif op is Opcode.SWAP:
-        hi, lo = ins.targets
-        src = sel & (((idx >> hi) & 1) == 1) & (((idx >> lo) & 1) == 0)
-        rows10 = idx[src]
-        rows01 = rows10 ^ ((1 << hi) | (1 << lo))
-        tmp = amp[rows10].copy()
-        amp[rows10] = amp[rows01]
-        amp[rows01] = tmp
-    elif op is Opcode.MP_Y:
-        target = ins.targets[0]
-        for word, angle in enumerate(ins.angles_deg):
-            sub = sel.copy()
-            for m in ins.mux_controls:
-                sub &= ((idx >> m.bit) & 1) == ((word >> m.name) & 1)
-            _mix(amp, _roty_full(angle), target, sub, idx)
+        psi[tuple(index)] *= np.exp(1j * math.radians(ins.angles_deg[0]))
+        return
+    if op is Opcode.SWAP:
+        hi, lo = (n - 1 - t for t in ins.targets)
+        index[hi], index[lo] = _PIN[1], _PIN[0]
+        v10 = psi[tuple(index)]
+        index[hi], index[lo] = _PIN[0], _PIN[1]
+        v01 = psi[tuple(index)]
+        v10[...], v01[...] = v01.copy(), v10.copy()
+        return
+    target = n - 1 - ins.targets[0]
+    index[target] = _PIN[0]
+    a0 = psi[tuple(index)]
+    index[target] = _PIN[1]
+    a1 = psi[tuple(index)]
+    if op is Opcode.MP_Y:
+        # A (2, 1, ..., 1) term broadcasts from the right onto axis n-1-bit.
+        word = sum((np.arange(2) << m.name).reshape((2,) + (1,) * (psi.ndim - n + m.bit))
+                   for m in ins.mux_controls)
+        cos_sin = np.array([(math.cos(r), math.sin(r))
+                            for r in map(math.radians, ins.angles_deg)])[word]
+        c, s = cos_sin[..., 0], cos_sin[..., 1]
+        u00, u01, u10, u11 = c, s, -s, c
     else:
-        _mix(amp, _single_qubit_unitary(op, ins.angles_deg), ins.targets[0], sel, idx)
+        u00, u01, u10, u11 = _single_qubit_unitary(op, ins.angles_deg)
+    new0 = u00 * a0 + u01 * a1
+    a1[...] = u10 * a0 + u11 * a1
+    a0[...] = new0
+
+
+def _evolve(circuit: Circuit, amp: np.ndarray) -> np.ndarray:
+    """Apply every gate in place to `amp`, whose first axis is the basis index."""
+    n = circuit.num_qubits
+    psi = amp.reshape((2,) * n + amp.shape[1:])
+    for ins in unrolled(circuit.body):
+        _apply_gate(psi, ins, n)
+    return psi.reshape(amp.shape)
 
 
 def apply(circuit: Circuit, state: np.ndarray) -> np.ndarray:
@@ -119,10 +123,7 @@ def apply(circuit: Circuit, state: np.ndarray) -> np.ndarray:
     amp = np.array(state, dtype=complex)
     if amp.shape[0] != dim:
         raise ValueError(f"state has dimension {amp.shape[0]}, circuit needs {dim}")
-    idx = np.arange(dim)
-    for ins in unrolled(circuit.body):
-        _apply_inplace(amp, ins, idx)
-    return amp
+    return _evolve(circuit, amp)
 
 
 def to_matrix(circuit: Circuit) -> np.ndarray:
@@ -131,12 +132,7 @@ def to_matrix(circuit: Circuit) -> np.ndarray:
         raise ValueError(
             f"to_matrix supports at most {MAX_SIM_QUBITS} qubits, "
             f"got {circuit.num_qubits}")
-    dim = 1 << circuit.num_qubits
-    amp = np.eye(dim, dtype=complex)
-    idx = np.arange(dim)
-    for ins in unrolled(circuit.body):
-        _apply_inplace(amp, ins, idx)
-    return amp
+    return _evolve(circuit, np.eye(1 << circuit.num_qubits, dtype=complex))
 
 
 def basis_state(num_qubits: int, index: int = 0) -> np.ndarray:

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from qsagen import sim
+from qsagen import annealer, cli, sim
 from qsagen.cli import main
 from qsagen.ir import count_elementary_ops, parse_english, write_english
 
@@ -171,6 +171,28 @@ def test_verify_detects_corrupted_angle(workdir, capsys):
     assert main(["verify", "--nb", "1", "--corrupt-angle"]) == 1
     out = capsys.readouterr().out
     assert "walk spectrum" in out and "FAIL" in out
+
+
+def test_verify_fixed_point_fails_on_wrong_q_phase(workdir, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "emit_R_tilde", lambda beta, config: annealer.emit_R_tilde(
+        beta, config, q_angle_deg=annealer.Q_ANGLE_DEG - 10.0))
+    assert main(["verify", "--nb", "1", "--probe-bits", "2"]) == 1
+    rows = [line for line in capsys.readouterr().out.splitlines()
+            if line.startswith("phase-reflection fixed point")]
+    assert len(rows) == 2 and all("FAIL" in line for line in rows)
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["--probe-bits", "0"], "probe_bits must be >= 1, got 0"),
+    (["--nb", "0"], "nb must be in 1..6, got 0"),
+    (["--nb", "-1"], "nb must be in 1..6, got -1"),
+    (["--up-bd-neig", "1"], "up_bd_neig = 1.0 is below the maximum neighbor count 2"),
+])
+def test_verify_rejects_bad_inputs(workdir, capsys, argv, message):
+    assert main(["verify"] + argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"Message: {message}\n"
+    assert captured.out == ""
 
 
 def test_verify_enforces_size_caps(workdir, capsys):

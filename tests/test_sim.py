@@ -10,7 +10,7 @@ from qsagen.ir import (Circuit, Control, MuxControl, end_loop, had2, loop, mp_y,
                        p0ph, p1ph, phas, rotn, rotx, roty, rotz, sigx, sigy, sigz,
                        swap)
 
-from helpers import random_circuit
+from helpers import oracle_matrix, random_circuit
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -118,6 +118,57 @@ def test_loops_unroll_in_simulation():
     nested = Circuit(1, (loop(2), loop(2), rotz(10.0, 0), end_loop(), end_loop()))
     np.testing.assert_allclose(
         sim.to_matrix(nested), one_qubit_matrix(rotz(40.0, 0)), atol=1e-13)
+
+
+ORACLE_SEEDS = range(40)
+
+
+@pytest.mark.parametrize("seed", ORACLE_SEEDS)
+def test_to_matrix_matches_kron_oracle(seed):
+    circuit = random_circuit(np.random.default_rng(seed))
+    np.testing.assert_allclose(
+        sim.to_matrix(circuit), oracle_matrix(circuit), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("seed", ORACLE_SEEDS)
+def test_apply_matches_kron_oracle_on_random_states(seed):
+    rng = np.random.default_rng(1000 + seed)
+    circuit = random_circuit(rng)
+    dim = 1 << circuit.num_qubits
+    states = rng.normal(size=(3, dim)) + 1j * rng.normal(size=(3, dim))
+    want = oracle_matrix(circuit)
+    for state in states:
+        before = state.copy()
+        np.testing.assert_allclose(
+            sim.apply(circuit, state), want @ state, rtol=0, atol=1e-12)
+        assert np.array_equal(state, before)
+
+
+def test_to_matrix_columns_are_apply_on_basis_states():
+    rng = np.random.default_rng(7)
+    for _ in range(10):
+        circuit = random_circuit(rng)
+        u = sim.to_matrix(circuit)
+        for j in range(u.shape[1]):
+            out = sim.apply(circuit, sim.basis_state(circuit.num_qubits, j))
+            np.testing.assert_allclose(u[:, j], out, rtol=0, atol=1e-12)
+
+
+def test_mux_under_off_control_and_controlled_swap_match_oracle():
+    mux = (MuxControl(4, 2), MuxControl(0, 0), MuxControl(2, 1))
+    angles = (12.0, -47.5, 88.0, 3.25, -160.0, 71.0, 0.5, 133.0)
+    circuit = Circuit(5, (
+        had2(0), had2(2), had2(4), rotx(40.0, 1), rotn(10.0, -20.0, 30.0, 3),
+        mp_y(1, mux, angles, (Control(3, False),)),
+        swap(4, 1, (Control(0, True),)),
+        mp_y(3, mux, angles[::-1], (Control(1, False),)),
+    ))
+    np.testing.assert_allclose(
+        sim.to_matrix(circuit), oracle_matrix(circuit), rtol=0, atol=1e-12)
+    rng = np.random.default_rng(8)
+    state = rng.normal(size=32) + 1j * rng.normal(size=32)
+    np.testing.assert_allclose(
+        sim.apply(circuit, state), oracle_matrix(circuit) @ state, rtol=0, atol=1e-12)
 
 
 def test_apply_preserves_norm():
