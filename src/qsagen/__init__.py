@@ -12,8 +12,8 @@ from .markov import (AnnealingSchedule, ProblemSpec, SpectralData, boltzmann,
                      default_problem, metropolis, spectral, symmetrized)
 from .qembed import MuxAngleTable, qembed_angles, qembed_circuit
 from .szegedy import WalkLayout, emit_reflection, emit_U, emit_W, walk_state
-from .annealer import (GeneratorConfig, PEParams, emit_controlled, emit_full,
-                       emit_R_tilde, emit_U_grover, emit_V, inverse_qft)
+from .annealer import (GeneratorConfig, PEParams, emit_full, emit_R_tilde,
+                       emit_U_grover, emit_V, inverse_qft)
 from .mux_expander import expand_circuit, expand_file, expand_mux
 from .sim import apply, basis_state, eig_unitary, phases_match, to_matrix
 
@@ -25,7 +25,7 @@ __all__ = [
     "ProblemSpec", "SpectralData", "WalkLayout", "apply", "basis_state",
     "boltzmann", "count_elementary_ops", "dagger", "default_problem",
     "eig_unitary", "emit_R_tilde", "emit_U", "emit_U_grover", "emit_V",
-    "emit_W", "emit_controlled", "emit_full", "emit_reflection",
+    "emit_W", "emit_full", "emit_reflection",
     "expand_circuit", "expand_file", "expand_mux", "inverse_qft", "metropolis",
     "parse_english", "phases_match", "qembed_angles", "qembed_circuit",
     "spectral", "symmetrized", "to_matrix", "unrolled", "walk_state",

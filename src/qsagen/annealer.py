@@ -79,14 +79,6 @@ class GeneratorConfig:
         return tuple(range(2 * self.nb, self.num_qubits))
 
 
-def emit_controlled(circuit: Circuit, control: Control) -> Circuit:
-    """Every gate line gains the extra control; LOOP/NEXT pass through."""
-    if control.bit >= circuit.num_qubits:
-        raise ValueError(
-            f"control bit {control.bit} outside a {circuit.num_qubits}-qubit circuit")
-    return Circuit(circuit.num_qubits, with_control(circuit.body, control))
-
-
 def inverse_qft(bits: Sequence[int]) -> tuple[Instruction, ...]:
     """Swap-free inverse Fourier transform on the given bits (LSB first).
 

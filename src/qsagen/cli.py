@@ -24,7 +24,8 @@ from . import mux_expander, sim
 from .annealer import GeneratorConfig, PEParams, emit_R_tilde, emit_full
 from .ir import (Circuit, Opcode, ParseError, count_elementary_ops, format_number,
                  parse_english, write_english, write_picture)
-from .markov import AnnealingSchedule, boltzmann, default_problem, metropolis, spectral
+from .markov import (AnnealingSchedule, boltzmann, check_beta, default_problem,
+                     metropolis, spectral)
 from .qembed import qembed_circuit
 from .szegedy import WalkLayout, emit_W, walk_state
 
@@ -62,15 +63,14 @@ def cmd_generate(args: argparse.Namespace) -> int:
     if args.delta_beta <= 0:
         return _fail(f"Delta Beta Per Unit Time must be > 0, got {args.delta_beta}")
     try:
-        problem = default_problem(args.nb, args.up_bd_neig)
+        config = GeneratorConfig(
+            problem=default_problem(args.nb, args.up_bd_neig),
+            pe=PEParams(args.probe_bits, args.pe_steps, args.grover_depth),
+            schedule=AnnealingSchedule(args.delta_beta, args.num_betas - 1),
+            conjugate_q=args.conjugate_q,
+        )
     except ValueError as err:
         return _fail(str(err))
-    config = GeneratorConfig(
-        problem=problem,
-        pe=PEParams(args.probe_bits, args.pe_steps, args.grover_depth),
-        schedule=AnnealingSchedule(args.delta_beta, args.num_betas - 1),
-        conjugate_q=args.conjugate_q,
-    )
     circuit = emit_full(config, prep=args.prep)
     num_ops = count_elementary_ops(circuit)
     log = "".join(line + "\n" for line in (
@@ -233,9 +233,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if total_qubits > sim.MAX_SIM_QUBITS:
         return _fail(f"{total_qubits} qubits exceeds the simulation cap of "
                      f"{sim.MAX_SIM_QUBITS}", 2)
-    if any(b < 0 for b in args.beta):
-        return _fail("betas must be non-negative")
     try:
+        for beta in args.beta:
+            check_beta(beta)
         config = GeneratorConfig(default_problem(args.nb, args.up_bd_neig),
                                  PEParams(args.probe_bits, args.pe_steps, 1),
                                  AnnealingSchedule(0.5, 1))

@@ -12,9 +12,10 @@ bit of simulator basis indices.  Two renderings are supported:
 
 The english format is the authoritative, parseable representation; pictures
 are write-only.  ``LOOP k REPS: n`` / ``NEXT k`` lines bracket a block to be
-repeated ``n`` times.  The label ``k`` always equals the 0-based line index
-of its LOOP line; ``Circuit`` re-derives labels whenever a body is built, so
-generator code may leave them at the ``-1`` placeholder.
+repeated ``n`` times.  The label ``k`` equals the 0-based line index of its
+LOOP line.  Labels exist only in the text: in memory the nesting is the order
+of the LOOP/NEXT markers alone, the writers work labels out as they write,
+and the parser checks them and drops them.
 
 Multiplexor lines (``MP_Y``) rotate their target about y by one of ``2**k``
 angles, selected by ``k`` *named* controls: the control named ``j`` supplies
@@ -56,6 +57,10 @@ _ANGLE_COUNT = {
     Opcode.ROTX: 1, Opcode.ROTY: 1, Opcode.ROTZ: 1, Opcode.ROTN: 3,
     Opcode.PHAS: 1, Opcode.P0PH: 1, Opcode.P1PH: 1,
 }
+# Every other gate has one target, written after AT; SWAP's two are bare.
+_TARGET_COUNT = {Opcode.SWAP: 2, Opcode.PHAS: 0}
+# The loop tree is walked recursively; generated circuits nest one LOOP deep.
+_MAX_LOOP_DEPTH = 100
 
 
 class ParseError(ValueError):
@@ -117,7 +122,7 @@ class Instruction:
 
     Controls and mux controls are kept sorted by descending bit position
     (the print order); SWAP targets are kept (high, low).  Angles are in
-    degrees.  ``loop_label``/``loop_reps`` are meaningful only for LOOP/NEXT.
+    degrees.  ``loop_reps`` is meaningful only for LOOP.
     """
 
     opcode: Opcode
@@ -125,7 +130,6 @@ class Instruction:
     controls: tuple[Control, ...] = ()
     mux_controls: tuple[MuxControl, ...] = ()
     angles_deg: tuple[float, ...] = ()
-    loop_label: int = -1
     loop_reps: int = 0
 
     def __post_init__(self):
@@ -163,7 +167,7 @@ def _check_instruction(ins: Instruction) -> None:
     if ins.loop_reps != 0:
         raise ValueError(f"{op.value} carries no loop fields")
 
-    want_targets = 2 if op is Opcode.SWAP else (0 if op is Opcode.PHAS else 1)
+    want_targets = _TARGET_COUNT.get(op, 1)
     if len(ins.targets) != want_targets:
         raise ValueError(f"{op.value} needs {want_targets} target(s), got {len(ins.targets)}")
     if op is Opcode.SWAP and ins.targets[0] == ins.targets[1]:
@@ -267,48 +271,27 @@ def end_loop() -> Instruction:
 class Circuit:
     """An immutable instruction list over a fixed number of qubits.
 
-    Construction renumbers loop labels to their final line indices and then
-    validates every invariant, so a Circuit in hand is always well-formed
-    and writable.
+    Construction keeps the body as given and validates every invariant
+    (properly nested LOOP/NEXT markers, operand bits inside the register),
+    so a Circuit in hand is always well-formed and writable.
     """
 
     num_qubits: int
     body: tuple[Instruction, ...] = ()
 
     def __post_init__(self):
-        if self.num_qubits < 1:
-            raise ValueError(f"num_qubits must be positive, got {self.num_qubits}")
-        object.__setattr__(self, "body", _renumber_loops(tuple(self.body)))
-        _check_circuit(self)
+        n = self.num_qubits
+        if n < 1:
+            raise ValueError(f"num_qubits must be positive, got {n}")
+        object.__setattr__(self, "body", tuple(self.body))
+        _nest(self.body)
+        for index, ins in enumerate(self.body):
+            for bit in ins.operand_bits:
+                if bit >= n:
+                    raise ValueError(f"line {index}: bit {bit} out of range for {n} qubit(s)")
 
     def __len__(self) -> int:
         return len(self.body)
-
-
-def _renumber_loops(body: tuple[Instruction, ...]) -> tuple[Instruction, ...]:
-    out: list[Instruction] = []
-    stack: list[int] = []
-    for index, ins in enumerate(body):
-        if ins.opcode is Opcode.LOOP:
-            stack.append(index)
-            ins = replace(ins, loop_label=index)
-        elif ins.opcode is Opcode.NEXT:
-            if not stack:
-                raise ValueError(f"NEXT at line {index} has no open LOOP")
-            ins = replace(ins, loop_label=stack.pop())
-        out.append(ins)
-    if stack:
-        raise ValueError(f"LOOP at line {stack[-1]} is never closed")
-    return tuple(out)
-
-
-def _check_circuit(circuit: Circuit) -> None:
-    n = circuit.num_qubits
-    for index, ins in enumerate(circuit.body):
-        for bit in ins.operand_bits:
-            if bit >= n:
-                raise ValueError(
-                    f"line {index}: bit {bit} out of range for {n} qubit(s)")
 
 
 def count_elementary_ops(circuit: Circuit) -> int:
@@ -317,16 +300,10 @@ def count_elementary_ops(circuit: Circuit) -> int:
     LOOP/NEXT lines themselves are free; nested loops multiply; a
     multiplexor line counts as a single operation.
     """
-    total = 0
-    weights = [1]
-    for ins in circuit.body:
-        if ins.opcode is Opcode.LOOP:
-            weights.append(weights[-1] * ins.loop_reps)
-        elif ins.opcode is Opcode.NEXT:
-            weights.pop()
-        else:
-            total += weights[-1]
-    return total
+    def weight(nodes: list) -> int:
+        return sum(node.reps * weight(node.body) if isinstance(node, _Block) else 1
+                   for node in nodes)
+    return weight(_nest(circuit.body))
 
 
 # --- structural transforms ------------------------------------------------------
@@ -338,21 +315,30 @@ class _Block:
 
 
 def _nest(body: Sequence[Instruction]) -> list:
+    """The loop tree of a flat body: gates, and one _Block per LOOP/NEXT pair.
+
+    Raises ValueError, naming the 0-based line, on a NEXT with no open LOOP,
+    a LOOP that is never closed, or loops nested deeper than _MAX_LOOP_DEPTH.
+    """
     root: list = []
-    stack = [root]
-    for ins in body:
+    current = root
+    stack: list[tuple[list, int]] = []  # (enclosing body, line index of the open LOOP)
+    for index, ins in enumerate(body):
         if ins.opcode is Opcode.LOOP:
+            if len(stack) == _MAX_LOOP_DEPTH:
+                raise ValueError(f"LOOP at line {index} nests deeper than {_MAX_LOOP_DEPTH}")
             block = _Block(ins.loop_reps, [])
-            stack[-1].append(block)
-            stack.append(block.body)
+            current.append(block)
+            stack.append((current, index))
+            current = block.body
         elif ins.opcode is Opcode.NEXT:
-            if len(stack) == 1:
-                raise ValueError("NEXT without open LOOP")
-            stack.pop()
+            if not stack:
+                raise ValueError(f"NEXT at line {index} has no open LOOP")
+            current, _ = stack.pop()
         else:
-            stack[-1].append(ins)
-    if len(stack) != 1:
-        raise ValueError("unterminated LOOP")
+            current.append(ins)
+    if stack:
+        raise ValueError(f"LOOP at line {stack[-1][1]} is never closed")
     return root
 
 
@@ -385,8 +371,8 @@ def _dagger_nodes(nodes: list) -> list:
 def dagger(body: Sequence[Instruction]) -> tuple[Instruction, ...]:
     """Inverse of an instruction sequence: reverse order, negate angles.
 
-    LOOP blocks stay blocks (their daggered bodies repeat the same number of
-    times); labels are left as placeholders for the next Circuit build.
+    LOOP blocks stay blocks: their daggered bodies repeat the same number of
+    times.
     """
     return tuple(_flatten(_dagger_nodes(_nest(body))))
 
@@ -422,17 +408,32 @@ def unrolled(body: Sequence[Instruction]) -> Iterator[Instruction]:
 
 # --- english format -------------------------------------------------------------
 
+def _labelled(body: Sequence[Instruction]) -> Iterator[tuple[Instruction, int | None]]:
+    """Each instruction with its loop label: a LOOP's own line index, which
+    its NEXT repeats; gate lines have none."""
+    open_loops: list[int] = []
+    for index, ins in enumerate(body):
+        if ins.opcode is Opcode.LOOP:
+            open_loops.append(index)
+            yield ins, index
+        elif ins.opcode is Opcode.NEXT:
+            yield ins, open_loops.pop()
+        else:
+            yield ins, None
+
+
 def write_english(circuit: Circuit) -> str:
-    return "".join(_english_line(ins) + "\n" for ins in circuit.body)
+    return "".join(_english_line(ins, label) + "\n"
+                   for ins, label in _labelled(circuit.body))
 
 
-def _english_line(ins: Instruction) -> str:
+def _english_line(ins: Instruction, label: int | None) -> str:
+    if label is not None:
+        if ins.opcode is Opcode.LOOP:
+            return f"LOOP {label} REPS: {ins.loop_reps}"
+        return f"NEXT {label}"
     op = ins.opcode
     ctrls = [c.token for c in ins.controls]
-    if op is Opcode.LOOP:
-        return f"LOOP {ins.loop_label} REPS: {ins.loop_reps}"
-    if op is Opcode.NEXT:
-        return f"NEXT {ins.loop_label}"
     if op is Opcode.SWAP:
         line = f"SWAP  {ins.targets[0]}  {ins.targets[1]}"
         return line + (f"  IF  {'  '.join(ctrls)}" if ctrls else "")
@@ -468,15 +469,16 @@ _PICTURE_SYMBOL = {
 
 
 def write_picture(circuit: Circuit) -> str:
-    return "".join(_picture_line(ins, circuit.num_qubits) + "\n" for ins in circuit.body)
+    return "".join(_picture_line(ins, label, circuit.num_qubits) + "\n"
+                   for ins, label in _labelled(circuit.body))
 
 
-def _picture_line(ins: Instruction, n: int) -> str:
+def _picture_line(ins: Instruction, label: int | None, n: int) -> str:
+    if label is not None:
+        if ins.opcode is Opcode.LOOP:
+            return f"LOOP {label} REPS:{ins.loop_reps}"
+        return f"NEXT {label}"
     op = ins.opcode
-    if op is Opcode.LOOP:
-        return f"LOOP {ins.loop_label} REPS:{ins.loop_reps}"
-    if op is Opcode.NEXT:
-        return f"NEXT {ins.loop_label}"
 
     def col(bit: int) -> int:
         return 4 * (n - 1 - bit)
@@ -538,31 +540,31 @@ def parse_english(text: str, num_qubits: int | None = None) -> Circuit:
             op = Opcode(tokens[0])
         except ValueError:
             raise ParseError("unknown opcode", line_no, tokens[0]) from None
-        if op is Opcode.LOOP:
-            label, reps = _parse_loop(tokens, line_no)
-            if label != index:
-                raise ParseError(
-                    f"LOOP label {label} must equal its line index {index}", line_no)
-            open_loops.append((label, line_no))
-            ins = Instruction(Opcode.LOOP, loop_label=label, loop_reps=reps)
-        elif op is Opcode.NEXT:
-            if len(tokens) != 2:
-                raise ParseError("NEXT takes exactly one label", line_no)
-            label = _int_token(tokens[1], line_no)
-            if not open_loops:
-                raise ParseError("NEXT without an open LOOP", line_no)
-            open_label, _ = open_loops.pop()
-            if label != open_label:
-                raise ParseError(
-                    f"NEXT label {label} does not match open LOOP {open_label}", line_no)
-            ins = Instruction(Opcode.NEXT, loop_label=label)
-        else:
-            try:
+        try:
+            if op is Opcode.LOOP:
+                label, reps = _parse_loop(tokens, line_no)
+                if label != index:
+                    raise ParseError(
+                        f"LOOP label {label} must equal its line index {index}", line_no)
+                ins = loop(reps)
+                open_loops.append((label, line_no))
+            elif op is Opcode.NEXT:
+                if len(tokens) != 2:
+                    raise ParseError("NEXT takes exactly one label", line_no)
+                label = _int_token(tokens[1], line_no)
+                if not open_loops:
+                    raise ParseError("NEXT without an open LOOP", line_no)
+                open_label, _ = open_loops.pop()
+                if label != open_label:
+                    raise ParseError(
+                        f"NEXT label {label} does not match open LOOP {open_label}", line_no)
+                ins = end_loop()
+            else:
                 ins = _parse_gate(op, tokens, line_no)
-            except ParseError:
-                raise
-            except ValueError as err:
-                raise ParseError(str(err), line_no) from None
+        except ParseError:
+            raise
+        except ValueError as err:
+            raise ParseError(str(err), line_no) from None
         if num_qubits is not None:
             for bit in ins.operand_bits:
                 if bit >= num_qubits:
@@ -597,64 +599,41 @@ def _parse_loop(tokens: list[str], line_no: int) -> tuple[int, int]:
 
 
 def _parse_gate(op: Opcode, tokens: list[str], line_no: int) -> Instruction:
+    """Operands in one order for every gate: the angles, the targets (bare
+    for SWAP, after AT otherwise), then ``IF`` controls; an MP_Y line's
+    ``IF`` section mixes named and plain controls and ends in ``BY`` angles."""
+    pos = 1 + _ANGLE_COUNT.get(op, 0)
+    angles = tuple(_float_token(_at(tokens, i, line_no), line_no) for i in range(1, pos))
+    width = _TARGET_COUNT.get(op, 1)
+    if width == 1:
+        _expect(tokens, pos, "AT", line_no)
+        pos += 1
+    targets = tuple(_int_token(_at(tokens, i, line_no), line_no)
+                    for i in range(pos, pos + width))
+    pos += width
+    controls: tuple[Control, ...] = ()
+    mux: list[MuxControl] = []
     if op is Opcode.MP_Y:
-        _expect(tokens, 1, "AT", line_no)
-        target = _int_token(_at(tokens, 2, line_no), line_no)
-        _expect(tokens, 3, "IF", line_no)
-        mux: list[MuxControl] = []
+        _expect(tokens, pos, "IF", line_no)
+        words = tokens[pos + 1:]
+        by = words.index("BY") if "BY" in words else len(words)
         plain: list[Control] = []
-        i = 4
-        while i < len(tokens) and tokens[i] != "BY":
-            tok = tokens[i]
+        for tok in words[:by]:
             m = _MUX_RE.match(tok)
             if m:
                 mux.append(MuxControl(int(m.group(1)), int(m.group(2))))
             else:
                 plain.append(_control_token(tok, line_no))
-            i += 1
-        if i == len(tokens):
+        if by == len(words):
             raise ParseError("MP_Y line is missing its BY section", line_no)
-        angles = [_float_token(t, line_no) for t in tokens[i + 1:]]
-        return mp_y(target, mux, angles, plain)
-
-    if op is Opcode.SWAP:
-        a = _int_token(_at(tokens, 1, line_no), line_no)
-        b = _int_token(_at(tokens, 2, line_no), line_no)
-        return swap(a, b, _parse_controls(tokens, 3, line_no))
-    if op is Opcode.PHAS:
-        angle = _float_token(_at(tokens, 1, line_no), line_no)
-        return phas(angle, _parse_controls(tokens, 2, line_no))
-    if op in (Opcode.P0PH, Opcode.P1PH):
-        angle = _float_token(_at(tokens, 1, line_no), line_no)
-        _expect(tokens, 2, "AT", line_no)
-        target = _int_token(_at(tokens, 3, line_no), line_no)
-        ctor = p0ph if op is Opcode.P0PH else p1ph
-        return ctor(angle, target, _parse_controls(tokens, 4, line_no))
-    if op in PAULI_LIKE:
-        _expect(tokens, 1, "AT", line_no)
-        target = _int_token(_at(tokens, 2, line_no), line_no)
-        return Instruction(op, (target,), _parse_controls(tokens, 3, line_no))
-    if op in AXIS_ROTATIONS:
-        angle = _float_token(_at(tokens, 1, line_no), line_no)
-        _expect(tokens, 2, "AT", line_no)
-        target = _int_token(_at(tokens, 3, line_no), line_no)
-        return Instruction(op, (target,), _parse_controls(tokens, 4, line_no),
-                           angles_deg=(angle,))
-    # ROTN
-    angles = tuple(_float_token(_at(tokens, i, line_no), line_no) for i in (1, 2, 3))
-    _expect(tokens, 4, "AT", line_no)
-    target = _int_token(_at(tokens, 5, line_no), line_no)
-    return Instruction(op, (target,), _parse_controls(tokens, 6, line_no),
-                       angles_deg=angles)
-
-
-def _parse_controls(tokens: list[str], pos: int, line_no: int) -> tuple[Control, ...]:
-    if pos == len(tokens):
-        return ()
-    _expect(tokens, pos, "IF", line_no)
-    if pos + 1 == len(tokens):
-        raise ParseError("IF with no controls", line_no)
-    return tuple(_control_token(t, line_no) for t in tokens[pos + 1:])
+        controls = tuple(plain)
+        angles = tuple(_float_token(t, line_no) for t in words[by + 1:])
+    elif pos < len(tokens):
+        _expect(tokens, pos, "IF", line_no)
+        if pos + 1 == len(tokens):
+            raise ParseError("IF with no controls", line_no)
+        controls = tuple(_control_token(t, line_no) for t in tokens[pos + 1:])
+    return Instruction(op, targets, controls, tuple(mux), angles)
 
 
 def _at(tokens: list[str], pos: int, line_no: int) -> str:

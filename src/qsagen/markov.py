@@ -44,6 +44,8 @@ class ProblemSpec:
                     raise ValueError(f"neighbor relation not symmetric at ({x}, {y})")
         max_degree = max(
             sum(bool(self.neighbor(x, y)) for x in range(ns)) for y in range(ns))
+        if not math.isfinite(self.up_bd_neig):
+            raise ValueError(f"up_bd_neig must be finite, got {self.up_bd_neig}")
         if self.up_bd_neig < max_degree:
             raise ValueError(
                 f"up_bd_neig = {self.up_bd_neig} is below the maximum neighbor "
@@ -64,14 +66,19 @@ def default_problem(nb: int, up_bd_neig: float = 3.0) -> ProblemSpec:
     )
 
 
+def check_beta(beta: float) -> None:
+    """Reject an inverse temperature that is negative or not finite."""
+    if not (math.isfinite(beta) and beta >= 0):
+        raise ValueError(f"beta must be finite and non-negative, got {beta}")
+
+
 def metropolis(spec: ProblemSpec, beta: float) -> np.ndarray:
     """Metropolis transition matrix at inverse temperature beta.
 
     Off-diagonal: neighbor(x,y)/up_bd_neig * min(1, exp(-beta*(E(y)-E(x)))).
     The diagonal completes each column to 1.
     """
-    if beta < 0:
-        raise ValueError(f"beta must be non-negative, got {beta}")
+    check_beta(beta)
     ns = spec.num_states
     e = np.array([spec.energy(x) for x in range(ns)], dtype=float)
     m = np.zeros((ns, ns))
@@ -87,8 +94,7 @@ def metropolis(spec: ProblemSpec, beta: float) -> np.ndarray:
 
 def boltzmann(spec: ProblemSpec, beta: float) -> np.ndarray:
     """Normalized Boltzmann weights exp(-beta*E(x)) / Z."""
-    if beta < 0:
-        raise ValueError(f"beta must be non-negative, got {beta}")
+    check_beta(beta)
     e = np.array([spec.energy(x) for x in range(spec.num_states)], dtype=float)
     w = np.exp(-beta * (e - e.min()))  # shift exponents; same distribution
     return w / w.sum()
@@ -154,10 +160,12 @@ class AnnealingSchedule:
     t_f: int
 
     def __post_init__(self):
-        if self.delta_beta <= 0:
-            raise ValueError(f"delta_beta must be positive, got {self.delta_beta}")
+        if not (math.isfinite(self.delta_beta) and self.delta_beta > 0):
+            raise ValueError(f"delta_beta must be finite and positive, got {self.delta_beta}")
         if self.t_f < 1:
             raise ValueError(f"need at least 2 betas, got t_f = {self.t_f}")
+        if math.isinf(self.t_f * self.delta_beta):
+            raise ValueError(f"the last beta, {self.t_f} * {self.delta_beta}, overflows")
 
     @property
     def num_betas(self) -> int:

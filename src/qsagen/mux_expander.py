@@ -47,26 +47,23 @@ def expand_mux(ins: Instruction) -> list[Instruction]:
     return out
 
 
-def expand_body(body) -> tuple[Instruction, ...]:
-    out: list[Instruction] = []
-    for ins in body:
-        if ins.opcode is Opcode.MP_Y:
-            out.extend(expand_mux(ins))
-        else:
-            out.append(ins)
-    return tuple(out)
-
-
 def expand_circuit(circuit: Circuit) -> Circuit:
-    return Circuit(circuit.num_qubits, expand_body(circuit.body))
+    """The circuit with every MP_Y line replaced by its ladder."""
+    body: list[Instruction] = []
+    for ins in circuit.body:
+        if ins.opcode is Opcode.MP_Y:
+            body.extend(expand_mux(ins))
+        else:
+            body.append(ins)
+    return Circuit(circuit.num_qubits, tuple(body))
 
 
 def expand_file(eng_text: str, pic_text: str) -> tuple[str, str, str]:
     """Expand every multiplexor of a parsed file pair.
 
     The picture input is validated only for line count (the english file
-    fully determines the circuit).  Returns (log tail, english, picture),
-    with loop labels recomputed for the new line numbering.
+    fully determines the circuit).  Returns (log tail, english, picture);
+    the written loop labels follow the new line numbering.
     """
     circuit = parse_english(eng_text)
     pic_lines = len(pic_text.splitlines())

@@ -3,10 +3,10 @@ import numpy as np
 import pytest
 
 from qsagen import sim
-from qsagen.annealer import (GeneratorConfig, PEParams, emit_controlled, emit_full,
-                             emit_R_tilde, emit_U_grover, emit_V, inverse_qft)
+from qsagen.annealer import (GeneratorConfig, PEParams, emit_full, emit_R_tilde,
+                             emit_U_grover, emit_V, inverse_qft)
 from qsagen.ir import (Circuit, Control, Opcode, count_elementary_ops, had2, sigx,
-                       write_english)
+                       with_control, write_english)
 from qsagen.markov import (AnnealingSchedule, boltzmann, default_problem,
                            metropolis, spectral)
 from qsagen.szegedy import walk_state
@@ -29,18 +29,16 @@ def stationary_input(config, beta):
 
 
 def test_emit_controlled_line_and_empty():
-    circuit = Circuit(6, (sigx(1),))
-    controlled = emit_controlled(circuit, Control(5, True))
+    controlled = Circuit(6, with_control((sigx(1),), Control(5, True)))
     assert write_english(controlled) == "SIGX  AT  1  IF  5T\n"
-    assert emit_controlled(Circuit(6), Control(5, True)).body == ()
+    assert Circuit(6, with_control((), Control(5, True))).body == ()
 
 
 def test_emit_controlled_is_block_diagonal():
     rng = np.random.default_rng(0)
     from helpers import random_circuit
     inner = random_circuit(rng, num_qubits=2, loops=False)
-    lifted = Circuit(3, inner.body)
-    controlled = emit_controlled(lifted, Control(2, True))
+    controlled = Circuit(3, with_control(inner.body, Control(2, True)))
     got = sim.to_matrix(controlled)
     want = np.eye(8, dtype=complex)
     want[4:, 4:] = sim.to_matrix(inner)
@@ -49,9 +47,9 @@ def test_emit_controlled_is_block_diagonal():
 
 def test_emit_controlled_collision():
     with pytest.raises(ValueError, match="collides"):
-        emit_controlled(Circuit(3, (sigx(1),)), Control(1, True))
-    with pytest.raises(ValueError, match="outside"):
-        emit_controlled(Circuit(3, (sigx(1),)), Control(3, True))
+        Circuit(3, with_control((sigx(1),), Control(1, True)))
+    with pytest.raises(ValueError, match="out of range"):
+        Circuit(3, with_control((sigx(1),), Control(3, True)))
 
 
 @pytest.mark.parametrize("a", (1, 2, 3))

@@ -1,4 +1,6 @@
 """End-to-end CLI behavior: files, logs, diagnostics, exit codes."""
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -74,6 +76,11 @@ def test_generate_qubit_count_formula(workdir, capsys):
     (("--up-bd-neig", "1"), "below the maximum neighbor count"),
     (("--nb", "9"), "Number of State Bits"),
     (("--grover-depth", "0"), "Grover Depth must be >= 1"),
+    (("--delta-beta", "nan"), "delta_beta must be finite and positive, got nan"),
+    (("--delta-beta", "inf"), "delta_beta must be finite and positive, got inf"),
+    (("--delta-beta", "1e308"), "the last beta, 2 * 1e+308, overflows"),
+    (("--up-bd-neig", "nan"), "up_bd_neig must be finite, got nan"),
+    (("--up-bd-neig", "inf"), "up_bd_neig must be finite, got inf"),
 ])
 def test_generate_rejects_bad_inputs(workdir, capsys, override, message):
     args = list(GEN_ARGS)
@@ -116,6 +123,41 @@ def test_expand_roundtrip(workdir, capsys):
     after = parse_english(eng, num_qubits=4)
     diff = np.abs(sim.to_matrix(after) - sim.to_matrix(before)).max()
     assert diff < 1e-9
+
+
+# Two small generate -> expand flows: depth 2 with --prep/--conjugate-q, and
+# LOOPs of 2 and 4 repetitions.  Their twelve files are pinned whole.
+GOLDEN_FLOWS = {
+    "g1": ["--nb", "1", "--probe-bits", "2", "--pe-steps", "1", "--grover-depth", "2",
+           "--num-betas", "3", "--delta-beta", "0.5", "--prep", "--conjugate-q"],
+    "g2": ["--nb", "2", "--probe-bits", "3", "--pe-steps", "1", "--grover-depth", "1",
+           "--num-betas", "2", "--delta-beta", "0.5"],
+}
+GOLDEN_SHA256 = {
+    "g1_qsann_log.txt": "c404b4eaaf9b863f65e7c8084fbf8d165cb0137c3d8d52188b7044cd9ce2f299",
+    "g1_qsann_eng.txt": "544ba12fe30d7578e87f2ee905dfa5498d7e7fe8b9b95b76c3094346e0fa4edb",
+    "g1_qsann_pic.txt": "5381dc0073add7aff3aaa9b6d200fca1858fbbc1690c417c6d443c20015afa2f",
+    "g1_flat_log.txt": "47d6057e594a824b75f5f8de4311e511cab5f9fc28cd7653b3de37ac3fdd531c",
+    "g1_flat_eng.txt": "d98137fb2d68ac1e6e999e266419c95e01fd323379aaf8b4d2604a4598ec83ac",
+    "g1_flat_pic.txt": "0d6dbfbf526efb89b80144ea5ddb8706a2e0b29eadcfe80bba2e1c8e6184d001",
+    "g2_qsann_log.txt": "8f991ee91c6399d079e2878c19c34b459f1302f98d8c1057f7b22318a60ec9ca",
+    "g2_qsann_eng.txt": "95577bfd79aed38874fad667fc7efd8e4031e90dace0055469f157e8606f7cde",
+    "g2_qsann_pic.txt": "e9bc87ab9b530e0b7e55948f6f03276052880e25f325fefee2fa9b8bf0c21580",
+    "g2_flat_log.txt": "4beaa82023890cb11eabd9e2e039500201577d44043bc1f2572a4cfd7badee32",
+    "g2_flat_eng.txt": "212ca5314b11477eb758b259f3b7542462e4927c1057d7e2977d278d398c6904",
+    "g2_flat_pic.txt": "292c0e07faca1a2834b180f7041931237d10eb817cab67b07d9cb0723d690544",
+}
+
+
+def test_generate_and_expand_files_are_byte_golden(workdir, capsys):
+    for prefix, flags in GOLDEN_FLOWS.items():
+        assert main(["generate", "--prefix", prefix] + flags) == 0
+        assert main(["expand", "--in-prefix", f"{prefix}_qsann",
+                     "--out-prefix", f"{prefix}_flat"]) == 0
+    capsys.readouterr()
+    got = {name: hashlib.sha256((workdir / name).read_bytes()).hexdigest()
+           for name in GOLDEN_SHA256}
+    assert got == GOLDEN_SHA256
 
 
 def test_expand_rejects_oracular_mode(workdir, capsys):
@@ -187,6 +229,10 @@ def test_verify_fixed_point_fails_on_wrong_q_phase(workdir, capsys, monkeypatch)
     (["--nb", "0"], "nb must be in 1..6, got 0"),
     (["--nb", "-1"], "nb must be in 1..6, got -1"),
     (["--up-bd-neig", "1"], "up_bd_neig = 1.0 is below the maximum neighbor count 2"),
+    (["--up-bd-neig", "nan"], "up_bd_neig must be finite, got nan"),
+    (["--beta", "0", "nan"], "beta must be finite and non-negative, got nan"),
+    (["--beta", "inf"], "beta must be finite and non-negative, got inf"),
+    (["--beta", "-0.5"], "beta must be finite and non-negative, got -0.5"),
 ])
 def test_verify_rejects_bad_inputs(workdir, capsys, argv, message):
     assert main(["verify"] + argv) == 1

@@ -10,7 +10,7 @@ from qsagen.ir import (Circuit, Control, Instruction, MuxControl, Opcode,
                        phas, rotn, rotx, roty, rotz, sigx, sigy, sigz, swap,
                        unrolled, with_control, write_english, write_picture)
 
-from helpers import manual_unroll, random_circuit
+from helpers import manual_unroll, random_body, random_circuit
 
 CONTROLS_3F_2T = (Control(3, False), Control(2, True))
 
@@ -69,10 +69,18 @@ def test_golden_loop_lines():
 def test_loop_labels_equal_line_index():
     rng = np.random.default_rng(11)
     for _ in range(20):
-        circuit = random_circuit(rng)
-        for i, ins in enumerate(circuit.body):
-            if ins.opcode is Opcode.LOOP:
-                assert ins.loop_label == i
+        n = int(rng.integers(1, 6))
+        body = random_body(rng, n)
+        circuit = Circuit(n, body)
+        assert circuit.body == tuple(body)  # construction never rewrites
+        open_labels = []
+        for i, line in enumerate(write_english(circuit).splitlines()):
+            if line.startswith("LOOP"):
+                assert line.split()[1] == str(i)
+                open_labels.append(line.split()[1])
+            elif line.startswith("NEXT"):
+                assert line.split()[1] == open_labels.pop()
+        assert not open_labels
 
 
 def test_parse_table_row_example():
@@ -105,7 +113,18 @@ def test_parse_unknown_opcode():
     ("LOOP 1 REPS: 2\nSIGX  AT  0\nNEXT 1\n", "must equal its line index"),
     ("LOOP 0 REPS: 2\nSIGX  AT  0\nNEXT 3\n", "does not match open LOOP"),
     ("LOOP 0 REPS: 2\nSIGX  AT  0\n", "never closed"),
+    ("LOOP 0 REPS: 0\nNEXT 0\n", "line 1: LOOP repetitions must be >= 1"),
     ("PHAS inf\n", "finite"),
+    ("SIGX AT\n", "unexpected end of line"),
+    ("ROTN 1 2 AT 0\n", "expected a number"),
+    ("PHAS 1.0 AT 0\n", "expected 'IF'"),
+    ("P0PH 1.0 0\n", "expected 'AT'"),
+    ("SWAP 1\n", "unexpected end of line"),
+    ("SWAP 1 1\n", "distinct"),
+    ("SIGX AT 0 IF 1(0\n", "bad control token"),
+    ("MP_Y AT 0\n", "expected 'IF'"),
+    ("MP_Y 0 IF 1(0 BY 1 2\n", "expected 'AT'"),
+    ("HAD2 AT 0 IF 1T extra\n", "bad control token"),
 ])
 def test_parse_errors(text, pattern):
     with pytest.raises(ParseError, match=pattern):
@@ -284,6 +303,8 @@ def test_invalid_circuits_rejected():
         Circuit(1, (end_loop(),))
     with pytest.raises(ValueError, match="never closed"):
         Circuit(1, (loop(2), sigx(0)))
+    with pytest.raises(ValueError, match="line 100 nests deeper than 100"):
+        Circuit(1, (loop(1),) * 101 + (sigx(0),) + (end_loop(),) * 101)
     with pytest.raises(ValueError, match="positive"):
         Circuit(0)
 

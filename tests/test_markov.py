@@ -63,6 +63,14 @@ def test_problem_spec_rejects_bad_inputs():
         ProblemSpec(1, lambda x: 0.0, lambda x, y: x < y, 4.0)
     with pytest.raises(ValueError, match="non-negative"):
         metropolis(default_problem(1), -0.5)
+    with pytest.raises(ValueError, match="up_bd_neig must be finite"):
+        default_problem(1, float("nan"))
+    with pytest.raises(ValueError, match="up_bd_neig must be finite"):
+        default_problem(1, float("inf"))
+    with pytest.raises(ValueError, match="finite and non-negative"):
+        metropolis(default_problem(1), float("nan"))
+    with pytest.raises(ValueError, match="finite and non-negative"):
+        boltzmann(default_problem(1), float("inf"))
 
 
 def test_boltzmann_values():
@@ -145,6 +153,12 @@ def test_annealing_schedule():
     assert sched.beta(0) == 0.0
     with pytest.raises(ValueError):
         AnnealingSchedule(0.0, 3)
+    with pytest.raises(ValueError, match="finite and positive"):
+        AnnealingSchedule(float("inf"), 1)
+    with pytest.raises(ValueError, match="finite and positive"):
+        AnnealingSchedule(float("nan"), 1)
+    with pytest.raises(ValueError, match="overflows"):
+        AnnealingSchedule(1e308, 2)
     with pytest.raises(ValueError):
         AnnealingSchedule(0.5, 0)
     with pytest.raises(ValueError):
