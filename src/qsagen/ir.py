@@ -25,9 +25,9 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 
 class Opcode(Enum):
@@ -122,7 +122,9 @@ class Instruction:
 
     Controls and mux controls are kept sorted by descending bit position
     (the print order); SWAP targets are kept (high, low).  Angles are in
-    degrees.  ``loop_reps`` is meaningful only for LOOP.
+    degrees.  ``loop_reps`` is meaningful only for LOOP.  ``operand_bits``
+    (targets, then control bits, then mux-control bits) is derived, not
+    compared.
     """
 
     opcode: Opcode
@@ -131,6 +133,7 @@ class Instruction:
     mux_controls: tuple[MuxControl, ...] = ()
     angles_deg: tuple[float, ...] = ()
     loop_reps: int = 0
+    operand_bits: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "targets", tuple(self.targets))
@@ -141,13 +144,10 @@ class Instruction:
         object.__setattr__(self, "angles_deg", tuple(float(a) for a in self.angles_deg))
         if self.opcode is Opcode.SWAP:
             object.__setattr__(self, "targets", tuple(sorted(self.targets, reverse=True)))
+        object.__setattr__(self, "operand_bits", self.targets
+                           + tuple(c.bit for c in self.controls)
+                           + tuple(m.bit for m in self.mux_controls))
         _check_instruction(self)
-
-    @property
-    def operand_bits(self) -> tuple[int, ...]:
-        return (self.targets
-                + tuple(c.bit for c in self.controls)
-                + tuple(m.bit for m in self.mux_controls))
 
     @property
     def is_loop_marker(self) -> bool:
@@ -422,9 +422,25 @@ def _labelled(body: Sequence[Instruction]) -> Iterator[tuple[Instruction, int | 
             yield ins, None
 
 
+def _rendered(body: Sequence[Instruction],
+              line: Callable[[Instruction, int | None], str]) -> Iterator[str]:
+    """``line(ins, label)`` of each instruction, newline-terminated.  A gate
+    line is rendered once per distinct instruction and reused: equal
+    instructions differ at most in the sign of a zero angle, which
+    format_number does not print."""
+    gates: dict[Instruction, str] = {}
+    for ins, label in _labelled(body):
+        if label is not None:
+            yield line(ins, label) + "\n"
+            continue
+        text = gates.get(ins)
+        if text is None:
+            text = gates[ins] = line(ins, None) + "\n"
+        yield text
+
+
 def write_english(circuit: Circuit) -> str:
-    return "".join(_english_line(ins, label) + "\n"
-                   for ins, label in _labelled(circuit.body))
+    return "".join(_rendered(circuit.body, _english_line))
 
 
 def _english_line(ins: Instruction, label: int | None) -> str:
@@ -469,8 +485,8 @@ _PICTURE_SYMBOL = {
 
 
 def write_picture(circuit: Circuit) -> str:
-    return "".join(_picture_line(ins, label, circuit.num_qubits) + "\n"
-                   for ins, label in _labelled(circuit.body))
+    n = circuit.num_qubits
+    return "".join(_rendered(circuit.body, lambda ins, label: _picture_line(ins, label, n)))
 
 
 def _picture_line(ins: Instruction, label: int | None, n: int) -> str:
@@ -528,10 +544,16 @@ def parse_english(text: str, num_qubits: int | None = None) -> Circuit:
     given explicitly.  Loop labels must equal their 0-based line index and
     every LOOP must be closed by a NEXT with the same label, properly
     nested.  Any malformed line raises ParseError with its line number.
+    Equal gate lines are parsed once and share one Instruction.
     """
     instructions: list[Instruction] = []
+    gates: dict[str, Instruction] = {}  # gate line text -> its parsed instruction
     open_loops: list[tuple[int, int]] = []  # (label, line number)
     for index, raw in enumerate(text.splitlines()):
+        ins = gates.get(raw)
+        if ins is not None:
+            instructions.append(ins)
+            continue
         line_no = index + 1
         tokens = raw.split()
         if not tokens:
@@ -561,22 +583,23 @@ def parse_english(text: str, num_qubits: int | None = None) -> Circuit:
                 ins = end_loop()
             else:
                 ins = _parse_gate(op, tokens, line_no)
+                if num_qubits is not None:
+                    for bit in ins.operand_bits:
+                        if bit >= num_qubits:
+                            raise ParseError(
+                                f"bit {bit} out of range for {num_qubits} qubit(s)", line_no)
+                gates[raw] = ins
         except ParseError:
             raise
         except ValueError as err:
             raise ParseError(str(err), line_no) from None
-        if num_qubits is not None:
-            for bit in ins.operand_bits:
-                if bit >= num_qubits:
-                    raise ParseError(
-                        f"bit {bit} out of range for {num_qubits} qubit(s)", line_no)
         instructions.append(ins)
     if open_loops:
         label, line_no = open_loops[-1]
         raise ParseError(f"LOOP {label} is never closed", line_no)
 
     if num_qubits is None:
-        num_qubits = 1 + max((b for ins in instructions for b in ins.operand_bits),
+        num_qubits = 1 + max((b for ins in gates.values() for b in ins.operand_bits),
                              default=0)
     try:
         return Circuit(num_qubits, tuple(instructions))

@@ -38,8 +38,10 @@ def expand_mux(ins: Instruction) -> list[Instruction]:
     out: list[Instruction] = []
     for r in range(words):
         g = gray_code(r)
-        acc = sum(theta if (m & g).bit_count() % 2 == 0 else -theta
-                  for m, theta in enumerate(ins.angles_deg))
+        # Left to right from 0.0: builtin sum rounds differently from 3.12 on.
+        acc = 0.0
+        for m, theta in enumerate(ins.angles_deg):
+            acc += theta if (m & g).bit_count() % 2 == 0 else -theta
         out.append(roty(2.0 * acc / words, target, plain))
         flip = g ^ gray_code((r + 1) % words)
         name = flip.bit_length() - 1
@@ -48,11 +50,20 @@ def expand_mux(ins: Instruction) -> list[Instruction]:
 
 
 def expand_circuit(circuit: Circuit) -> Circuit:
-    """The circuit with every MP_Y line replaced by its ladder."""
+    """The circuit with every MP_Y line replaced by its ladder.
+
+    Each distinct multiplexor is expanded once and its repeats share the
+    ladder's instructions.  Equality merges only angles 0.0 and -0.0, and a
+    sum that starts from 0.0 gives both the same ladder, bit for bit.
+    """
     body: list[Instruction] = []
+    ladders: dict[Instruction, list[Instruction]] = {}
     for ins in circuit.body:
         if ins.opcode is Opcode.MP_Y:
-            body.extend(expand_mux(ins))
+            ladder = ladders.get(ins)
+            if ladder is None:
+                ladder = ladders[ins] = expand_mux(ins)
+            body.extend(ladder)
         else:
             body.append(ins)
     return Circuit(circuit.num_qubits, tuple(body))

@@ -140,6 +140,23 @@ def test_parse_reports_line_number():
     assert err is not None and err.line == 2
 
 
+@pytest.mark.parametrize("text,num_qubits,line,token", [
+    # a repeated line out of range is reported at its first occurrence
+    ("HAD2  AT  0\nSIGX  AT  7\nHAD2  AT  0\nSIGX  AT  7\n", 3, 2, None),
+    # a bad line after many repeats of a good one keeps its own line and token
+    ("SIGX  AT  0\n" * 50 + "SIGX  AT  0  IF  1G\n", None, 51, "1G"),
+    # a repeated bad line is reported at its first occurrence
+    ("HAD2  AT  0\n" + "SIGX AT x\n" * 3, None, 2, "x"),
+    # NEXT labels are checked on every line, also when the text repeats
+    ("LOOP 0 REPS: 2\nSIGX  AT  0\nNEXT 0\nLOOP 3 REPS: 2\nSIGX  AT  0\nNEXT 0\n",
+     None, 6, None),
+])
+def test_parse_error_names_first_bad_line(text, num_qubits, line, token):
+    with pytest.raises(ParseError) as caught:
+        parse_english(text, num_qubits=num_qubits)
+    assert (caught.value.line, caught.value.token) == (line, token)
+
+
 def test_parse_respects_supplied_qubit_count():
     assert parse_english("SIGX  AT  1\n", num_qubits=5).num_qubits == 5
     with pytest.raises(ParseError, match="out of range"):

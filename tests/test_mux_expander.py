@@ -49,6 +49,13 @@ def test_equal_angles_collapse_to_single_rotation():
     assert all(r.angles_deg == (0.0,) for r in rotations[1:])
 
 
+def test_ladder_angles_sum_left_to_right():
+    """The same bytes on every Python: from 3.12 on, builtin sum of floats is
+    compensated and would make this first angle 1.0."""
+    ins = mp_y(2, (MuxControl(1, 1), MuxControl(0, 0)), (1.0, 1e100, 1.0, -1e100))
+    assert expand_mux(ins)[0].angles_deg == (0.0,)
+
+
 @pytest.mark.parametrize("k", (1, 2, 3, 4))
 def test_expansion_equals_multiplexor(k):
     rng = np.random.default_rng(40 + k)
