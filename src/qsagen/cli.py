@@ -142,8 +142,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     except ParseError as err:
         return _fail(str(err))
     n = circuit.num_qubits
-    if n > sim.MAX_SIM_QUBITS:
-        return _fail(f"{n} qubits exceeds the simulation cap of {sim.MAX_SIM_QUBITS}", 2)
+    if n > sim.MAX_STATE_QUBITS:
+        return _fail(f"{n} qubits exceeds the simulation cap of {sim.MAX_STATE_QUBITS}", 2)
     if not 0 <= args.initial < (1 << n):
         return _fail(f"initial basis state {args.initial} outside 0..{(1 << n) - 1}")
     state = sim.apply(circuit, sim.basis_state(n, args.initial))
@@ -230,9 +230,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if args.nb > MAX_VERIFY_NB:
         return _fail(f"nb = {args.nb} exceeds the verification cap of {MAX_VERIFY_NB}", 2)
     total_qubits = 2 * args.nb + args.probe_bits * args.pe_steps
-    if total_qubits > sim.MAX_SIM_QUBITS:
+    if total_qubits > sim.MAX_MATRIX_QUBITS:
         return _fail(f"{total_qubits} qubits exceeds the simulation cap of "
-                     f"{sim.MAX_SIM_QUBITS}", 2)
+                     f"{sim.MAX_MATRIX_QUBITS}", 2)
     try:
         for beta in args.beta:
             check_beta(beta)

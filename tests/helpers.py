@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 from scipy.linalg import expm
@@ -65,6 +66,83 @@ def random_circuit(rng: np.random.Generator, num_qubits: int | None = None,
                    max_items: int = 8, loops: bool = True) -> Circuit:
     n = num_qubits if num_qubits is not None else int(rng.integers(1, 6))
     return Circuit(n, tuple(random_body(rng, n, max_items=max_items, loops=loops)))
+
+
+RUN_GATE_MAKERS = "roty rotn p1ph had2 cnot mpy".split()
+
+
+def random_run_gate(rng: np.random.Generator, n: int, target: int) -> Instruction:
+    """One 2x2 gate on `target`, of the kinds that make up ladders."""
+    others = [int(b) for b in rng.permutation(n) if b != target]
+    kind = RUN_GATE_MAKERS[rng.integers(len(RUN_GATE_MAKERS))]
+
+    def controls(avail, limit):
+        count = int(rng.integers(0, min(limit, len(avail)) + 1))
+        return [Control(b, bool(rng.integers(2))) for b in avail[:count]]
+
+    angle = lambda: float(rng.uniform(-180.0, 180.0))
+    if kind == "cnot" and others:
+        return sigx(target, [Control(others[0], bool(rng.integers(2)))] + controls(others[1:], 1))
+    if kind == "mpy" and others:
+        k = int(rng.integers(1, min(3, len(others)) + 1))
+        mux = [MuxControl(b, name) for name, b in enumerate(others[:k])]
+        return mp_y(target, mux, [angle() for _ in range(1 << k)], controls(others[k:], 1))
+    if kind == "rotn":
+        return rotn(angle(), angle(), angle(), target, controls(others, 2))
+    if kind == "p1ph":
+        return p1ph(angle(), target, controls(others, 2))
+    if kind == "had2":
+        return had2(target, controls(others, 1))
+    return roty(angle(), target, controls(others, 2))
+
+
+def random_run_body(rng: np.random.Generator, n: int, max_parts: int = 6,
+                    depth: int = 0) -> list[Instruction]:
+    """A ladder-heavy body: runs of 2x2 gates on one target, some repeated as
+    the same objects or as equal copies, some in loops, some split by a loop
+    marker, some whose controls cover every other qubit, and PHAS/SWAP
+    lines between them."""
+    body: list[Instruction] = []
+    runs: list[list[Instruction]] = []
+    for _ in range(int(rng.integers(1, max_parts + 1))):
+        choice = rng.random()
+        target = int(rng.integers(n))
+        if runs and choice < 0.15:
+            body.extend(runs[rng.integers(len(runs))])
+        elif runs and choice < 0.25:
+            body.extend(replace(ins) for ins in runs[rng.integers(len(runs))])
+        elif depth < 2 and choice < 0.45:
+            body.append(loop(int(rng.integers(1, 4))))
+            body.extend(random_run_body(rng, n, max_parts=3, depth=depth + 1))
+            body.append(end_loop())
+        elif choice < 0.6:
+            # same-target gates on both sides of a LOOP and of its NEXT
+            body.append(random_run_gate(rng, n, target))
+            body.append(loop(int(rng.integers(1, 4))))
+            body.extend(random_run_gate(rng, n, target) for _ in range(int(rng.integers(1, 3))))
+            body.append(end_loop())
+            body.append(random_run_gate(rng, n, target))
+        elif choice < 0.7 and n >= 2:
+            run = [sigx(target, (Control(b, bool(rng.integers(2))),))
+                   for b in range(n) if b != target]
+            run.append(roty(float(rng.uniform(-180.0, 180.0)), target))
+            runs.append(run)
+            body.extend(run)
+        else:
+            run = [random_run_gate(rng, n, target) for _ in range(int(rng.integers(2, 7)))]
+            runs.append(run)
+            body.extend(run)
+        if rng.random() < 0.3:
+            body.append(phas(float(rng.uniform(-180.0, 180.0)),
+                             [Control(target, bool(rng.integers(2)))]))
+        elif rng.random() < 0.2 and n >= 2:
+            body.append(swap(target, (target + 1) % n))
+    return body
+
+
+def random_run_circuit(rng: np.random.Generator) -> Circuit:
+    n = int(rng.integers(2, 6))
+    return Circuit(n, tuple(random_run_body(rng, n)))
 
 
 def manual_unroll(body) -> list[Instruction]:

@@ -194,6 +194,29 @@ def test_simulate_prints_amplitudes(workdir, capsys):
     assert "+0.707106781187" in out[0]
 
 
+def test_simulate_runs_above_the_matrix_cap(workdir, capsys):
+    (workdir / "q13_eng.txt").write_text(
+        "HAD2  AT  12\n"
+        "LOOP 1 REPS: 2\n"
+        "SIGX  AT  0  IF  12T\n"
+        "ROTY  90.0  AT  0  IF  12T\n"
+        "NEXT 1\n")
+    assert main(["simulate", "--in-prefix", "q13"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.splitlines() == [
+        f"|{0:013b}>  +0.707106781187  +0.000000000000",
+        f"|{1 << 12:013b}>  +0.707106781187  +0.000000000000"]
+
+
+def test_simulate_enforces_the_state_cap(workdir, capsys):
+    (workdir / "q17_eng.txt").write_text("HAD2  AT  16\n")
+    assert main(["simulate", "--in-prefix", "q17"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "Message: 17 qubits exceeds the simulation cap of 16\n"
+    assert captured.out == ""
+
+
 def test_verify_passes_at_defaults(workdir, capsys):
     assert main(["verify", "--nb", "1", "--probe-bits", "2"]) == 0
     out = capsys.readouterr().out

@@ -1,16 +1,19 @@
-"""Simulator gate semantics against hand matrices and scipy's expm."""
+"""Simulator gate semantics against hand matrices, scipy's expm and the
+kron-built oracle, gate by gate and through the run tables."""
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
 from qsagen import sim
-from qsagen.ir import (Circuit, Control, MuxControl, end_loop, had2, loop, mp_y,
-                       p0ph, p1ph, phas, rotn, rotx, roty, rotz, sigx, sigy, sigz,
-                       swap)
+from qsagen.cli import main
+from qsagen.ir import (Circuit, Control, MuxControl, _nest, end_loop, had2, loop, mp_y,
+                       p0ph, p1ph, parse_english, phas, rotn, rotx, roty, rotz, sigx,
+                       sigy, sigz, swap, write_english)
 
-from helpers import oracle_matrix, random_circuit
+from helpers import oracle_matrix, random_circuit, random_run_circuit
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -199,6 +202,11 @@ def test_to_matrix_qubit_cap():
         sim.to_matrix(Circuit(13))
 
 
+def test_apply_qubit_cap():
+    with pytest.raises(ValueError, match="at most 16"):
+        sim.apply(Circuit(17), np.zeros(1))
+
+
 def test_eig_unitary_identity_and_reflection():
     assert np.allclose(sim.eig_unitary(np.eye(4)), 0.0)
     circuit = Circuit(2, (phas(180.0, (Control(1, False), Control(0, False))),))
@@ -216,3 +224,106 @@ def test_phases_match():
     assert sim.phases_match([np.pi, 0.0], [-np.pi, 0.0])  # same point on the circle
     assert not sim.phases_match([0.0, 1.0], [0.0, 1.1])
     assert not sim.phases_match([0.0], [0.0, 0.0])
+
+
+# --- run tables ------------------------------------------------------------------
+
+def assert_matches_oracle(circuit, rng, states=3):
+    want = oracle_matrix(circuit)
+    np.testing.assert_allclose(sim.to_matrix(circuit), want, rtol=0, atol=1e-12)
+    dim = 1 << circuit.num_qubits
+    for state in rng.normal(size=(states, dim)) + 1j * rng.normal(size=(states, dim)):
+        np.testing.assert_allclose(sim.apply(circuit, state), want @ state, rtol=0, atol=1e-12)
+
+
+def distinct_tables(circuit):
+    runs = {}
+    sim._plan(_nest(circuit.body), runs, 1)
+    return sum(run.executions > 1 for run in runs.values())
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_run_tables_match_kron_oracle(seed):
+    rng = np.random.default_rng(5000 + seed)
+    assert_matches_oracle(random_run_circuit(rng), rng)
+
+
+def test_random_run_bodies_build_tables():
+    built = [distinct_tables(random_run_circuit(np.random.default_rng(5000 + seed)))
+             for seed in range(40)]
+    assert sum(count > 0 for count in built) >= 30
+
+
+def test_runs_with_equal_opcodes_get_their_own_tables():
+    """Two ladders that differ only in their angles and control values."""
+    first = [roty(30.0, 0, (Control(2, True),)), sigx(0, (Control(1, True),)),
+             roty(-75.0, 0, (Control(2, False),)), sigx(0, (Control(2, True),))]
+    second = [roty(110.0, 0, (Control(2, False),)), sigx(0, (Control(1, False),)),
+              roty(5.0, 0, (Control(2, True),)), sigx(0, (Control(2, False),))]
+    circuit = Circuit(3, (had2(1), had2(2), loop(2), *first, had2(1), *second, end_loop()))
+    assert distinct_tables(circuit) == 2
+    assert_matches_oracle(circuit, np.random.default_rng(11))
+
+
+def test_table_words_follow_bit_order():
+    """A multiplexor whose angle words read the controls against the bit order."""
+    mux = (MuxControl(1, 0), MuxControl(2, 1), MuxControl(3, 2))
+    angles = (10.0, 20.0, 40.0, 80.0, -15.0, 33.0, 120.0, -170.0)
+    ladder = (mp_y(0, mux, angles), roty(12.0, 0, (Control(3, True),)),
+              p1ph(50.0, 0, (Control(1, False),)))
+    circuit = Circuit(4, (had2(1), had2(2), had2(3), loop(3), *ladder, end_loop()))
+    assert distinct_tables(circuit) == 1
+    assert_matches_oracle(circuit, np.random.default_rng(12))
+
+
+def test_runs_stop_at_loop_markers():
+    a, b, c = roty(40.0, 0, (Control(1, True),)), sigx(0, (Control(1, True),)), had2(0)
+    circuit = Circuit(2, (had2(1), a, b, loop(3), c, a, b, end_loop(), b, a, loop(2), a, b,
+                          end_loop(), c))
+    assert_matches_oracle(circuit, np.random.default_rng(13))
+
+
+def test_run_controlled_on_every_other_qubit():
+    n = 5
+    run = [sigx(2, (Control(b, b % 2 == 0),)) for b in range(n) if b != 2]
+    run += [mp_y(2, (MuxControl(4, 0), MuxControl(0, 1)), (15.0, -40.0, 95.0, 170.0),
+                 (Control(1, True), Control(3, False))),
+            rotn(10.0, 20.0, -30.0, 2, (Control(0, True), Control(1, False)))]
+    circuit = Circuit(n, (*[had2(b) for b in range(n)], loop(2), *run, end_loop(), *run))
+    assert distinct_tables(circuit) == 1
+    assert_matches_oracle(circuit, np.random.default_rng(14))
+
+
+def test_parsed_repeats_share_one_table():
+    """Equal lines parse to one object, so a ladder repeated in the text and
+    in a loop builds one table; an equal copy made apart builds its own."""
+    ladder = [roty(25.0, 1, (Control(0, True),)), sigx(1, (Control(0, True),)),
+              roty(-60.0, 1, (Control(0, False),))]
+    text = write_english(Circuit(2, (had2(0), *ladder, loop(2), *ladder, end_loop())))
+    parsed = parse_english(text)
+    assert distinct_tables(parsed) == 1
+    copy = [replace(ins) for ins in ladder]
+    copied = Circuit(2, (*ladder, had2(0), *ladder, had2(0), *copy, had2(0), *copy))
+    assert distinct_tables(copied) == 2
+    rng = np.random.default_rng(15)
+    assert_matches_oracle(parsed, rng)
+    assert_matches_oracle(copied, rng)
+
+
+def test_expanded_and_multiplexor_files_agree(tmp_path, monkeypatch, capsys):
+    """The expanded file runs on tables, the multiplexor-level file mostly
+    gate by gate: the two must give the same states."""
+    monkeypatch.chdir(tmp_path)
+    assert main(["generate", "--prefix", "x", "--nb", "2", "--probe-bits", "2",
+                 "--pe-steps", "1", "--grover-depth", "1", "--num-betas", "3",
+                 "--delta-beta", "0.5", "--prep"]) == 0
+    assert main(["expand", "--in-prefix", "x_qsann", "--out-prefix", "x_flat"]) == 0
+    capsys.readouterr()
+    mux = parse_english((tmp_path / "x_qsann_eng.txt").read_text())
+    flat = parse_english((tmp_path / "x_flat_eng.txt").read_text())
+    assert flat.num_qubits == mux.num_qubits == 6
+    assert distinct_tables(flat) > 0
+    for index in (0, 5, 17, 42, 63):
+        state = sim.basis_state(6, index)
+        np.testing.assert_allclose(sim.apply(flat, state), sim.apply(mux, state),
+                                   rtol=0, atol=1e-12)
