@@ -40,9 +40,11 @@ controls' axes of the state, mix the two target halves.  Runs are told
 apart by the identities of their instructions (the parser shares one object
 per distinct line), so every repetition of a loop body and every repeat of
 a multiplexor's ladder is one run, and its table is built once per call.
-A run of one gate, and a run that executes only once, go to the kernel gate
-by gate.  Tables change the order of the floating-point operations: results
-agree with gate-by-gate evaluation within 1e-12, not bit for bit.
+A run that executes once goes to the kernel gate by gate, as does a run of
+one gate other than an MP_Y that executes three times or more (the kernel
+rebuilds a multiplexor's word tensor and cos/sin gather every time).  Tables
+change the order of the floating-point operations: results agree with
+gate-by-gate evaluation within 1e-12, not bit for bit.
 """
 from __future__ import annotations
 
@@ -169,8 +171,8 @@ class _Run:
 
 
 def _plan(nodes: list, runs: dict, weight: int) -> list:
-    """The loop tree with each run of two or more gates replaced by its _Run,
-    shared through `runs`, keyed on the identities of the run's gates."""
+    """The loop tree with each run of two or more gates or one MP_Y replaced
+    by its _Run, shared through `runs`, keyed on its gates' identities."""
     steps: list = []
     i, count = 0, len(nodes)
     while i < count:
@@ -183,7 +185,7 @@ def _plan(nodes: list, runs: dict, weight: int) -> list:
         if len(targets) == 1:
             while i < count and not isinstance(nodes[i], _Block) and nodes[i].targets == targets:
                 i += 1
-        if i - start == 1:
+        if i - start == 1 and node.opcode is not Opcode.MP_Y:
             steps.append(node)
             continue
         gates = nodes[start:i]
@@ -214,15 +216,16 @@ def _execute(psi: np.ndarray, steps: list, axis) -> None:
 def _evolve(circuit: Circuit, amp: np.ndarray) -> np.ndarray:
     """Apply every gate in place to `amp`, whose first axis is the basis index.
 
-    A run that executes once stays gate by gate: its table would cost as
-    much to build as the gates cost to apply."""
+    A run that executes once stays gate by gate, and so does a lone MP_Y
+    that executes twice: its table would cost as much to build as the gates
+    cost to apply."""
     n = circuit.num_qubits
     psi = amp.reshape((2,) * n + amp.shape[1:])
     axis = tuple(range(n - 1, -1, -1))
     runs: dict = {}
     steps = _plan(_nest(circuit.body), runs, 1)
     for run in runs.values():
-        if run.executions > 1:
+        if run.executions > (2 if len(run.gates) == 1 else 1):
             run.table = _table(run.gates, axis, psi.ndim)
     _execute(psi, steps, axis)
     return psi.reshape(amp.shape)

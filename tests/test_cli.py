@@ -178,12 +178,41 @@ def test_expand_missing_input_names_path(workdir, capsys):
     assert "nope_eng.txt" in capsys.readouterr().err
 
 
+MUXES_AND_LOOPS = ("MP_Y  AT  2 IF 1(1 0(0 BY 20.0 -40.0 5.0 7.5\n"
+                   "LOOP 1 REPS: 3\n"
+                   "MP_Y  AT  1 IF 0(0 2T BY 20.0 -40.0\n"
+                   "LOOP 3 REPS: 2\n"
+                   "MP_Y  AT  2 IF 1(1 0(0 BY 20.0 -40.0 5.0 7.5\n"
+                   "NEXT 3\n"
+                   "NEXT 1\n"
+                   "MP_Y  AT  1 IF 0(0 2T BY 20.0 -40.0\n")
+
+
 def test_expand_reports_parse_error_line(workdir, capsys):
     (workdir / "bad_eng.txt").write_text("SIGQ AT 1\n")
     (workdir / "bad_pic.txt").write_text("X\n")
     assert main(["expand", "--in-prefix", "bad", "--out-prefix", "y"]) == 1
     err = capsys.readouterr().err
     assert "line 1" in err and "SIGQ" in err
+    assert not list(workdir.glob("y_*"))
+    # The input line is named, not its place in the expanded output.
+    (workdir / "late_eng.txt").write_text(MUXES_AND_LOOPS + "SIGX  AT  0  IF  1X\n")
+    (workdir / "late_pic.txt").write_text("x\n" * 9)
+    assert main(["expand", "--in-prefix", "late", "--out-prefix", "y"]) == 1
+    assert capsys.readouterr().err == (
+        "Message: line 9: bad control token (offending token '1X')\n")
+    assert not list(workdir.glob("y_*"))
+    (workdir / "short_eng.txt").write_text(MUXES_AND_LOOPS)
+    (workdir / "short_pic.txt").write_text("x\n" * 7)
+    assert main(["expand", "--in-prefix", "short", "--out-prefix", "y"]) == 1
+    assert capsys.readouterr().err == (
+        "Message: picture file has 7 line(s) but english file has 8\n")
+    assert not list(workdir.glob("y_*"))
+    (workdir / "short_pic.txt").write_text("x\n" * 8)
+    assert main(["expand", "--in-prefix", "short", "--out-prefix", "y"]) == 0
+    capsys.readouterr()
+    assert sorted(p.name for p in workdir.glob("y_*")) == [
+        "y_eng.txt", "y_log.txt", "y_pic.txt"]
 
 
 def test_simulate_prints_amplitudes(workdir, capsys):

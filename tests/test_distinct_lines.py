@@ -3,6 +3,8 @@
 Each memoized conversion is checked against its per-line path on bodies
 drawn from a small pool, so that lines repeat: equal but distinct objects,
 angles of 0.0 and -0.0, nested loops and multiplexors with plain controls.
+The one-pass `expand_file` is checked against parse -> `expand_circuit` ->
+count and write.
 """
 import math
 from dataclasses import replace
@@ -11,9 +13,9 @@ import numpy as np
 import pytest
 
 from qsagen.ir import (Circuit, Control, MuxControl, Opcode, _english_line,
-                       _labelled, _picture_line, end_loop, loop, mp_y, parse_english,
-                       rotn, roty, write_english, write_picture)
-from qsagen.mux_expander import expand_circuit, expand_mux
+                       _labelled, _picture_line, count_elementary_ops, end_loop, loop,
+                       mp_y, parse_english, rotn, roty, write_english, write_picture)
+from qsagen.mux_expander import expand_circuit, expand_file, expand_mux
 
 from helpers import random_gate
 
@@ -88,3 +90,34 @@ def test_expander_equals_per_line_expansion(seed):
     expected = [gate for ins in circuit.body
                 for gate in (expand_mux(ins) if ins.opcode is Opcode.MP_Y else [ins])]
     assert signed(expand_circuit(circuit).body) == signed(expected)
+
+
+def expansion_case(seed: int) -> tuple[Circuit, str]:
+    """A repeating body around multiplexors with plain controls, repeated
+    inside loops nested two deep, and its english text with some zeros
+    spelled -0.0 and some lines widened: equal instructions, other text."""
+    rng = np.random.default_rng(seed)
+    gates = pool(rng)
+    muxes = [ins for ins in gates if ins.opcode is Opcode.MP_Y and ins.controls]
+    frame = [loop(2), muxes[0], loop(3), muxes[1], *repeating_body(rng, gates, 4, depth=3),
+             muxes[0], end_loop(), muxes[-1], end_loop()]
+    circuit = Circuit(N, tuple(repeating_body(rng, gates, 15) + frame
+                               + repeating_body(rng, gates, 15)))
+    lines = []
+    for line in write_english(circuit).splitlines():
+        if rng.random() < 0.3:
+            line = " ".join("-0.0" if tok == "0.0" else tok for tok in line.split(" "))
+        if rng.random() < 0.3:
+            line = line.replace(" ", "   ") + " "
+        lines.append(line)
+    return circuit, "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_expand_file_equals_expanded_circuit(seed):
+    circuit, eng = expansion_case(seed)
+    expanded = expand_circuit(parse_english(eng))
+    log = ("Compilation Mode: Exact SEO\n"
+           f"Number of Elementary Operations: {count_elementary_ops(expanded)}\n")
+    assert expand_file(eng, write_picture(circuit)) == (
+        log, write_english(expanded), write_picture(expanded))

@@ -276,6 +276,24 @@ def test_table_words_follow_bit_order():
     assert_matches_oracle(circuit, np.random.default_rng(12))
 
 
+LONE_MUX = mp_y(0, (MuxControl(2, 1), MuxControl(1, 0)), (35.0, -120.0, 64.5, 171.0))
+
+
+@pytest.mark.parametrize("body,tables", [
+    ((loop(3), LONE_MUX, had2(3), end_loop()), 1),
+    ((loop(3), replace(LONE_MUX, controls=(Control(3, False),)), had2(3), end_loop()), 1),
+    ((loop(2), LONE_MUX, had2(3), end_loop()), 0),
+    ((had2(3), LONE_MUX, had2(3)), 0),
+], ids=["thrice", "thrice-plain-control", "twice", "once"])
+def test_lone_multiplexor_gets_a_table_from_its_third_execution(body, tables, monkeypatch):
+    circuit = Circuit(4, (had2(1), had2(2), *body))
+    built, table = [], sim._table
+    monkeypatch.setattr(sim, "_table", lambda run, *args: built.append(run) or table(run, *args))
+    sim.to_matrix(circuit)
+    assert len(built) == tables
+    assert_matches_oracle(circuit, np.random.default_rng(16))
+
+
 def test_runs_stop_at_loop_markers():
     a, b, c = roty(40.0, 0, (Control(1, True),)), sigx(0, (Control(1, True),)), had2(0)
     circuit = Circuit(2, (had2(1), a, b, loop(3), c, a, b, end_loop(), b, a, loop(2), a, b,
