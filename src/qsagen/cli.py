@@ -22,8 +22,7 @@ import numpy as np
 
 from . import mux_expander, sim
 from .annealer import GeneratorConfig, PEParams, emit_R_tilde, emit_full
-from .ir import (Circuit, Opcode, ParseError, count_elementary_ops, format_number,
-                 parse_english, write_english, write_picture)
+from .ir import Circuit, Opcode, ParseError, format_number, parse_english, render
 from .markov import (AnnealingSchedule, boltzmann, check_beta, default_problem,
                      metropolis, spectral)
 from .qembed import qembed_circuit
@@ -37,14 +36,26 @@ def _fail(message: str, code: int = 1) -> int:
     return code
 
 
+class _FileError(Exception):
+    """A file a command needs cannot be read or written; `main` reports it."""
+
+
 def _write(path: str, text: str) -> None:
-    with open(path, "w", newline="\n") as handle:
-        handle.write(text)
+    try:
+        with open(path, "w", newline="\n") as handle:
+            handle.write(text)
+    except OSError as err:
+        raise _FileError(f"cannot write {path}: {err.strerror}") from None
 
 
 def _read(path: str) -> str:
-    with open(path, "r", newline="") as handle:
-        return handle.read()
+    try:
+        with open(path, "r", newline="") as handle:
+            return handle.read()
+    except OSError as err:
+        raise _FileError(f"cannot read {path}: {err.strerror}") from None
+    except UnicodeDecodeError as err:
+        raise _FileError(f"cannot read {path}: {err}") from None
 
 
 # --- generate -------------------------------------------------------------------
@@ -52,10 +63,6 @@ def _read(path: str) -> str:
 def cmd_generate(args: argparse.Namespace) -> int:
     if args.nb < 1 or args.nb > 6:
         return _fail(f"Number of State Bits must be in 1..6, got {args.nb}")
-    if args.probe_bits < 1:
-        return _fail("Number of Probe Bits must be >= 1")
-    if args.pe_steps < 1:
-        return _fail("Number of Phase Estimation Steps must be >= 1")
     if args.grover_depth < 1:
         return _fail("Grover Depth must be >= 1")
     if args.num_betas < 2:
@@ -72,7 +79,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
     except ValueError as err:
         return _fail(str(err))
     circuit = emit_full(config, prep=args.prep)
-    num_ops = count_elementary_ops(circuit)
+    num_ops, english, picture = render(circuit)
     log = "".join(line + "\n" for line in (
         f"File Prefix: {args.prefix}",
         f"Number of State Bits: {args.nb}",
@@ -88,8 +95,8 @@ def cmd_generate(args: argparse.Namespace) -> int:
         f"Number of Elementary Operations: {num_ops}",
     ))
     _write(f"{args.prefix}_qsann_log.txt", log)
-    _write(f"{args.prefix}_qsann_eng.txt", write_english(circuit))
-    _write(f"{args.prefix}_qsann_pic.txt", write_picture(circuit))
+    _write(f"{args.prefix}_qsann_eng.txt", english)
+    _write(f"{args.prefix}_qsann_pic.txt", picture)
     print(f"Number of Qubits: {circuit.num_qubits}")
     print(f"Number of Elementary Operations: {num_ops}")
     print(f"Wrote {args.prefix}_qsann_log.txt, {args.prefix}_qsann_eng.txt, "
@@ -104,16 +111,8 @@ def cmd_expand(args: argparse.Namespace) -> int:
         return _fail("compilation mode 'oracular' is not supported; use --mode exact", 2)
     if args.bit_precision is not None:
         print("Warning: --bit-precision is ignored in exact mode", file=sys.stderr)
-    eng_path = f"{args.in_prefix}_eng.txt"
-    pic_path = f"{args.in_prefix}_pic.txt"
-    try:
-        eng_text = _read(eng_path)
-    except OSError as err:
-        return _fail(f"cannot read {eng_path}: {err.strerror}")
-    try:
-        pic_text = _read(pic_path)
-    except OSError as err:
-        return _fail(f"cannot read {pic_path}: {err.strerror}")
+    eng_text = _read(f"{args.in_prefix}_eng.txt")
+    pic_text = _read(f"{args.in_prefix}_pic.txt")
     try:
         log_tail, eng_out, pic_out = mux_expander.expand_file(eng_text, pic_text)
     except (ParseError, ValueError) as err:
@@ -132,11 +131,7 @@ def cmd_expand(args: argparse.Namespace) -> int:
 # --- simulate -------------------------------------------------------------------
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    path = f"{args.in_prefix}_eng.txt"
-    try:
-        text = _read(path)
-    except OSError as err:
-        return _fail(f"cannot read {path}: {err.strerror}")
+    text = _read(f"{args.in_prefix}_eng.txt")
     try:
         circuit = parse_english(text, num_qubits=args.qubits)
     except ParseError as err:
@@ -319,7 +314,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _FileError as err:
+        return _fail(str(err))
 
 
 def entrypoint() -> None:

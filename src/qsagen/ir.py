@@ -14,8 +14,9 @@ The english format is the authoritative, parseable representation; pictures
 are write-only.  ``LOOP k REPS: n`` / ``NEXT k`` lines bracket a block to be
 repeated ``n`` times.  The label ``k`` equals the 0-based line index of its
 LOOP line.  Labels exist only in the text: in memory the nesting is the order
-of the LOOP/NEXT markers alone, the writers work labels out as they write,
-and the parser checks them and drops them.
+of the LOOP/NEXT markers alone, which every Circuit turns once into its loop
+tree (``Circuit.tree``).  `render` works the labels out as it walks that
+tree, and the parser checks them and drops them.
 
 Multiplexor lines (``MP_Y``) rotate their target about y by one of ``2**k``
 angles, selected by ``k`` *named* controls: the control named ``j`` supplies
@@ -278,13 +279,15 @@ class Circuit:
 
     num_qubits: int
     body: tuple[Instruction, ...] = ()
+    # The loop tree of the body, built once here; nothing may mutate it.
+    tree: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = self.num_qubits
         if n < 1:
             raise ValueError(f"num_qubits must be positive, got {n}")
         object.__setattr__(self, "body", tuple(self.body))
-        _nest(self.body)
+        object.__setattr__(self, "tree", _nest(self.body))
         for index, ins in enumerate(self.body):
             for bit in ins.operand_bits:
                 if bit >= n:
@@ -303,7 +306,7 @@ def count_elementary_ops(circuit: Circuit) -> int:
     def weight(nodes: list) -> int:
         return sum(node.reps * weight(node.body) if isinstance(node, _Block) else 1
                    for node in nodes)
-    return weight(_nest(circuit.body))
+    return weight(circuit.tree)
 
 
 # --- structural transforms ------------------------------------------------------
@@ -406,48 +409,68 @@ def unrolled(body: Sequence[Instruction]) -> Iterator[Instruction]:
     yield from walk(_nest(body))
 
 
-# --- english format -------------------------------------------------------------
+# --- writers --------------------------------------------------------------------
 
-def _labelled(body: Sequence[Instruction]) -> Iterator[tuple[Instruction, int | None]]:
-    """Each instruction with its loop label: a LOOP's own line index, which
-    its NEXT repeats; gate lines have none."""
-    open_loops: list[int] = []
-    for index, ins in enumerate(body):
-        if ins.opcode is Opcode.LOOP:
-            open_loops.append(index)
-            yield ins, index
-        elif ins.opcode is Opcode.NEXT:
-            yield ins, open_loops.pop()
-        else:
-            yield ins, None
+def render(circuit: Circuit,
+           convert: Callable[[Instruction], Sequence[Instruction]] | None = None,
+           ) -> tuple[int, str, str]:
+    """(op count, english text, picture text) of a circuit, in one walk of
+    its loop tree.
 
+    ``convert`` maps one gate to the gates it is written as (by default the
+    gate itself); the op count weights the written gates by their loops'
+    repetitions.  A LOOP label is the running output line index, which its
+    NEXT repeats.  Each gate is converted and rendered once per object and
+    once per value: equal instructions differ at most in the sign of a zero
+    angle, which format_number does not print.
+    """
+    n = circuit.num_qubits
+    by_id: dict[int, tuple[str, str, int]] = {}  # id(gate) -> (english, picture, lines)
+    by_value: dict[Instruction, tuple[str, str, int]] = {}
+    out: list[tuple] = []  # (english, picture[, lines]) of each node, in output order
+    line = 0
 
-def _rendered(body: Sequence[Instruction],
-              line: Callable[[Instruction, int | None], str]) -> Iterator[str]:
-    """``line(ins, label)`` of each instruction, newline-terminated.  A gate
-    line is rendered once per distinct instruction and reused: equal
-    instructions differ at most in the sign of a zero angle, which
-    format_number does not print."""
-    gates: dict[Instruction, str] = {}
-    for ins, label in _labelled(body):
-        if label is not None:
-            yield line(ins, label) + "\n"
-            continue
-        text = gates.get(ins)
-        if text is None:
-            text = gates[ins] = line(ins, None) + "\n"
-        yield text
+    def walk(nodes: list) -> int:
+        nonlocal line
+        ops = 0
+        for node in nodes:
+            if type(node) is _Block:
+                label, line = line, line + 1
+                out.append((f"LOOP {label} REPS: {node.reps}\n",
+                            f"LOOP {label} REPS:{node.reps}\n"))
+                ops += node.reps * walk(node.body)
+                out.append((f"NEXT {label}\n", f"NEXT {label}\n"))
+                line += 1
+                continue
+            chunk = by_id.get(id(node))
+            if chunk is None:
+                chunk = by_value.get(node)
+                if chunk is None:
+                    gates = (node,) if convert is None else convert(node)
+                    chunk = by_value[node] = (
+                        "".join(_english_line(g) + "\n" for g in gates),
+                        "".join(_picture_line(g, n) + "\n" for g in gates), len(gates))
+                by_id[id(node)] = chunk
+            out.append(chunk)
+            line += chunk[2]
+            ops += chunk[2]
+        return ops
+
+    ops = walk(circuit.tree)
+    return ops, "".join(c[0] for c in out), "".join(c[1] for c in out)
 
 
 def write_english(circuit: Circuit) -> str:
-    return "".join(_rendered(circuit.body, _english_line))
+    return render(circuit)[1]
 
 
-def _english_line(ins: Instruction, label: int | None) -> str:
-    if label is not None:
-        if ins.opcode is Opcode.LOOP:
-            return f"LOOP {label} REPS: {ins.loop_reps}"
-        return f"NEXT {label}"
+def write_picture(circuit: Circuit) -> str:
+    return render(circuit)[2]
+
+
+# --- english format -------------------------------------------------------------
+
+def _english_line(ins: Instruction) -> str:
     op = ins.opcode
     ctrls = [c.token for c in ins.controls]
     if op is Opcode.SWAP:
@@ -484,16 +507,7 @@ _PICTURE_SYMBOL = {
 }
 
 
-def write_picture(circuit: Circuit) -> str:
-    n = circuit.num_qubits
-    return "".join(_rendered(circuit.body, lambda ins, label: _picture_line(ins, label, n)))
-
-
-def _picture_line(ins: Instruction, label: int | None, n: int) -> str:
-    if label is not None:
-        if ins.opcode is Opcode.LOOP:
-            return f"LOOP {label} REPS:{ins.loop_reps}"
-        return f"NEXT {label}"
+def _picture_line(ins: Instruction, n: int) -> str:
     op = ins.opcode
 
     def col(bit: int) -> int:

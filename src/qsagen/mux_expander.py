@@ -16,16 +16,13 @@ Angles are solved in the multiplexor's kernel convention and doubled when
 written on ROTY lines (whose kernel carries a half angle).  Plain controls
 of the original line are attached to every emitted instruction.
 
-`expand_file` makes one pass over the parsed input, with no expanded
-Circuit.  It converts each distinct gate object (the parser shares one per
-line text), keyed on identity rather than hash, into its english and picture
-text and its line count.  A LOOP/NEXT label is the running output line
-index; the op count sums line counts times the open loops' repetitions.
+`expand_file` is `parse_english` followed by `ir.render` with each MP_Y
+written as its ladder: no expanded Circuit is built, and each distinct input
+line is expanded and rendered once.
 """
 from __future__ import annotations
 
-from .ir import (Circuit, Control, Instruction, Opcode, _english_line, _picture_line,
-                 parse_english, roty, sigx)
+from .ir import Circuit, Control, Instruction, Opcode, parse_english, render, roty, sigx
 
 
 def gray_code(i: int) -> int:
@@ -76,7 +73,7 @@ def expand_circuit(circuit: Circuit) -> Circuit:
 
 
 def expand_file(eng_text: str, pic_text: str) -> tuple[str, str, str]:
-    """Expand every multiplexor of a parsed file pair, in one pass.
+    """Expand every multiplexor of a parsed file pair.
 
     The picture input is validated only for line count (the english file
     fully determines the circuit).  Returns (log tail, english, picture);
@@ -88,29 +85,8 @@ def expand_file(eng_text: str, pic_text: str) -> tuple[str, str, str]:
         raise ValueError(
             f"picture file has {pic_lines} line(s) but english file has "
             f"{len(circuit.body)}")
-    n = circuit.num_qubits
-    chunks: dict[int, tuple[str, str, int]] = {}  # id(gate) -> (english, picture, lines)
-    out, open_loops = [], []  # open_loops: (label, weight outside the loop)
-    line, ops, weight = 0, 0, 1
-    for ins in circuit.body:
-        if ins.is_loop_marker:
-            if ins.opcode is Opcode.LOOP:
-                open_loops.append((line, weight))
-                label, weight = line, weight * ins.loop_reps
-            else:
-                label, weight = open_loops.pop()
-            out.append((_english_line(ins, label) + "\n", _picture_line(ins, label, n) + "\n"))
-            line += 1
-            continue
-        chunk = chunks.get(id(ins))
-        if chunk is None:
-            gates = expand_mux(ins) if ins.opcode is Opcode.MP_Y else (ins,)
-            chunk = chunks[id(ins)] = (
-                "".join(_english_line(g, None) + "\n" for g in gates),
-                "".join(_picture_line(g, None, n) + "\n" for g in gates), len(gates))
-        out.append(chunk)
-        line += chunk[2]
-        ops += weight * chunk[2]
+    ops, english, picture = render(
+        circuit, lambda ins: expand_mux(ins) if ins.opcode is Opcode.MP_Y else (ins,))
     log = (f"Compilation Mode: Exact SEO\n"
            f"Number of Elementary Operations: {ops}\n")
-    return log, "".join(c[0] for c in out), "".join(c[1] for c in out)
+    return log, english, picture

@@ -29,7 +29,7 @@ MP_Y is a single pass: the mux word of every amplitude pair is broadcast from
 one arange(2) << name term per mux axis and gathers that pair's cos/sin.
 
 Runs and tables.  Every gate but PHAS and SWAP is a 2x2 on one target.  Each
-loop body (a node of `ir._nest`'s tree) is cut into maximal runs of
+loop body (a node of `Circuit.tree`) is cut into maximal runs of
 consecutive 2x2 gates on one target; a run never crosses a LOOP or NEXT.  A
 run leaves its other operand bits, its k controls, unchanged, so it is one
 uniformly controlled 2x2: a unitary U_w for each word w of the controls.
@@ -52,7 +52,7 @@ import math
 
 import numpy as np
 
-from .ir import Circuit, Instruction, Opcode, _Block, _nest
+from .ir import Circuit, Instruction, Opcode, _Block
 
 MAX_STATE_QUBITS = 16   # apply: 2^n amplitudes
 MAX_MATRIX_QUBITS = 12  # to_matrix: 4^n amplitudes
@@ -223,7 +223,7 @@ def _evolve(circuit: Circuit, amp: np.ndarray) -> np.ndarray:
     psi = amp.reshape((2,) * n + amp.shape[1:])
     axis = tuple(range(n - 1, -1, -1))
     runs: dict = {}
-    steps = _plan(_nest(circuit.body), runs, 1)
+    steps = _plan(circuit.tree, runs, 1)
     for run in runs.values():
         if run.executions > (2 if len(run.gates) == 1 else 1):
             run.table = _table(run.gates, axis, psi.ndim)

@@ -81,6 +81,8 @@ def test_generate_qubit_count_formula(workdir, capsys):
     (("--delta-beta", "1e308"), "the last beta, 2 * 1e+308, overflows"),
     (("--up-bd-neig", "nan"), "up_bd_neig must be finite, got nan"),
     (("--up-bd-neig", "inf"), "up_bd_neig must be finite, got inf"),
+    (("--probe-bits", "0"), "probe_bits must be >= 1, got 0"),
+    (("--pe-steps", "0"), "pe_steps must be >= 1, got 0"),
 ])
 def test_generate_rejects_bad_inputs(workdir, capsys, override, message):
     args = list(GEN_ARGS)
@@ -176,6 +178,30 @@ def test_expand_warns_about_bit_precision(workdir, capsys):
 def test_expand_missing_input_names_path(workdir, capsys):
     assert main(["expand", "--in-prefix", "nope", "--out-prefix", "y"]) == 1
     assert "nope_eng.txt" in capsys.readouterr().err
+
+
+NOT_UTF8 = "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["generate", "--prefix", "missing/x"] + GEN_ARGS[3:],
+     "cannot write missing/x_qsann_log.txt: No such file or directory"),
+    (["expand", "--in-prefix", "demo_qsann", "--out-prefix", "missing/y"],
+     "cannot write missing/y_log.txt: No such file or directory"),
+    (["expand", "--in-prefix", "binary", "--out-prefix", "y"],
+     f"cannot read binary_eng.txt: {NOT_UTF8}"),
+    (["simulate", "--in-prefix", "binary"], f"cannot read binary_eng.txt: {NOT_UTF8}"),
+    (["simulate", "--in-prefix", "nope"], "cannot read nope_eng.txt: No such file or directory"),
+])
+def test_file_errors_end_in_message(workdir, capsys, argv, message):
+    assert main(GEN_ARGS) == 0
+    (workdir / "binary_eng.txt").write_bytes(b"\xff\n")
+    (workdir / "binary_pic.txt").write_text("x\n")
+    capsys.readouterr()
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"Message: {message}\n"
+    assert captured.out == ""
 
 
 MUXES_AND_LOOPS = ("MP_Y  AT  2 IF 1(1 0(0 BY 20.0 -40.0 5.0 7.5\n"

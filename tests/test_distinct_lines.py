@@ -13,11 +13,11 @@ import numpy as np
 import pytest
 
 from qsagen.ir import (Circuit, Control, MuxControl, Opcode, _english_line,
-                       _labelled, _picture_line, count_elementary_ops, end_loop, loop,
-                       mp_y, parse_english, rotn, roty, write_english, write_picture)
+                       _picture_line, count_elementary_ops, end_loop, loop, mp_y,
+                       parse_english, render, rotn, roty, write_english, write_picture)
 from qsagen.mux_expander import expand_circuit, expand_file, expand_mux
 
-from helpers import random_gate
+from helpers import manual_unroll, random_gate
 
 N = 4
 SEEDS = range(25)
@@ -61,11 +61,22 @@ def signed(body) -> list:
 @pytest.mark.parametrize("seed", SEEDS)
 def test_writers_equal_per_line_rendering(seed):
     circuit = repeating_circuit(seed)
-    labelled = list(_labelled(circuit.body))
-    assert write_english(circuit) == "".join(
-        _english_line(ins, label) + "\n" for ins, label in labelled)
-    assert write_picture(circuit) == "".join(
-        _picture_line(ins, label, N) + "\n" for ins, label in labelled)
+    english, picture, open_loops = [], [], []
+    for index, ins in enumerate(circuit.body):
+        if ins.opcode is Opcode.LOOP:
+            open_loops.append(index)
+            english.append(f"LOOP {index} REPS: {ins.loop_reps}")
+            picture.append(f"LOOP {index} REPS:{ins.loop_reps}")
+        elif ins.opcode is Opcode.NEXT:
+            label = open_loops.pop()
+            english.append(f"NEXT {label}")
+            picture.append(f"NEXT {label}")
+        else:
+            english.append(_english_line(ins))
+            picture.append(_picture_line(ins, N))
+    assert write_english(circuit) == "".join(line + "\n" for line in english)
+    assert write_picture(circuit) == "".join(line + "\n" for line in picture)
+    assert render(circuit)[0] == len(manual_unroll(circuit.body))
 
 
 @pytest.mark.parametrize("seed", SEEDS)

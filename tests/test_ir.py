@@ -4,11 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qsagen import sim
+from qsagen.annealer import GeneratorConfig, PEParams, emit_full
 from qsagen.ir import (Circuit, Control, Instruction, MuxControl, Opcode,
-                       ParseError, count_elementary_ops, dagger, end_loop,
+                       ParseError, _Block, count_elementary_ops, dagger, end_loop,
                        format_number, had2, loop, mp_y, p0ph, p1ph, parse_english,
-                       phas, rotn, rotx, roty, rotz, sigx, sigy, sigz, swap,
+                       phas, render, rotn, rotx, roty, rotz, sigx, sigy, sigz, swap,
                        unrolled, with_control, write_english, write_picture)
+from qsagen.markov import AnnealingSchedule, default_problem
 
 from helpers import manual_unroll, random_body, random_circuit
 
@@ -273,6 +276,33 @@ def test_count_matches_manual_unroll():
         circuit = random_circuit(rng)
         assert count_elementary_ops(circuit) == len(manual_unroll(circuit.body))
         assert count_elementary_ops(circuit) == len(list(unrolled(circuit.body)))
+
+
+def tree_shape(nodes: list) -> tuple:
+    """A loop tree as nested tuples of node identities and repetitions."""
+    return tuple((id(node), node.reps, id(node.body), tree_shape(node.body))
+                 if isinstance(node, _Block) else id(node) for node in nodes)
+
+
+def test_loop_tree_is_built_once(monkeypatch):
+    rng = np.random.default_rng(10)
+    circuits = [random_circuit(rng) for _ in range(20)]
+    config = GeneratorConfig(default_problem(2), PEParams(2, 1, 2), AnnealingSchedule(0.5, 2))
+    circuits.append(parse_english(write_english(emit_full(config, prep=True))))
+    shapes = [tree_shape(circuit.tree) for circuit in circuits]
+
+    def rebuilt(body):
+        raise AssertionError("the loop tree was built again")
+
+    monkeypatch.setattr("qsagen.ir._nest", rebuilt)
+    monkeypatch.setattr("qsagen.sim._nest", rebuilt, raising=False)
+    for circuit, shape in zip(circuits, shapes):
+        sim.apply(circuit, sim.basis_state(circuit.num_qubits))
+        sim.to_matrix(circuit)
+        ops, english, picture = render(circuit)
+        assert (english, picture) == (write_english(circuit), write_picture(circuit))
+        assert ops == count_elementary_ops(circuit)
+        assert tree_shape(circuit.tree) == shape
 
 
 def test_dagger_is_involutive_and_preserves_loops():
