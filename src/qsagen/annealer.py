@@ -20,6 +20,12 @@ and the per-temperature operator follows the fixed-point recursion
 applied right to left.  The full circuit is the product of G(t, depth) over
 the schedule, t = 0 first.
 
+Nothing whose size grows with d is inverted.  With G = G(t, d), and V = V(beta)
+built once per beta along with its inverse, the emitter carries each inverse along:
+
+    G(t, d+1)^dagger = G^dagger . R(beta_{t+1})^dagger . G . R(beta_t)^dagger . G^dagger
+    R(beta)^dagger   = V^dagger . Q^dagger . V
+
 The inverse Fourier stage is emitted swap-free, so probe outcomes appear
 bit-reversed; the all-zeros outcome (the only one Q rewards) is fixed by the
 reversal, hence R(beta) is unchanged by this choice.
@@ -126,35 +132,42 @@ def _q_gate(config: GeneratorConfig, angle_deg: float) -> Instruction:
     return phas(angle_deg, [Control(b, on=False) for b in config.probe_bit_list])
 
 
-def _r_body(beta: float, config: GeneratorConfig,
-            q_angle_deg: float) -> tuple[Instruction, ...]:
+def _v_pair(beta: float, config: GeneratorConfig) -> tuple[tuple[Instruction, ...], ...]:
     v = _v_body(beta, config)
-    return v + (_q_gate(config, q_angle_deg),) + dagger(v)
+    return v, dagger(v)
+
+
+def _r_body(v: tuple, v_dag: tuple, config: GeneratorConfig, q_angle_deg: float) -> tuple:
+    return v + (_q_gate(config, q_angle_deg),) + v_dag  # inverse: negate the angle
 
 
 def emit_R_tilde(beta: float, config: GeneratorConfig,
                  q_angle_deg: float = Q_ANGLE_DEG) -> Circuit:
     """V(beta)^dagger . Q . V(beta); Q's phase angle is overridable."""
-    return Circuit(config.num_qubits, _r_body(beta, config, q_angle_deg))
+    return Circuit(config.num_qubits, _r_body(*_v_pair(beta, config), config, q_angle_deg))
 
 
-def _grover_body(t: int, d: int, config: GeneratorConfig) -> tuple[Instruction, ...]:
+def _grover_pair(t: int, d: int, config: GeneratorConfig, v_pairs: dict) -> tuple:
+    """(G(t, d), G(t, d)^dagger); v_pairs caches (V, V^dagger) by schedule index."""
     if not 0 <= t < config.schedule.t_f:
         raise ValueError(f"schedule index {t} outside 0..{config.schedule.t_f - 1}")
     if d < 0:
         raise ValueError(f"recursion depth must be >= 0, got {d}")
-    r_here = _r_body(config.schedule.beta(t), config, Q_ANGLE_DEG)
+    for s in {t, t + 1} - v_pairs.keys():
+        v_pairs[s] = _v_pair(config.schedule.beta(s), config)
     next_angle = -Q_ANGLE_DEG if config.conjugate_q else Q_ANGLE_DEG
-    r_next = _r_body(config.schedule.beta(t + 1), config, next_angle)
-    seq: tuple[Instruction, ...] = ()
+    r_here, r_here_dag = (_r_body(*v_pairs[t], config, a) for a in (Q_ANGLE_DEG, -Q_ANGLE_DEG))
+    r_next, r_next_dag = (_r_body(*v_pairs[t + 1], config, a) for a in (next_angle, -next_angle))
+    seq = seq_dag = ()
     for _ in range(d):
-        seq = seq + r_next + dagger(seq) + r_here + seq
-    return seq
+        seq, seq_dag = (seq + r_next + seq_dag + r_here + seq,
+                        seq_dag + r_here_dag + seq + r_next_dag + seq_dag)
+    return seq, seq_dag
 
 
 def emit_U_grover(t: int, d: int, config: GeneratorConfig) -> Circuit:
     """Fixed-point recursion at schedule index t, unrolled to depth d."""
-    return Circuit(config.num_qubits, _grover_body(t, d, config))
+    return Circuit(config.num_qubits, _grover_pair(t, d, config, {})[0])
 
 
 def emit_full(config: GeneratorConfig, prep: bool = False) -> Circuit:
@@ -167,6 +180,7 @@ def emit_full(config: GeneratorConfig, prep: bool = False) -> Circuit:
     body: tuple[Instruction, ...] = ()
     if prep:
         body += tuple(had2(config.nb + j) for j in range(config.nb))
+    v_pairs: dict = {}
     for t in range(config.schedule.t_f):
-        body += _grover_body(t, config.pe.grover_depth, config)
+        body += _grover_pair(t, config.pe.grover_depth, config, v_pairs)[0]
     return Circuit(config.num_qubits, body)

@@ -1,12 +1,14 @@
 """Phase estimation, the phase-gated reflection, and the fixed-point recursion."""
+import math
+
 import numpy as np
 import pytest
 
-from qsagen import sim
-from qsagen.annealer import (GeneratorConfig, PEParams, emit_full, emit_R_tilde,
-                             emit_U_grover, emit_V, inverse_qft)
-from qsagen.ir import (Circuit, Control, Opcode, count_elementary_ops, had2, sigx,
-                       with_control, write_english)
+from qsagen import annealer, ir, sim, szegedy
+from qsagen.annealer import (GeneratorConfig, PEParams, _grover_pair, emit_full,
+                             emit_R_tilde, emit_U_grover, emit_V, inverse_qft)
+from qsagen.ir import (Circuit, Control, Instruction, Opcode, count_elementary_ops,
+                       dagger, had2, phas, sigx, with_control, write_english)
 from qsagen.markov import (AnnealingSchedule, boltzmann, default_problem,
                            metropolis, spectral)
 from qsagen.szegedy import walk_state
@@ -232,3 +234,77 @@ def test_pe_params_validation():
         PEParams(1, 0, 1)
     with pytest.raises(ValueError):
         PEParams(1, 1, -1)
+
+
+# The recursion as first written: every level daggers the whole sequence so
+# far, and every R is rebuilt from a fresh V(beta) through dagger.
+def reference_r(beta, config, q_angle_deg):
+    v = emit_V(beta, config).body
+    q = phas(q_angle_deg, [Control(b, on=False) for b in config.probe_bit_list])
+    return v + (q,) + dagger(v)
+
+
+def reference_grover(t, d, config):
+    next_angle = -60.0 if config.conjugate_q else 60.0
+    seq = ()
+    for _ in range(d):
+        seq = (seq + reference_r(config.schedule.beta(t + 1), config, next_angle)
+               + dagger(seq) + reference_r(config.schedule.beta(t), config, 60.0) + seq)
+    return seq
+
+
+def angle_signs(body):
+    return [math.copysign(1.0, a) for ins in body for a in ins.angles_deg]
+
+
+def assert_same_lines(got, want):
+    """Equal line by line, down to the sign of every zero angle."""
+    assert got == want
+    assert angle_signs(got) == angle_signs(want)
+
+
+@pytest.mark.parametrize("conjugate_q,c,t_f", [
+    (False, 1, 1), (True, 2, 2), (True, 1, 3), (False, 2, 3)])
+def test_recursion_matches_redaggering_reference(conjugate_q, c, t_f):
+    for d in range(5):
+        config = make_config(nb=1, a=1, c=c, d=d, t_f=t_f, conjugate_q=conjugate_q)
+        want = [reference_grover(t, d, config) for t in range(t_f)]
+        for t in range(t_f):
+            seq, seq_dag = _grover_pair(t, d, config, {})
+            assert_same_lines(seq, want[t])
+            assert_same_lines(seq_dag, dagger(seq))
+        assert_same_lines(emit_U_grover(t_f - 1, d, config).body, want[-1])
+        prep = tuple(had2(config.nb + j) for j in range(config.nb))
+        assert_same_lines(emit_full(config, prep=True).body, sum(want, prep))
+
+
+def test_emit_full_work_does_not_grow_with_depth(monkeypatch):
+    """From d=1 to d=4 the body grows 40-fold, but emit_full builds no
+    more Instructions and daggers no longer sequence."""
+    built = 0
+    dagger_lengths = []
+    post_init, plain_dagger = Instruction.__post_init__, ir.dagger
+
+    def counting_post_init(self):
+        nonlocal built
+        built += 1
+        post_init(self)
+
+    def recording_dagger(body):
+        dagger_lengths.append(len(body))
+        return plain_dagger(body)
+
+    monkeypatch.setattr(Instruction, "__post_init__", counting_post_init)
+    for module in (ir, annealer, szegedy):
+        monkeypatch.setattr(module, "dagger", recording_dagger)
+
+    def work(d):
+        nonlocal built
+        built = 0
+        dagger_lengths.clear()
+        length = len(emit_full(make_config(nb=1, a=2, c=1, d=d, t_f=2)).body)
+        return length, built, max(dagger_lengths)
+
+    short, deep = work(1), work(4)
+    assert deep[0] > 20 * short[0]
+    assert deep[1:] == short[1:]

@@ -127,13 +127,16 @@ def test_expand_roundtrip(workdir, capsys):
     assert diff < 1e-9
 
 
-# Two small generate -> expand flows: depth 2 with --prep/--conjugate-q, and
-# LOOPs of 2 and 4 repetitions.  Their twelve files are pinned whole.
+# Three generate -> expand flows: depth 2 with --prep/--conjugate-q, LOOPs of
+# 2 and 4 repetitions, and depth 3 of the conjugate recursion with two
+# phase-estimation blocks (13,496 lines).  Their eighteen files are pinned whole.
 GOLDEN_FLOWS = {
     "g1": ["--nb", "1", "--probe-bits", "2", "--pe-steps", "1", "--grover-depth", "2",
            "--num-betas", "3", "--delta-beta", "0.5", "--prep", "--conjugate-q"],
     "g2": ["--nb", "2", "--probe-bits", "3", "--pe-steps", "1", "--grover-depth", "1",
            "--num-betas", "2", "--delta-beta", "0.5"],
+    "g3": ["--nb", "2", "--probe-bits", "2", "--pe-steps", "2", "--grover-depth", "3",
+           "--num-betas", "4", "--delta-beta", "0.5", "--prep", "--conjugate-q"],
 }
 GOLDEN_SHA256 = {
     "g1_qsann_log.txt": "c404b4eaaf9b863f65e7c8084fbf8d165cb0137c3d8d52188b7044cd9ce2f299",
@@ -148,6 +151,12 @@ GOLDEN_SHA256 = {
     "g2_flat_log.txt": "4beaa82023890cb11eabd9e2e039500201577d44043bc1f2572a4cfd7badee32",
     "g2_flat_eng.txt": "212ca5314b11477eb758b259f3b7542462e4927c1057d7e2977d278d398c6904",
     "g2_flat_pic.txt": "292c0e07faca1a2834b180f7041931237d10eb817cab67b07d9cb0723d690544",
+    "g3_qsann_log.txt": "8a82eadba888e51d0feb6a05143551694174af1315078a23e0463f307b4b1a3b",
+    "g3_qsann_eng.txt": "65ccfd14c0a35d49aa87b0c0def92723fe766439a79055357d5bb53412d8fd1a",
+    "g3_qsann_pic.txt": "c05b9f9f308b710fe5644bd8c6132c552600ffc862a072a14a6d2cfa279f3010",
+    "g3_flat_log.txt": "7a6676939275d4c7587b7bc3adcbe0337da24ab4e8f2ab3533308822bf48f7e3",
+    "g3_flat_eng.txt": "e60cfa7e2e0f26191657e6f1ed491c574ffdfaaa0fda1c32c4a7edc9e83e3bb4",
+    "g3_flat_pic.txt": "f9fbe36344c8f127716001b07d7e9bdf8aec5a6c3329c89b40a225ff755160fb",
 }
 
 
