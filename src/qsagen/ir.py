@@ -288,10 +288,11 @@ class Circuit:
             raise ValueError(f"num_qubits must be positive, got {n}")
         object.__setattr__(self, "body", tuple(self.body))
         object.__setattr__(self, "tree", _nest(self.body))
-        for index, ins in enumerate(self.body):
-            for bit in ins.operand_bits:
-                if bit >= n:
-                    raise ValueError(f"line {index}: bit {bit} out of range for {n} qubit(s)")
+        distinct = dict(zip(map(id, self.body), self.body)).values()  # gate objects
+        if any(bit >= n for ins in distinct for bit in ins.operand_bits):
+            index, bit = next((i, b) for i, ins in enumerate(self.body)
+                              for b in ins.operand_bits if b >= n)
+            raise ValueError(f"line {index}: bit {bit} out of range for {n} qubit(s)")
 
     def __len__(self) -> int:
         return len(self.body)
@@ -422,13 +423,19 @@ def render(circuit: Circuit,
     repetitions.  A LOOP label is the running output line index, which its
     NEXT repeats.  Each gate is converted and rendered once per object and
     once per value: equal instructions differ at most in the sign of a zero
-    angle, which format_number does not print.
+    angle, which format_number does not print.  Pictures show no angle, so
+    they are keyed on operands: all rotations of a ladder share one line.
     """
     n = circuit.num_qubits
     by_id: dict[int, tuple[str, str, int]] = {}  # id(gate) -> (english, picture, lines)
     by_value: dict[Instruction, tuple[str, str, int]] = {}
+    pictures: dict[tuple, str] = {}  # (opcode, targets, controls, mux controls) -> picture
     out: list[tuple] = []  # (english, picture[, lines]) of each node, in output order
     line = 0
+
+    def picture(g: Instruction) -> str:
+        key = (g.opcode, g.targets, g.controls, g.mux_controls)
+        return pictures.get(key) or pictures.setdefault(key, _picture_line(g, n) + "\n")
 
     def walk(nodes: list) -> int:
         nonlocal line
@@ -447,9 +454,8 @@ def render(circuit: Circuit,
                 chunk = by_value.get(node)
                 if chunk is None:
                     gates = (node,) if convert is None else convert(node)
-                    chunk = by_value[node] = (
-                        "".join(_english_line(g) + "\n" for g in gates),
-                        "".join(_picture_line(g, n) + "\n" for g in gates), len(gates))
+                    chunk = by_value[node] = ("".join(_english_line(g) + "\n" for g in gates),
+                                              "".join(map(picture, gates)), len(gates))
                 by_id[id(node)] = chunk
             out.append(chunk)
             line += chunk[2]

@@ -4,7 +4,8 @@ A multiplexor with k named controls becomes a ladder of 2**k y-rotations on
 its target, interleaved with 2**k CNOTs.  The CNOT after rotation r sits on
 the control bit whose name is the position where consecutive Gray-code
 words g(r), g(r+1) differ (cyclically, so the ladder returns to word 0 and
-the expansion equals the multiplexor exactly, not merely up to phase).
+the expansion equals the multiplexor exactly, not merely up to phase): k
+distinct CNOTs, one shared object per control name.
 
 For control word m the CNOTs conjugate rotation r to the sign
 (-1)^popcount(m & g(r)), so the ladder angles solve a Hadamard-like linear
@@ -12,15 +13,19 @@ system with the closed form
 
     phi[r] = 2**-k * sum_m (-1)^popcount(m & g(r)) * theta[m].
 
-Angles are solved in the multiplexor's kernel convention and doubled when
-written on ROTY lines (whose kernel carries a half angle).  Plain controls
-of the original line are attached to every emitted instruction.
+The sums are numpy vector adds over all r, each left to right over m from
+0.0 (builtin sum from 3.12, and np.sum, round differently).  Angles are
+solved in the kernel convention and doubled on ROTY lines (whose kernel
+carries a half angle).  Plain controls are attached to every emitted gate.
 
 `expand_file` is `parse_english` followed by `ir.render` with each MP_Y
-written as its ladder: no expanded Circuit is built, and each distinct input
-line is expanded and rendered once.
+written as its ladder: each distinct input line is expanded once.
 """
 from __future__ import annotations
+
+import functools
+
+import numpy as np
 
 from .ir import Circuit, Control, Instruction, Opcode, parse_english, render, roty, sigx
 
@@ -29,26 +34,30 @@ def gray_code(i: int) -> int:
     return i ^ (i >> 1)
 
 
+@functools.cache
+def _sign_steps(k: int) -> tuple[np.ndarray, ...]:
+    """Entry m turns row m - 1 of (-1)^popcount(m & g(r)) into row m (bits 0..ctz(m) flip)."""
+    bits = ((gray_code(np.arange(1 << k)) << 1) >> np.arange(k + 1)[:, None]) & 1
+    flips = 1.0 - 2.0 * np.bitwise_xor.accumulate(bits, axis=0)  # row 0: no flip
+    flips.flags.writeable = False  # shared by every call
+    return tuple(flips[(m & -m).bit_length()] for m in range(1 << k))
+
+
 def expand_mux(ins: Instruction) -> list[Instruction]:
     """Replace one MP_Y instruction by its exact rotation/CNOT ladder."""
     if ins.opcode is not Opcode.MP_Y:
         raise ValueError(f"expected an MP_Y instruction, got {ins.opcode.value}")
-    k = len(ins.mux_controls)
-    words = 1 << k
-    bit_of_name = {m.name: m.bit for m in ins.mux_controls}
-    target = ins.targets[0]
-    plain = ins.controls
+    words = len(ins.angles_deg)
+    target, plain = ins.targets[0], ins.controls
+    cnot = {m.name: sigx(target, (Control(m.bit, on=True),) + plain) for m in ins.mux_controls}
+    signs, acc = np.ones(words), np.zeros(words)
+    for step, theta in zip(_sign_steps(len(ins.mux_controls)), ins.angles_deg):
+        signs *= step
+        acc += theta * signs  # exact: theta * (+-1.0) is +-theta
     out: list[Instruction] = []
-    for r in range(words):
-        g = gray_code(r)
-        # Left to right from 0.0: builtin sum rounds differently from 3.12 on.
-        acc = 0.0
-        for m, theta in enumerate(ins.angles_deg):
-            acc += theta if (m & g).bit_count() % 2 == 0 else -theta
-        out.append(roty(2.0 * acc / words, target, plain))
-        flip = g ^ gray_code((r + 1) % words)
-        name = flip.bit_length() - 1
-        out.append(sigx(target, (Control(bit_of_name[name], on=True),) + plain))
+    for r, angle in enumerate((2.0 * acc / words).tolist()):
+        flip = gray_code(r) ^ gray_code((r + 1) % words)
+        out += (roty(angle, target, plain), cnot[flip.bit_length() - 1])
     return out
 
 

@@ -137,6 +137,9 @@ GOLDEN_FLOWS = {
            "--num-betas", "2", "--delta-beta", "0.5"],
     "g3": ["--nb", "2", "--probe-bits", "2", "--pe-steps", "2", "--grover-depth", "3",
            "--num-betas", "4", "--delta-beta", "0.5", "--prep", "--conjugate-q"],
+    # multiplexors with 4-7 controls, where the order of the ladder sums shows
+    "g4": ["--nb", "4", "--probe-bits", "2", "--pe-steps", "1", "--grover-depth", "1",
+           "--num-betas", "2", "--delta-beta", "0.5"],
 }
 GOLDEN_SHA256 = {
     "g1_qsann_log.txt": "c404b4eaaf9b863f65e7c8084fbf8d165cb0137c3d8d52188b7044cd9ce2f299",
@@ -157,6 +160,12 @@ GOLDEN_SHA256 = {
     "g3_flat_log.txt": "7a6676939275d4c7587b7bc3adcbe0337da24ab4e8f2ab3533308822bf48f7e3",
     "g3_flat_eng.txt": "e60cfa7e2e0f26191657e6f1ed491c574ffdfaaa0fda1c32c4a7edc9e83e3bb4",
     "g3_flat_pic.txt": "f9fbe36344c8f127716001b07d7e9bdf8aec5a6c3329c89b40a225ff755160fb",
+    "g4_qsann_log.txt": "291d10aa81bb43a1324ef10a7252fedfbce3ac6217b862c37437a4e915c6a154",
+    "g4_qsann_eng.txt": "62984b4acaf68c52778206f661b96ed456dc01c30681d11dcf7b06ff25c9f8d8",
+    "g4_qsann_pic.txt": "ecc374392543def9a8081fa97763f9c2ddeb75623c41837f4d5e959b9e5ad762",
+    "g4_flat_log.txt": "4eb22eda5d0dcf38c37036167601c9a6dfe983e99569eeec18faf8b578c75415",
+    "g4_flat_eng.txt": "45db5efb25be4af58009b2f8384f62dbfd27db713143819e949bc3ff8e1a59ad",
+    "g4_flat_pic.txt": "e23a6417b4bd65b3e2a5a740f70178a7dd813d71030d843601efc276a355b3c8",
 }
 
 

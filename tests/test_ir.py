@@ -7,11 +7,12 @@ from hypothesis import strategies as st
 from qsagen import sim
 from qsagen.annealer import GeneratorConfig, PEParams, emit_full
 from qsagen.ir import (Circuit, Control, Instruction, MuxControl, Opcode,
-                       ParseError, _Block, count_elementary_ops, dagger, end_loop,
+                       ParseError, _Block, _picture_line, count_elementary_ops, dagger, end_loop,
                        format_number, had2, loop, mp_y, p0ph, p1ph, parse_english,
                        phas, render, rotn, rotx, roty, rotz, sigx, sigy, sigz, swap,
                        unrolled, with_control, write_english, write_picture)
 from qsagen.markov import AnnealingSchedule, default_problem
+from qsagen.mux_expander import expand_mux
 
 from helpers import manual_unroll, random_body, random_circuit
 
@@ -354,6 +355,53 @@ def test_invalid_circuits_rejected():
         Circuit(1, (loop(1),) * 101 + (sigx(0),) + (end_loop(),) * 101)
     with pytest.raises(ValueError, match="positive"):
         Circuit(0)
+
+
+def per_line_picture(gates, n):
+    return "".join(_picture_line(g, n) + "\n" for g in gates)
+
+
+def test_pictures_are_keyed_on_all_operands():
+    """Gates that share some operands and differ in one drawn field each."""
+    c = (Control(3, True),)
+    mux = (0.0, 10.0, 20.0, 30.0)
+    body = (
+        # only the angles differ
+        roty(10.0, 1, c), roty(20.0, 1, c), p0ph(1.0, 1, c), p0ph(2.0, 1, c),
+        rotn(1.0, 2.0, 3.0, 1, c), rotn(4.0, 5.0, 6.0, 1, c), phas(1.0, c), phas(2.0, c),
+        # only the opcode differs
+        rotx(10.0, 1, c), p1ph(1.0, 1, c),
+        # only the control polarity differs
+        roty(10.0, 1, (Control(3, False),)), phas(1.0, (Control(3, False),)),
+        # only the mux-control names differ
+        mp_y(1, (MuxControl(2, 1), MuxControl(0, 0)), mux, c),
+        mp_y(1, (MuxControl(2, 0), MuxControl(0, 1)), mux, c),
+    )
+    for gates in (body, body[::-1]):
+        circuit = Circuit(4, gates)
+        assert write_picture(circuit) == per_line_picture(gates, 4)
+    assert len(set(per_line_picture(body, 4).splitlines())) == 10
+
+
+def test_ladder_picture_on_a_wide_register():
+    ins = mp_y(11, (MuxControl(9, 2), MuxControl(4, 1), MuxControl(0, 0)),
+               (5.0, -10.0, 15.0, 20.0, -25.0, 30.0, 35.0, 40.0), (Control(6, False),))
+    ladder = expand_mux(ins)
+    ops, english, picture = render(Circuit(12, (ins,)), expand_mux)
+    assert ops == len(ladder) == 16
+    assert picture == per_line_picture(ladder, 12)
+    assert english == write_english(Circuit(12, tuple(ladder)))
+    assert len(set(picture.splitlines()[::2])) == 1  # every rotation draws alike
+
+
+def test_range_check_names_first_line_of_a_repeated_bad_gate():
+    bad = sigx(3)
+    with pytest.raises(ValueError, match=r"^line 1: bit 3 out of range for 2 qubit\(s\)$"):
+        Circuit(2, (had2(0), bad, had2(1), bad))
+    with pytest.raises(ValueError, match=r"^line 2: bit 5 out of range"):
+        Circuit(2, (had2(0), loop(2), swap(5, 0), sigx(1), end_loop(), bad, swap(5, 0)))
+    with pytest.raises(ParseError, match="line 2: bit 3 out of range"):
+        parse_english("HAD2  AT  0\nSIGX  AT  3\nHAD2  AT  0\nSIGX  AT  3\n", num_qubits=2)
 
 
 def test_format_number():

@@ -1,4 +1,6 @@
 """Exactness of the multiplexor expansion and the file-level rewrite."""
+import math
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,7 @@ from qsagen.markov import AnnealingSchedule, default_problem
 from qsagen.mux_expander import (expand_circuit, expand_file, expand_mux,
                                  gray_code)
 
-from helpers import manual_unroll, random_circuit
+from helpers import manual_unroll, random_circuit, random_gate
 
 
 def random_mux(rng, k, plain=0):
@@ -165,3 +167,71 @@ def test_whole_circuit_equivalence_after_expansion():
     assert all(ins.opcode is not Opcode.MP_Y for ins in expanded.body)
     diff = np.abs(sim.to_matrix(expanded) - sim.to_matrix(circuit)).max()
     assert diff < 1e-9
+
+
+def scalar_ladder_angles(ins):
+    """The ladder's ROTY angles by the scalar loop: each sum left to right from
+    0.0, with the sign of each term read off popcount(m & g(r))."""
+    words = len(ins.angles_deg)
+    angles = []
+    for r in range(words):
+        g = r ^ (r >> 1)
+        acc = 0.0
+        for m, theta in enumerate(ins.angles_deg):
+            acc += theta if (m & g).bit_count() % 2 == 0 else -theta
+        angles.append(2.0 * acc / words)
+    return angles
+
+
+def mux_with_angles(k, angles):
+    return mp_y(k, [MuxControl(b, b) for b in range(k)], angles, (Control(k + 1, False),))
+
+
+def ladder_angle_inputs(k):
+    rng = np.random.default_rng(70 + k)
+    words = 1 << k
+    signs = rng.choice((-1.0, 1.0), size=(3, words))
+    yield signs[0] * 10.0 ** rng.uniform(-300.0, 300.0, size=words)
+    yield [0.0] * words
+    yield [-0.0] * words
+    yield rng.choice((0.0, -0.0), size=words)
+    # terms that cancel: the result depends on the order of the additions
+    yield rng.choice((1.0, -1.0, 1e100, -1e100, 1e-100, 3.0), size=words)
+    yield signs[1] * np.tile((1.0, 1e100, 1.0, -1e100), words)[:words]
+    yield signs[2] * rng.uniform(-180.0, 180.0, size=words)
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_ladder_angles_equal_the_scalar_loop_bit_for_bit(k):
+    for angles in ladder_angle_inputs(k):
+        ins = mux_with_angles(k, angles)
+        got = [g.angles_deg[0] for g in expand_mux(ins)[::2]]
+        want = scalar_ladder_angles(ins)
+        assert [repr(a) for a in got] == [repr(a) for a in want]
+        assert ([math.copysign(1.0, a) for a in got]
+                == [math.copysign(1.0, a) for a in want])
+
+
+@pytest.mark.parametrize("k", (1, 2, 3, 5))
+def test_ladder_builds_one_cnot_per_control(k):
+    ins = random_mux(np.random.default_rng(80 + k), k, plain=1)
+    cnots = expand_mux(ins)[1::2]
+    assert len(cnots) == 1 << k
+    assert all(g.opcode is Opcode.SIGX for g in cnots)
+    assert len({id(g) for g in cnots}) == k
+    assert {g.controls for g in cnots} == {
+        tuple(sorted((Control(m.bit),) + ins.controls, key=lambda c: -c.bit))
+        for m in ins.mux_controls}
+
+
+def test_expand_circuit_equals_per_line_expansion():
+    rng = np.random.default_rng(62)
+    for _ in range(20):
+        circuit = random_circuit(rng)
+        body = list(circuit.body) + [random_gate(rng, circuit.num_qubits) for _ in range(5)]
+        circuit = Circuit(circuit.num_qubits, tuple(body))
+        want = tuple(g for ins in circuit.body
+                     for g in (expand_mux(ins) if ins.opcode is Opcode.MP_Y else (ins,)))
+        got = expand_circuit(circuit).body
+        assert got == want
+        assert repr([g.angles_deg for g in got]) == repr([g.angles_deg for g in want])
