@@ -5,9 +5,9 @@ Szegedy walk for a Metropolis chain, phase estimation against it, and a
 pi/3 fixed-point annealing schedule; ships an exact multiplexor expander
 and a dense simulator used to verify everything numerically.
 """
-from .ir import (Circuit, Control, Instruction, MuxControl, Opcode, ParseError,
-                 count_elementary_ops, dagger, parse_english, unrolled,
-                 with_control, write_english, write_picture)
+from .ir import (Circuit, Control, Instruction, Loop, MuxControl, Opcode, ParseError,
+                 count_elementary_ops, dagger, parse_english, with_control,
+                 write_english, write_picture)
 from .markov import (AnnealingSchedule, ProblemSpec, SpectralData, boltzmann,
                      default_problem, metropolis, spectral, symmetrized)
 from .qembed import MuxAngleTable, qembed_angles, qembed_circuit
@@ -21,13 +21,13 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AnnealingSchedule", "Circuit", "Control", "GeneratorConfig", "Instruction",
-    "MuxAngleTable", "MuxControl", "Opcode", "PEParams", "ParseError",
+    "Loop", "MuxAngleTable", "MuxControl", "Opcode", "PEParams", "ParseError",
     "ProblemSpec", "SpectralData", "WalkLayout", "apply", "basis_state",
     "boltzmann", "count_elementary_ops", "dagger", "default_problem",
     "eig_unitary", "emit_R_tilde", "emit_U", "emit_U_grover", "emit_V",
     "emit_W", "emit_full", "emit_reflection",
     "expand_circuit", "expand_file", "expand_mux", "inverse_qft", "metropolis",
     "parse_english", "phases_match", "qembed_angles", "qembed_circuit",
-    "spectral", "symmetrized", "to_matrix", "unrolled", "walk_state",
+    "spectral", "symmetrized", "to_matrix", "walk_state",
     "with_control", "write_english", "write_picture",
 ]

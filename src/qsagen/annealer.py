@@ -6,7 +6,7 @@ are
 
     V(beta)     c sequential phase-estimation blocks against the walk
                 operator W(beta): Hadamards on the block, controlled
-                W^(2^j) powers (emitted as LOOPs), inverse Fourier
+                W^(2^j) powers (emitted as Loops), inverse Fourier
                 transform on the block;
     Q           exp(i*pi/3) on the all-zero probe subspace;
     R(beta)     V(beta)^dagger . Q . V(beta), a soft reflection about the
@@ -35,8 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .ir import (Circuit, Control, Instruction, dagger, end_loop, had2, loop,
-                 p1ph, phas, with_control)
+from .ir import Circuit, Control, Instruction, Loop, dagger, had2, p1ph, phas, with_control
 from .markov import AnnealingSchedule, ProblemSpec, metropolis
 from .szegedy import WalkLayout, emit_W
 
@@ -102,11 +101,11 @@ def inverse_qft(bits: Sequence[int]) -> tuple[Instruction, ...]:
     return tuple(out)
 
 
-def _v_body(beta: float, config: GeneratorConfig) -> tuple[Instruction, ...]:
+def _v_body(beta: float, config: GeneratorConfig) -> tuple[Instruction | Loop, ...]:
     layout = config.layout
     w = emit_W(metropolis(config.problem, beta), layout).body
     a = config.pe.probe_bits
-    body: list[Instruction] = []
+    body: list[Instruction | Loop] = []
     for block in range(config.pe.pe_steps):
         base = 2 * config.nb + block * a
         block_bits = range(base, base + a)
@@ -116,9 +115,7 @@ def _v_body(beta: float, config: GeneratorConfig) -> tuple[Instruction, ...]:
             if j == 0:
                 body.extend(controlled)
             else:
-                body.append(loop(1 << j))
-                body.extend(controlled)
-                body.append(end_loop())
+                body.append(Loop(1 << j, controlled))
         body.extend(inverse_qft(block_bits))
     return tuple(body)
 
@@ -166,7 +163,7 @@ def _grover_pair(t: int, d: int, config: GeneratorConfig, v_pairs: dict) -> tupl
 
 
 def emit_U_grover(t: int, d: int, config: GeneratorConfig) -> Circuit:
-    """Fixed-point recursion at schedule index t, unrolled to depth d."""
+    """Fixed-point recursion at schedule index t, expanded to depth d."""
     return Circuit(config.num_qubits, _grover_pair(t, d, config, {})[0])
 
 

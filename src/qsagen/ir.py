@@ -1,8 +1,9 @@
 """Gate-level circuit IR and its two text renderings.
 
-A circuit is an ordered list of instructions acting on ``num_qubits`` qubit
-lines.  Bit 0 is the rightmost column in pictures and the least significant
-bit of simulator basis indices.  Two renderings are supported:
+A circuit is an ordered sequence of instructions and `Loop` blocks acting
+on ``num_qubits`` qubit lines.  Bit 0 is the rightmost column in pictures and
+the least significant bit of simulator basis indices.  Two renderings are
+supported:
 
 * the *english* format -- one line per operation, fully spelling out the
   opcode, target(s), controls and angles (always degrees);
@@ -13,10 +14,10 @@ bit of simulator basis indices.  Two renderings are supported:
 The english format is the authoritative, parseable representation; pictures
 are write-only.  ``LOOP k REPS: n`` / ``NEXT k`` lines bracket a block to be
 repeated ``n`` times.  The label ``k`` equals the 0-based line index of its
-LOOP line.  Labels exist only in the text: in memory the nesting is the order
-of the LOOP/NEXT markers alone, which every Circuit turns once into its loop
-tree (``Circuit.tree``).  `render` works the labels out as it walks that
-tree, and the parser checks them and drops them.
+LOOP line.  In memory a block is a `Loop` node, whose body holds gates and
+further Loops; the body of a Circuit is that tree.  Labels exist only in the
+text: `render` works them out as it walks the tree, and the parser checks
+them and drops them.
 
 Multiplexor lines (``MP_Y``) rotate their target about y by one of ``2**k``
 angles, selected by ``k`` *named* controls: the control named ``j`` supplies
@@ -28,7 +29,7 @@ import math
 import re
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
 
 class Opcode(Enum):
@@ -45,13 +46,10 @@ class Opcode(Enum):
     P1PH = "P1PH"
     SWAP = "SWAP"
     MP_Y = "MP_Y"
-    LOOP = "LOOP"
-    NEXT = "NEXT"
 
 
 PAULI_LIKE = frozenset({Opcode.SIGX, Opcode.SIGY, Opcode.SIGZ, Opcode.HAD2})
 AXIS_ROTATIONS = frozenset({Opcode.ROTX, Opcode.ROTY, Opcode.ROTZ})
-LOOP_MARKERS = frozenset({Opcode.LOOP, Opcode.NEXT})
 SELF_INVERSE = frozenset({Opcode.SIGX, Opcode.SIGY, Opcode.SIGZ, Opcode.HAD2, Opcode.SWAP})
 
 _ANGLE_COUNT = {
@@ -60,7 +58,7 @@ _ANGLE_COUNT = {
 }
 # Every other gate has one target, written after AT; SWAP's two are bare.
 _TARGET_COUNT = {Opcode.SWAP: 2, Opcode.PHAS: 0}
-# The loop tree is walked recursively; generated circuits nest one LOOP deep.
+# Loop trees are walked recursively; generated circuits nest one LOOP deep.
 _MAX_LOOP_DEPTH = 100
 
 
@@ -123,9 +121,8 @@ class Instruction:
 
     Controls and mux controls are kept sorted by descending bit position
     (the print order); SWAP targets are kept (high, low).  Angles are in
-    degrees.  ``loop_reps`` is meaningful only for LOOP.  ``operand_bits``
-    (targets, then control bits, then mux-control bits) is derived, not
-    compared.
+    degrees.  ``operand_bits`` (targets, then control bits, then mux-control
+    bits) is derived, not compared.
     """
 
     opcode: Opcode
@@ -133,7 +130,6 @@ class Instruction:
     controls: tuple[Control, ...] = ()
     mux_controls: tuple[MuxControl, ...] = ()
     angles_deg: tuple[float, ...] = ()
-    loop_reps: int = 0
     operand_bits: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -150,24 +146,9 @@ class Instruction:
                            + tuple(m.bit for m in self.mux_controls))
         _check_instruction(self)
 
-    @property
-    def is_loop_marker(self) -> bool:
-        return self.opcode in LOOP_MARKERS
-
 
 def _check_instruction(ins: Instruction) -> None:
     op = ins.opcode
-    if op in LOOP_MARKERS:
-        if ins.targets or ins.controls or ins.mux_controls or ins.angles_deg:
-            raise ValueError(f"{op.value} takes no operands")
-        if op is Opcode.LOOP and ins.loop_reps < 1:
-            raise ValueError(f"LOOP repetitions must be >= 1, got {ins.loop_reps}")
-        if op is Opcode.NEXT and ins.loop_reps != 0:
-            raise ValueError("NEXT carries no repetition count")
-        return
-    if ins.loop_reps != 0:
-        raise ValueError(f"{op.value} carries no loop fields")
-
     want_targets = _TARGET_COUNT.get(op, 1)
     if len(ins.targets) != want_targets:
         raise ValueError(f"{op.value} needs {want_targets} target(s), got {len(ins.targets)}")
@@ -258,103 +239,91 @@ def mp_y(target: int, mux_controls: Iterable[MuxControl], angles_deg: Iterable[f
                        tuple(mux_controls), tuple(angles_deg))
 
 
-def loop(reps: int) -> Instruction:
-    return Instruction(Opcode.LOOP, loop_reps=reps)
-
-
-def end_loop() -> Instruction:
-    return Instruction(Opcode.NEXT)
-
-
 # --- circuits -------------------------------------------------------------------
 
 @dataclass(frozen=True)
+class Loop:
+    """A block of gates and Loops repeated ``reps`` times; written as
+    ``LOOP k REPS: reps`` ... ``NEXT k``."""
+
+    reps: int
+    body: tuple[Instruction | Loop, ...] = ()
+
+    def __post_init__(self):
+        object.__setattr__(self, "body", tuple(self.body))
+        if self.reps < 1:
+            raise ValueError(f"LOOP repetitions must be >= 1, got {self.reps}")
+
+
+@dataclass(frozen=True)
 class Circuit:
-    """An immutable instruction list over a fixed number of qubits.
+    """An immutable tree of gates and Loops over a fixed number of qubits.
 
     Construction keeps the body as given and validates every invariant
-    (properly nested LOOP/NEXT markers, operand bits inside the register),
-    so a Circuit in hand is always well-formed and writable.
+    (loops nested at most _MAX_LOOP_DEPTH deep, operand bits inside the
+    register), so a Circuit in hand is always well-formed and writable.
+    An error names the 0-based line of the english file.  ``len`` is that
+    file's line count.
     """
 
     num_qubits: int
-    body: tuple[Instruction, ...] = ()
-    # The loop tree of the body, built once here; nothing may mutate it.
-    tree: list = field(init=False, repr=False, compare=False)
+    body: tuple[Instruction | Loop, ...] = ()
+    _lines: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = self.num_qubits
         if n < 1:
             raise ValueError(f"num_qubits must be positive, got {n}")
         object.__setattr__(self, "body", tuple(self.body))
-        object.__setattr__(self, "tree", _nest(self.body))
-        distinct = dict(zip(map(id, self.body), self.body)).values()  # gate objects
-        if any(bit >= n for ins in distinct for bit in ins.operand_bits):
-            index, bit = next((i, b) for i, ins in enumerate(self.body)
-                              for b in ins.operand_bits if b >= n)
-            raise ValueError(f"line {index}: bit {bit} out of range for {n} qubit(s)")
+        loops: dict[int, tuple[int, int]] = {}  # id(Loop) -> (written lines, nesting height)
+        checked: set[int] = set()  # ids of the gates whose bits are checked
+        bad: list[tuple[int, int]] = []  # (line, bit) of the first operand out of range
+
+        def walk(nodes: tuple, line: int, depth: int) -> tuple[int, int]:
+            """The line after `nodes`, which start at `line` inside `depth` loops,
+            and their height.  Each Loop is walked once unless a reuse of it
+            nests too deep, and then again, to name the offending line."""
+            height = 0
+            for node in nodes:
+                if type(node) is Loop:
+                    seen = loops.get(id(node))
+                    if seen is None or depth + seen[1] > _MAX_LOOP_DEPTH:
+                        if depth == _MAX_LOOP_DEPTH:
+                            raise ValueError(
+                                f"LOOP at line {line} nests deeper than {_MAX_LOOP_DEPTH}")
+                        end, inner = walk(node.body, line + 1, depth + 1)
+                        seen = loops[id(node)] = (end + 1 - line, inner + 1)
+                    line += seen[0]
+                    height = max(height, seen[1])
+                    continue
+                if id(node) not in checked:
+                    checked.add(id(node))
+                    if not bad:
+                        bad.extend((line, bit) for bit in node.operand_bits if bit >= n)
+                line += 1
+            return line, height
+
+        object.__setattr__(self, "_lines", walk(self.body, 0, 0)[0])
+        if bad:
+            raise ValueError(f"line {bad[0][0]}: bit {bad[0][1]} out of range for {n} qubit(s)")
 
     def __len__(self) -> int:
-        return len(self.body)
+        return self._lines
 
 
 def count_elementary_ops(circuit: Circuit) -> int:
-    """Operation count with LOOP bodies weighted by their repetitions.
+    """Operation count with Loop bodies weighted by their repetitions.
 
     LOOP/NEXT lines themselves are free; nested loops multiply; a
     multiplexor line counts as a single operation.
     """
-    def weight(nodes: list) -> int:
-        return sum(node.reps * weight(node.body) if isinstance(node, _Block) else 1
+    def weight(nodes: tuple) -> int:
+        return sum(node.reps * weight(node.body) if type(node) is Loop else 1
                    for node in nodes)
-    return weight(circuit.tree)
+    return weight(circuit.body)
 
 
 # --- structural transforms ------------------------------------------------------
-
-@dataclass
-class _Block:
-    reps: int
-    body: list
-
-
-def _nest(body: Sequence[Instruction]) -> list:
-    """The loop tree of a flat body: gates, and one _Block per LOOP/NEXT pair.
-
-    Raises ValueError, naming the 0-based line, on a NEXT with no open LOOP,
-    a LOOP that is never closed, or loops nested deeper than _MAX_LOOP_DEPTH.
-    """
-    root: list = []
-    current = root
-    stack: list[tuple[list, int]] = []  # (enclosing body, line index of the open LOOP)
-    for index, ins in enumerate(body):
-        if ins.opcode is Opcode.LOOP:
-            if len(stack) == _MAX_LOOP_DEPTH:
-                raise ValueError(f"LOOP at line {index} nests deeper than {_MAX_LOOP_DEPTH}")
-            block = _Block(ins.loop_reps, [])
-            current.append(block)
-            stack.append((current, index))
-            current = block.body
-        elif ins.opcode is Opcode.NEXT:
-            if not stack:
-                raise ValueError(f"NEXT at line {index} has no open LOOP")
-            current, _ = stack.pop()
-        else:
-            current.append(ins)
-    if stack:
-        raise ValueError(f"LOOP at line {stack[-1][1]} is never closed")
-    return root
-
-
-def _flatten(nodes: list) -> Iterator[Instruction]:
-    for node in nodes:
-        if isinstance(node, _Block):
-            yield loop(node.reps)
-            yield from _flatten(node.body)
-            yield end_loop()
-        else:
-            yield node
-
 
 def _invert(ins: Instruction) -> Instruction:
     if ins.opcode in SELF_INVERSE:
@@ -362,52 +331,31 @@ def _invert(ins: Instruction) -> Instruction:
     return replace(ins, angles_deg=tuple(-a for a in ins.angles_deg))
 
 
-def _dagger_nodes(nodes: list) -> list:
-    out = []
-    for node in reversed(nodes):
-        if isinstance(node, _Block):
-            out.append(_Block(node.reps, _dagger_nodes(node.body)))
-        else:
-            out.append(_invert(node))
-    return out
+def dagger(body: Sequence[Instruction | Loop]) -> tuple[Instruction | Loop, ...]:
+    """Inverse of a body: reverse order, negate angles.
 
-
-def dagger(body: Sequence[Instruction]) -> tuple[Instruction, ...]:
-    """Inverse of an instruction sequence: reverse order, negate angles.
-
-    LOOP blocks stay blocks: their daggered bodies repeat the same number of
-    times.
+    Loops stay loops: their daggered bodies repeat the same number of times.
     """
-    return tuple(_flatten(_dagger_nodes(_nest(body))))
+    return tuple(Loop(node.reps, dagger(node.body)) if type(node) is Loop else _invert(node)
+                 for node in reversed(body))
 
 
-def with_control(body: Sequence[Instruction], control: Control) -> tuple[Instruction, ...]:
-    """Attach one extra control to every gate line; loop markers pass through.
+def with_control(body: Sequence[Instruction | Loop],
+                 control: Control) -> tuple[Instruction | Loop, ...]:
+    """Attach one extra control to every gate, inside Loops too.
 
     Raises ValueError if the control bit collides with any operand bit.
     """
     out = []
-    for ins in body:
-        if ins.is_loop_marker:
-            out.append(ins)
-        elif control.bit in ins.operand_bits:
+    for node in body:
+        if type(node) is Loop:
+            out.append(Loop(node.reps, with_control(node.body, control)))
+        elif control.bit in node.operand_bits:
             raise ValueError(
-                f"control bit {control.bit} collides with {ins.opcode.value} operands")
+                f"control bit {control.bit} collides with {node.opcode.value} operands")
         else:
-            out.append(replace(ins, controls=ins.controls + (control,)))
+            out.append(replace(node, controls=node.controls + (control,)))
     return tuple(out)
-
-
-def unrolled(body: Sequence[Instruction]) -> Iterator[Instruction]:
-    """Gate instructions in execution order with all loops expanded."""
-    def walk(nodes: list) -> Iterator[Instruction]:
-        for node in nodes:
-            if isinstance(node, _Block):
-                for _ in range(node.reps):
-                    yield from walk(node.body)
-            else:
-                yield node
-    yield from walk(_nest(body))
 
 
 # --- writers --------------------------------------------------------------------
@@ -416,7 +364,7 @@ def render(circuit: Circuit,
            convert: Callable[[Instruction], Sequence[Instruction]] | None = None,
            ) -> tuple[int, str, str]:
     """(op count, english text, picture text) of a circuit, in one walk of
-    its loop tree.
+    its body.
 
     ``convert`` maps one gate to the gates it is written as (by default the
     gate itself); the op count weights the written gates by their loops'
@@ -437,11 +385,11 @@ def render(circuit: Circuit,
         key = (g.opcode, g.targets, g.controls, g.mux_controls)
         return pictures.get(key) or pictures.setdefault(key, _picture_line(g, n) + "\n")
 
-    def walk(nodes: list) -> int:
+    def walk(nodes: tuple) -> int:
         nonlocal line
         ops = 0
         for node in nodes:
-            if type(node) is _Block:
+            if type(node) is Loop:
                 label, line = line, line + 1
                 out.append((f"LOOP {label} REPS: {node.reps}\n",
                             f"LOOP {label} REPS:{node.reps}\n"))
@@ -462,7 +410,7 @@ def render(circuit: Circuit,
             ops += chunk[2]
         return ops
 
-    ops = walk(circuit.tree)
+    ops = walk(circuit.body)
     return ops, "".join(c[0] for c in out), "".join(c[1] for c in out)
 
 
@@ -563,45 +511,47 @@ def parse_english(text: str, num_qubits: int | None = None) -> Circuit:
     The qubit count is inferred as 1 + the highest bit mentioned unless
     given explicitly.  Loop labels must equal their 0-based line index and
     every LOOP must be closed by a NEXT with the same label, properly
-    nested.  Any malformed line raises ParseError with its line number.
-    Equal gate lines are parsed once and share one Instruction.
+    nested; each LOOP/NEXT pair becomes one Loop.  Any malformed line raises
+    ParseError with its line number.  Equal gate lines are parsed once and
+    share one Instruction.
     """
-    instructions: list[Instruction] = []
+    body: list[Instruction | Loop] = []  # the innermost open block
     gates: dict[str, Instruction] = {}  # gate line text -> its parsed instruction
-    open_loops: list[tuple[int, int]] = []  # (label, line number)
+    open_loops: list[tuple[int, int, Loop, list]] = []  # (label, line number, Loop, outer body)
     for index, raw in enumerate(text.splitlines()):
         ins = gates.get(raw)
         if ins is not None:
-            instructions.append(ins)
+            body.append(ins)
             continue
         line_no = index + 1
         tokens = raw.split()
         if not tokens:
             raise ParseError("blank line", line_no)
         try:
-            op = Opcode(tokens[0])
-        except ValueError:
-            raise ParseError("unknown opcode", line_no, tokens[0]) from None
-        try:
-            if op is Opcode.LOOP:
+            if tokens[0] == "LOOP":
                 label, reps = _parse_loop(tokens, line_no)
                 if label != index:
                     raise ParseError(
                         f"LOOP label {label} must equal its line index {index}", line_no)
-                ins = loop(reps)
-                open_loops.append((label, line_no))
-            elif op is Opcode.NEXT:
+                open_loops.append((label, line_no, Loop(reps), body))
+                body = []
+            elif tokens[0] == "NEXT":
                 if len(tokens) != 2:
                     raise ParseError("NEXT takes exactly one label", line_no)
                 label = _int_token(tokens[1], line_no)
                 if not open_loops:
                     raise ParseError("NEXT without an open LOOP", line_no)
-                open_label, _ = open_loops.pop()
+                open_label, _, loop, outer = open_loops.pop()
                 if label != open_label:
                     raise ParseError(
                         f"NEXT label {label} does not match open LOOP {open_label}", line_no)
-                ins = end_loop()
+                outer.append(replace(loop, body=body))
+                body = outer
             else:
+                try:
+                    op = Opcode(tokens[0])
+                except ValueError:
+                    raise ParseError("unknown opcode", line_no, tokens[0]) from None
                 ins = _parse_gate(op, tokens, line_no)
                 if num_qubits is not None:
                     for bit in ins.operand_bits:
@@ -609,20 +559,20 @@ def parse_english(text: str, num_qubits: int | None = None) -> Circuit:
                             raise ParseError(
                                 f"bit {bit} out of range for {num_qubits} qubit(s)", line_no)
                 gates[raw] = ins
+                body.append(ins)
         except ParseError:
             raise
         except ValueError as err:
             raise ParseError(str(err), line_no) from None
-        instructions.append(ins)
     if open_loops:
-        label, line_no = open_loops[-1]
+        label, line_no, _, _ = open_loops[-1]
         raise ParseError(f"LOOP {label} is never closed", line_no)
 
     if num_qubits is None:
         num_qubits = 1 + max((b for ins in gates.values() for b in ins.operand_bits),
                              default=0)
     try:
-        return Circuit(num_qubits, tuple(instructions))
+        return Circuit(num_qubits, body)
     except ValueError as err:
         raise ParseError(str(err)) from None
 

@@ -27,7 +27,7 @@ import functools
 
 import numpy as np
 
-from .ir import Circuit, Control, Instruction, Opcode, parse_english, render, roty, sigx
+from .ir import Circuit, Control, Instruction, Loop, Opcode, parse_english, render, roty, sigx
 
 
 def gray_code(i: int) -> int:
@@ -51,11 +51,13 @@ def expand_mux(ins: Instruction) -> list[Instruction]:
     target, plain = ins.targets[0], ins.controls
     cnot = {m.name: sigx(target, (Control(m.bit, on=True),) + plain) for m in ins.mux_controls}
     signs, acc = np.ones(words), np.zeros(words)
-    for step, theta in zip(_sign_steps(len(ins.mux_controls)), ins.angles_deg):
-        signs *= step
-        acc += theta * signs  # exact: theta * (+-1.0) is +-theta
+    with np.errstate(over="ignore", invalid="ignore"):  # roty rejects what overflows
+        for step, theta in zip(_sign_steps(len(ins.mux_controls)), ins.angles_deg):
+            signs *= step
+            acc += theta * signs  # exact: theta * (+-1.0) is +-theta
+        angles = (2.0 * acc / words).tolist()
     out: list[Instruction] = []
-    for r, angle in enumerate((2.0 * acc / words).tolist()):
+    for r, angle in enumerate(angles):
         flip = gray_code(r) ^ gray_code((r + 1) % words)
         out += (roty(angle, target, plain), cnot[flip.bit_length() - 1])
     return out
@@ -68,17 +70,20 @@ def expand_circuit(circuit: Circuit) -> Circuit:
     ladder's instructions.  Equality merges only angles 0.0 and -0.0, and a
     sum that starts from 0.0 gives both the same ladder, bit for bit.
     """
-    body: list[Instruction] = []
     ladders: dict[Instruction, list[Instruction]] = {}
-    for ins in circuit.body:
-        if ins.opcode is Opcode.MP_Y:
-            ladder = ladders.get(ins)
-            if ladder is None:
-                ladder = ladders[ins] = expand_mux(ins)
-            body.extend(ladder)
-        else:
-            body.append(ins)
-    return Circuit(circuit.num_qubits, tuple(body))
+
+    def expand(nodes: tuple) -> list:
+        body: list = []
+        for node in nodes:
+            if type(node) is Loop:
+                body.append(Loop(node.reps, expand(node.body)))
+            elif node.opcode is Opcode.MP_Y:
+                body += ladders.get(node) or ladders.setdefault(node, expand_mux(node))
+            else:
+                body.append(node)
+        return body
+
+    return Circuit(circuit.num_qubits, expand(circuit.body))
 
 
 def expand_file(eng_text: str, pic_text: str) -> tuple[str, str, str]:
@@ -90,10 +95,9 @@ def expand_file(eng_text: str, pic_text: str) -> tuple[str, str, str]:
     """
     circuit = parse_english(eng_text)
     pic_lines = len(pic_text.splitlines())
-    if pic_lines != len(circuit.body):
+    if pic_lines != len(circuit):
         raise ValueError(
-            f"picture file has {pic_lines} line(s) but english file has "
-            f"{len(circuit.body)}")
+            f"picture file has {pic_lines} line(s) but english file has {len(circuit)}")
     ops, english, picture = render(
         circuit, lambda ins: expand_mux(ins) if ins.opcode is Opcode.MP_Y else (ins,))
     log = (f"Compilation Mode: Exact SEO\n"

@@ -15,9 +15,9 @@ angle converted from degrees to radians, the gate unitaries are:
     SWAP             exchange of the two target qubit lines
 
 Plain controls restrict any gate to the matching computational subspace.
-Loops are unrolled.  All operations are pure; inputs are never mutated.
-`apply` takes up to MAX_STATE_QUBITS qubits (2^n amplitudes), `to_matrix`
-up to MAX_MATRIX_QUBITS (4^n).
+A Loop runs its body `reps` times.  All operations are pure; inputs are never
+mutated.  `apply` takes up to MAX_STATE_QUBITS qubits (2^n amplitudes),
+`to_matrix` up to MAX_MATRIX_QUBITS (4^n).
 
 The kernel views the 2^n amplitudes, without copying, as a tensor of shape
 (2,)*n with bit b on axis n-1-b; `to_matrix` runs the same loop on the
@@ -29,7 +29,7 @@ MP_Y is a single pass: the mux word of every amplitude pair is broadcast from
 one arange(2) << name term per mux axis and gathers that pair's cos/sin.
 
 Runs and tables.  Every gate but PHAS and SWAP is a 2x2 on one target.  Each
-loop body (a node of `Circuit.tree`) is cut into maximal runs of
+loop body (the body of a Circuit or of a `Loop`) is cut into maximal runs of
 consecutive 2x2 gates on one target; a run never crosses a LOOP or NEXT.  A
 run leaves its other operand bits, its k controls, unchanged, so it is one
 uniformly controlled 2x2: a unitary U_w for each word w of the controls.
@@ -52,7 +52,7 @@ import math
 
 import numpy as np
 
-from .ir import Circuit, Instruction, Opcode, _Block
+from .ir import Circuit, Instruction, Loop, Opcode
 
 MAX_STATE_QUBITS = 16   # apply: 2^n amplitudes
 MAX_MATRIX_QUBITS = 12  # to_matrix: 4^n amplitudes
@@ -170,7 +170,7 @@ class _Run:
         self.gates, self.executions, self.table = gates, 0, None
 
 
-def _plan(nodes: list, runs: dict, weight: int) -> list:
+def _plan(nodes: tuple, runs: dict, weight: int) -> list:
     """The loop tree with each run of two or more gates or one MP_Y replaced
     by its _Run, shared through `runs`, keyed on its gates' identities."""
     steps: list = []
@@ -178,12 +178,12 @@ def _plan(nodes: list, runs: dict, weight: int) -> list:
     while i < count:
         node = nodes[i]
         i += 1
-        if isinstance(node, _Block):
-            steps.append(_Block(node.reps, _plan(node.body, runs, weight * node.reps)))
+        if type(node) is Loop:
+            steps.append(Loop(node.reps, _plan(node.body, runs, weight * node.reps)))
             continue
         start, targets = i - 1, node.targets
         if len(targets) == 1:
-            while i < count and not isinstance(nodes[i], _Block) and nodes[i].targets == targets:
+            while i < count and type(nodes[i]) is not Loop and nodes[i].targets == targets:
                 i += 1
         if i - start == 1 and node.opcode is not Opcode.MP_Y:
             steps.append(node)
@@ -202,7 +202,7 @@ def _execute(psi: np.ndarray, steps: list, axis) -> None:
     for step in steps:
         if type(step) is Instruction:
             _apply_gate(psi, step, axis)
-        elif type(step) is _Block:
+        elif type(step) is Loop:
             for _ in range(step.reps):
                 _execute(psi, step.body, axis)
         elif step.table is None:
@@ -223,7 +223,7 @@ def _evolve(circuit: Circuit, amp: np.ndarray) -> np.ndarray:
     psi = amp.reshape((2,) * n + amp.shape[1:])
     axis = tuple(range(n - 1, -1, -1))
     runs: dict = {}
-    steps = _plan(circuit.tree, runs, 1)
+    steps = _plan(circuit.body, runs, 1)
     for run in runs.values():
         if run.executions > (2 if len(run.gates) == 1 else 1):
             run.table = _table(run.gates, axis, psi.ndim)

@@ -7,9 +7,8 @@ from dataclasses import replace
 import numpy as np
 from scipy.linalg import expm
 
-from qsagen.ir import (Circuit, Control, Instruction, MuxControl, Opcode, end_loop,
-                       had2, loop, mp_y, p0ph, p1ph, phas, rotn, rotx, roty, rotz,
-                       sigx, sigy, sigz, swap)
+from qsagen.ir import (Circuit, Control, Instruction, Loop, MuxControl, Opcode, had2, mp_y,
+                       p0ph, p1ph, phas, rotn, rotx, roty, rotz, sigx, sigy, sigz, swap)
 
 GATE_MAKERS = "sig had rot rotn phas pph swap mpy".split()
 
@@ -49,14 +48,12 @@ def random_gate(rng: np.random.Generator, n: int) -> Instruction:
 
 
 def random_body(rng: np.random.Generator, n: int, max_items: int = 8,
-                depth: int = 0, loops: bool = True) -> list[Instruction]:
-    items: list[Instruction] = []
+                depth: int = 0, loops: bool = True) -> list[Instruction | Loop]:
+    items: list[Instruction | Loop] = []
     for _ in range(int(rng.integers(0, max_items + 1))):
         if loops and depth < 2 and rng.random() < 0.25:
             inner = random_body(rng, n, max_items=4, depth=depth + 1, loops=loops)
-            items.append(loop(int(rng.integers(1, 4))))
-            items.extend(inner)
-            items.append(end_loop())
+            items.append(Loop(int(rng.integers(1, 4)), inner))
         else:
             items.append(random_gate(rng, n))
     return items
@@ -97,12 +94,12 @@ def random_run_gate(rng: np.random.Generator, n: int, target: int) -> Instructio
 
 
 def random_run_body(rng: np.random.Generator, n: int, max_parts: int = 6,
-                    depth: int = 0) -> list[Instruction]:
+                    depth: int = 0) -> list[Instruction | Loop]:
     """A ladder-heavy body: runs of 2x2 gates on one target, some repeated as
-    the same objects or as equal copies, some in loops, some split by a loop
-    marker, some whose controls cover every other qubit, and PHAS/SWAP
-    lines between them."""
-    body: list[Instruction] = []
+    the same objects or as equal copies, some in loops, some split by a loop,
+    some whose controls cover every other qubit, and PHAS/SWAP lines between
+    them."""
+    body: list[Instruction | Loop] = []
     runs: list[list[Instruction]] = []
     for _ in range(int(rng.integers(1, max_parts + 1))):
         choice = rng.random()
@@ -112,15 +109,14 @@ def random_run_body(rng: np.random.Generator, n: int, max_parts: int = 6,
         elif runs and choice < 0.25:
             body.extend(replace(ins) for ins in runs[rng.integers(len(runs))])
         elif depth < 2 and choice < 0.45:
-            body.append(loop(int(rng.integers(1, 4))))
-            body.extend(random_run_body(rng, n, max_parts=3, depth=depth + 1))
-            body.append(end_loop())
+            body.append(Loop(int(rng.integers(1, 4)),
+                             random_run_body(rng, n, max_parts=3, depth=depth + 1)))
         elif choice < 0.6:
             # same-target gates on both sides of a LOOP and of its NEXT
             body.append(random_run_gate(rng, n, target))
-            body.append(loop(int(rng.integers(1, 4))))
-            body.extend(random_run_gate(rng, n, target) for _ in range(int(rng.integers(1, 3))))
-            body.append(end_loop())
+            body.append(Loop(int(rng.integers(1, 4)),
+                             [random_run_gate(rng, n, target)
+                              for _ in range(int(rng.integers(1, 3)))]))
             body.append(random_run_gate(rng, n, target))
         elif choice < 0.7 and n >= 2:
             run = [sigx(target, (Control(b, bool(rng.integers(2))),))
@@ -148,24 +144,23 @@ def random_run_circuit(rng: np.random.Generator) -> Circuit:
 def manual_unroll(body) -> list[Instruction]:
     """Independent loop expansion by literal block copying (counting oracle)."""
     out: list[Instruction] = []
-    i = 0
-    items = list(body)
-    while i < len(items):
-        ins = items[i]
-        if ins.opcode is Opcode.LOOP:
-            depth, j = 1, i + 1
-            while depth:
-                if items[j].opcode is Opcode.LOOP:
-                    depth += 1
-                elif items[j].opcode is Opcode.NEXT:
-                    depth -= 1
-                j += 1
-            inner = manual_unroll(items[i + 1:j - 1])
-            out.extend(inner * ins.loop_reps)
-            i = j
+    for node in body:
+        if isinstance(node, Instruction):
+            out.append(node)
         else:
-            out.append(ins)
-            i += 1
+            out.extend(manual_unroll(node.body) * node.reps)
+    return out
+
+
+def flat_lines(body) -> list:
+    """The lines a body is written as, in order: its gates, with each loop's
+    lines between ("LOOP", reps) and ("NEXT",)."""
+    out: list = []
+    for node in body:
+        if isinstance(node, Instruction):
+            out.append(node)
+        else:
+            out += [("LOOP", node.reps), *flat_lines(node.body), ("NEXT",)]
     return out
 
 

@@ -11,8 +11,8 @@ import numpy as np
 from qsagen import sim
 from qsagen.annealer import (GeneratorConfig, PEParams, emit_full, emit_R_tilde,
                              emit_U_grover)
-from qsagen.ir import (Circuit, Control, MuxControl, count_elementary_ops, end_loop,
-                       had2, loop, mp_y, p0ph, p1ph, parse_english, phas, rotn,
+from qsagen.ir import (Circuit, Control, Loop, MuxControl, count_elementary_ops,
+                       had2, mp_y, p0ph, p1ph, parse_english, phas, rotn,
                        rotx, roty, rotz, sigx, sigy, sigz, swap, write_english,
                        write_picture)
 from qsagen.markov import (AnnealingSchedule, boltzmann, default_problem,
@@ -206,8 +206,7 @@ def test_criterion_08_format_golden():
             circuit = Circuit(n, (make(),))
             assert write_english(circuit) == eng + "\n"
             assert write_picture(circuit) == pic + "\n"
-        looped = Circuit(1, tuple(had2(0) for _ in range(5))
-                         + (loop(2), sigx(0), end_loop()))
+        looped = Circuit(1, tuple(had2(0) for _ in range(5)) + (Loop(2, (sigx(0),)),))
         assert write_english(looped).splitlines()[5] == "LOOP 5 REPS: 2"
         assert write_english(looped).splitlines()[7] == "NEXT 5"
         assert write_picture(looped).splitlines()[5] == "LOOP 5 REPS:2"
@@ -228,13 +227,8 @@ def test_criterion_09_counting_rule():
         for _ in range(50):
             circuit = random_circuit(rng, max_items=10)
             assert count_elementary_ops(circuit) == len(manual_unroll(circuit.body))
-            depth = 0
-            for ins in circuit.body:
-                if ins.opcode.value == "LOOP":
-                    depth += 1
-                    seen_nested += depth >= 2
-                elif ins.opcode.value == "NEXT":
-                    depth -= 1
+            seen_nested += sum(isinstance(inner, Loop) for outer in circuit.body
+                               if isinstance(outer, Loop) for inner in outer.body)
         assert seen_nested > 0  # the sample really exercised nested loops
 
 

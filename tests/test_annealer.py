@@ -7,7 +7,7 @@ import pytest
 from qsagen import annealer, ir, sim, szegedy
 from qsagen.annealer import (GeneratorConfig, PEParams, _grover_pair, emit_full,
                              emit_R_tilde, emit_U_grover, emit_V, inverse_qft)
-from qsagen.ir import (Circuit, Control, Instruction, Opcode, count_elementary_ops,
+from qsagen.ir import (Circuit, Control, Instruction, Loop, Opcode, count_elementary_ops,
                        dagger, had2, phas, sigx, with_control, write_english)
 from qsagen.markov import (AnnealingSchedule, boltzmann, default_problem,
                            metropolis, spectral)
@@ -80,11 +80,11 @@ def test_emit_v_structure_minimal():
 def test_emit_v_uses_loops_for_powers():
     config = make_config(nb=1, a=2, c=1)
     v = emit_V(0.0, config)
-    loops = [ins for ins in v.body if ins.opcode is Opcode.LOOP]
-    assert [ins.loop_reps for ins in loops] == [2]
+    loops = [node for node in v.body if isinstance(node, Loop)]
+    assert [node.reps for node in loops] == [2]
     config3 = make_config(nb=1, a=3, c=1)
-    loops3 = [ins for ins in emit_V(0.0, config3).body if ins.opcode is Opcode.LOOP]
-    assert [ins.loop_reps for ins in loops3] == [2, 4]
+    loops3 = [node for node in emit_V(0.0, config3).body if isinstance(node, Loop)]
+    assert [node.reps for node in loops3] == [2, 4]
 
 
 def test_qubit_count_formula():

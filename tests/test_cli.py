@@ -193,6 +193,16 @@ def test_expand_warns_about_bit_precision(workdir, capsys):
     assert "ignored in exact mode" in capsys.readouterr().err
 
 
+def test_expand_reports_a_multiplexor_whose_ladder_overflows(workdir, capsys):
+    (workdir / "huge_eng.txt").write_text("MP_Y  AT  0 IF 1(0 BY 1e308 -1e308\n")
+    (workdir / "huge_pic.txt").write_text("x\n")
+    assert main(["expand", "--in-prefix", "huge", "--out-prefix", "huge_flat"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "Message: ROTY angles must be finite\n"
+    assert captured.out == ""
+    assert not list(workdir.glob("*_flat_*"))
+
+
 def test_expand_missing_input_names_path(workdir, capsys):
     assert main(["expand", "--in-prefix", "nope", "--out-prefix", "y"]) == 1
     assert "nope_eng.txt" in capsys.readouterr().err

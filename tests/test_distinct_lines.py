@@ -12,12 +12,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from qsagen.ir import (Circuit, Control, MuxControl, Opcode, _english_line,
-                       _picture_line, count_elementary_ops, end_loop, loop, mp_y,
+from qsagen.ir import (Circuit, Control, Instruction, Loop, MuxControl, Opcode,
+                       _english_line, _picture_line, count_elementary_ops, mp_y,
                        parse_english, render, rotn, roty, write_english, write_picture)
 from qsagen.mux_expander import expand_circuit, expand_file, expand_mux
 
-from helpers import manual_unroll, random_gate
+from helpers import flat_lines, manual_unroll, random_gate
 
 N = 4
 SEEDS = range(25)
@@ -41,8 +41,7 @@ def repeating_body(rng: np.random.Generator, gates: list, items: int = 40,
     body = []
     for _ in range(items):
         if depth < 3 and rng.random() < 0.15:
-            body += [loop(int(rng.integers(1, 4))),
-                     *repeating_body(rng, gates, 5, depth + 1), end_loop()]
+            body.append(Loop(int(rng.integers(1, 4)), repeating_body(rng, gates, 5, depth + 1)))
         else:
             body.append(gates[rng.integers(len(gates))])
     return body
@@ -53,27 +52,29 @@ def repeating_circuit(seed: int) -> Circuit:
     return Circuit(N, tuple(repeating_body(rng, pool(rng))))
 
 
-def signed(body) -> list:
-    """Each instruction with the signs of its angles, which == ignores for zeros."""
-    return [(ins, tuple(math.copysign(1.0, a) for a in ins.angles_deg)) for ins in body]
+def signed(lines) -> list:
+    """Each instruction with the signs of its angles, which == ignores for
+    zeros; loop brackets as they are."""
+    return [(ins, tuple(math.copysign(1.0, a) for a in ins.angles_deg))
+            if isinstance(ins, Instruction) else ins for ins in lines]
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_writers_equal_per_line_rendering(seed):
     circuit = repeating_circuit(seed)
     english, picture, open_loops = [], [], []
-    for index, ins in enumerate(circuit.body):
-        if ins.opcode is Opcode.LOOP:
+    for index, ins in enumerate(flat_lines(circuit.body)):
+        if isinstance(ins, Instruction):
+            english.append(_english_line(ins))
+            picture.append(_picture_line(ins, N))
+        elif ins[0] == "LOOP":
             open_loops.append(index)
-            english.append(f"LOOP {index} REPS: {ins.loop_reps}")
-            picture.append(f"LOOP {index} REPS:{ins.loop_reps}")
-        elif ins.opcode is Opcode.NEXT:
+            english.append(f"LOOP {index} REPS: {ins[1]}")
+            picture.append(f"LOOP {index} REPS:{ins[1]}")
+        else:
             label = open_loops.pop()
             english.append(f"NEXT {label}")
             picture.append(f"NEXT {label}")
-        else:
-            english.append(_english_line(ins))
-            picture.append(_picture_line(ins, N))
     assert write_english(circuit) == "".join(line + "\n" for line in english)
     assert write_picture(circuit) == "".join(line + "\n" for line in picture)
     assert render(circuit)[0] == len(manual_unroll(circuit.body))
@@ -87,20 +88,21 @@ def test_parser_equals_per_line_parsing(seed):
     lines = [line if rng.random() < 0.5 else
              " ".join("-0.0" if tok == "0.0" else tok for tok in line.split(" "))
              for line in write_english(circuit).splitlines()]
-    parsed = parse_english("\n".join(lines) + "\n", num_qubits=N).body
-    expected = [ins if ins.is_loop_marker else parse_english(line).body[0]
-                for ins, line in zip(circuit.body, lines)]
+    parsed = flat_lines(parse_english("\n".join(lines) + "\n", num_qubits=N).body)
+    written = flat_lines(circuit.body)
+    expected = [parse_english(line).body[0] if isinstance(ins, Instruction) else ins
+                for ins, line in zip(written, lines)]
     assert signed(parsed) == signed(expected)
-    gate_lines = {line for ins, line in zip(circuit.body, lines) if not ins.is_loop_marker}
-    assert len({id(ins) for ins in parsed if not ins.is_loop_marker}) == len(gate_lines)
+    gate_lines = {line for ins, line in zip(written, lines) if isinstance(ins, Instruction)}
+    assert len({id(ins) for ins in parsed if isinstance(ins, Instruction)}) == len(gate_lines)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_expander_equals_per_line_expansion(seed):
     circuit = repeating_circuit(seed)
-    expected = [gate for ins in circuit.body
-                for gate in (expand_mux(ins) if ins.opcode is Opcode.MP_Y else [ins])]
-    assert signed(expand_circuit(circuit).body) == signed(expected)
+    expected = [gate for ins in flat_lines(circuit.body) for gate in (
+        expand_mux(ins) if isinstance(ins, Instruction) and ins.opcode is Opcode.MP_Y else [ins])]
+    assert signed(flat_lines(expand_circuit(circuit).body)) == signed(expected)
 
 
 def expansion_case(seed: int) -> tuple[Circuit, str]:
@@ -110,8 +112,9 @@ def expansion_case(seed: int) -> tuple[Circuit, str]:
     rng = np.random.default_rng(seed)
     gates = pool(rng)
     muxes = [ins for ins in gates if ins.opcode is Opcode.MP_Y and ins.controls]
-    frame = [loop(2), muxes[0], loop(3), muxes[1], *repeating_body(rng, gates, 4, depth=3),
-             muxes[0], end_loop(), muxes[-1], end_loop()]
+    frame = [Loop(2, [muxes[0],
+                      Loop(3, [muxes[1], *repeating_body(rng, gates, 4, depth=3), muxes[0]]),
+                      muxes[-1]])]
     circuit = Circuit(N, tuple(repeating_body(rng, gates, 15) + frame
                                + repeating_body(rng, gates, 15)))
     lines = []

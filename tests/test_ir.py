@@ -4,17 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qsagen import sim
-from qsagen.annealer import GeneratorConfig, PEParams, emit_full
-from qsagen.ir import (Circuit, Control, Instruction, MuxControl, Opcode,
-                       ParseError, _Block, _picture_line, count_elementary_ops, dagger, end_loop,
-                       format_number, had2, loop, mp_y, p0ph, p1ph, parse_english,
+from qsagen.ir import (Circuit, Control, Instruction, Loop, MuxControl, Opcode,
+                       ParseError, _picture_line, count_elementary_ops, dagger,
+                       format_number, had2, mp_y, p0ph, p1ph, parse_english,
                        phas, render, rotn, rotx, roty, rotz, sigx, sigy, sigz, swap,
-                       unrolled, with_control, write_english, write_picture)
-from qsagen.markov import AnnealingSchedule, default_problem
+                       with_control, write_english, write_picture)
 from qsagen.mux_expander import expand_mux
 
-from helpers import manual_unroll, random_body, random_circuit
+from helpers import flat_lines, manual_unroll, random_body, random_circuit
 
 CONTROLS_3F_2T = (Control(3, False), Control(2, True))
 
@@ -60,7 +57,7 @@ def test_golden_rows(ins, n, eng, pic):
 
 def test_golden_loop_lines():
     # a LOOP whose line index is 5, to match the table's label
-    body = tuple(had2(0) for _ in range(5)) + (loop(2), sigx(0), end_loop())
+    body = tuple(had2(0) for _ in range(5)) + (Loop(2, (sigx(0),)),)
     circuit = Circuit(1, body)
     eng = write_english(circuit).splitlines()
     pic = write_picture(circuit).splitlines()
@@ -161,6 +158,32 @@ def test_parse_error_names_first_bad_line(text, num_qubits, line, token):
     assert (caught.value.line, caught.value.token) == (line, token)
 
 
+def loop_chain(depth: int) -> str:
+    """`depth` LOOPs nested one in the next around one gate."""
+    return ("".join(f"LOOP {i} REPS: 1\n" for i in range(depth)) + "SIGX  AT  0\n"
+            + "".join(f"NEXT {i}\n" for i in reversed(range(depth))))
+
+
+@pytest.mark.parametrize("text,message", [
+    ("NEXT 0\n", "line 1: NEXT without an open LOOP"),
+    ("SIGX  AT  0\nLOOP 1 REPS: 2\nLOOP 2 REPS: 3\nSIGX  AT  0\nNEXT 2\n",
+     "line 2: LOOP 1 is never closed"),
+    ("LOOP 0 REPS: 2\nSIGX  AT  0\nNEXT 3\n",
+     "line 3: NEXT label 3 does not match open LOOP 0"),
+    (loop_chain(101), "LOOP at line 100 nests deeper than 100"),
+], ids=["next-without-loop", "never-closed", "label-mismatch", "too-deep"])
+def test_parse_nesting_errors(text, message):
+    with pytest.raises(ParseError) as caught:
+        parse_english(text)
+    assert str(caught.value) == message
+
+
+def test_parse_accepts_the_deepest_allowed_nesting():
+    circuit = parse_english(loop_chain(100))
+    assert len(circuit) == 201
+    assert count_elementary_ops(circuit) == 1
+
+
 def test_parse_respects_supplied_qubit_count():
     assert parse_english("SIGX  AT  1\n", num_qubits=5).num_qubits == 5
     with pytest.raises(ParseError, match="out of range"):
@@ -169,12 +192,10 @@ def test_parse_respects_supplied_qubit_count():
 
 def test_roundtrip_handmade_loops():
     body = (
-        loop(3),
-        sigx(1, (Control(0, True),)),
-        loop(2),
-        mp_y(2, (MuxControl(0, 0),), (12.5, -45.0)),
-        end_loop(),
-        end_loop(),
+        Loop(3, (
+            sigx(1, (Control(0, True),)),
+            Loop(2, (mp_y(2, (MuxControl(0, 0),), (12.5, -45.0)),)),
+        )),
         phas(-7.25),
     )
     circuit = Circuit(3, body)
@@ -200,7 +221,7 @@ def test_line_counts_match():
         circuit = random_circuit(rng)
         eng = write_english(circuit).splitlines()
         pic = write_picture(circuit).splitlines()
-        assert len(eng) == len(pic) == len(circuit.body)
+        assert len(eng) == len(pic) == len(circuit)
 
 
 def test_picture_width_bound():
@@ -208,9 +229,9 @@ def test_picture_width_bound():
     for _ in range(40):
         circuit = random_circuit(rng)
         lines = write_picture(circuit).splitlines()
-        for ins, line in zip(circuit.body, lines):
+        for ins, line in zip(flat_lines(circuit.body), lines):
             assert not line.endswith(" ")
-            if not ins.is_loop_marker:
+            if isinstance(ins, Instruction):
                 assert len(line) <= 4 * circuit.num_qubits
 
 
@@ -262,10 +283,10 @@ def test_phas_controlled_everywhere_still_draws():
 
 
 def test_count_examples():
-    a = Circuit(1, (loop(3), sigx(0), had2(0), end_loop()))
+    a = Circuit(1, (Loop(3, (sigx(0), had2(0))),))
     assert count_elementary_ops(a) == 6
     assert count_elementary_ops(Circuit(1)) == 0
-    b = Circuit(1, (loop(2), loop(3), sigx(0), end_loop(), end_loop()))
+    b = Circuit(1, (Loop(2, (Loop(3, (sigx(0),)),)),))
     assert count_elementary_ops(b) == 6
     c = Circuit(2, (mp_y(1, (MuxControl(0, 0),), (1.0, 2.0)),))
     assert count_elementary_ops(c) == 1
@@ -276,34 +297,6 @@ def test_count_matches_manual_unroll():
     for _ in range(30):
         circuit = random_circuit(rng)
         assert count_elementary_ops(circuit) == len(manual_unroll(circuit.body))
-        assert count_elementary_ops(circuit) == len(list(unrolled(circuit.body)))
-
-
-def tree_shape(nodes: list) -> tuple:
-    """A loop tree as nested tuples of node identities and repetitions."""
-    return tuple((id(node), node.reps, id(node.body), tree_shape(node.body))
-                 if isinstance(node, _Block) else id(node) for node in nodes)
-
-
-def test_loop_tree_is_built_once(monkeypatch):
-    rng = np.random.default_rng(10)
-    circuits = [random_circuit(rng) for _ in range(20)]
-    config = GeneratorConfig(default_problem(2), PEParams(2, 1, 2), AnnealingSchedule(0.5, 2))
-    circuits.append(parse_english(write_english(emit_full(config, prep=True))))
-    shapes = [tree_shape(circuit.tree) for circuit in circuits]
-
-    def rebuilt(body):
-        raise AssertionError("the loop tree was built again")
-
-    monkeypatch.setattr("qsagen.ir._nest", rebuilt)
-    monkeypatch.setattr("qsagen.sim._nest", rebuilt, raising=False)
-    for circuit, shape in zip(circuits, shapes):
-        sim.apply(circuit, sim.basis_state(circuit.num_qubits))
-        sim.to_matrix(circuit)
-        ops, english, picture = render(circuit)
-        assert (english, picture) == (write_english(circuit), write_picture(circuit))
-        assert ops == count_elementary_ops(circuit)
-        assert tree_shape(circuit.tree) == shape
 
 
 def test_dagger_is_involutive_and_preserves_loops():
@@ -320,10 +313,10 @@ def test_dagger_negates_angles_and_reverses():
 
 
 def test_with_control_adds_and_collides():
-    body = (sigx(0), loop(2), had2(1), end_loop())
+    body = (sigx(0), Loop(2, (had2(1),)))
     out = with_control(body, Control(3, True))
     assert out[0].controls == (Control(3, True),)
-    assert out[1].opcode is Opcode.LOOP and not out[1].controls
+    assert out[1] == Loop(2, (had2(1, (Control(3, True),)),))
     with pytest.raises(ValueError, match="collides"):
         with_control(body, Control(0, True))
 
@@ -337,7 +330,7 @@ def test_with_control_adds_and_collides():
     lambda: sigx(0, (Control(1, True), Control(1, False))),     # duplicate control
     lambda: Instruction(Opcode.ROTN, (0,), angles_deg=(1.0, 2.0)),  # wrong arity
     lambda: phas(float("nan")),
-    lambda: loop(0),
+    lambda: Loop(0),
 ])
 def test_invalid_instructions_rejected(bad):
     with pytest.raises((ValueError, TypeError)):
@@ -347,14 +340,31 @@ def test_invalid_instructions_rejected(bad):
 def test_invalid_circuits_rejected():
     with pytest.raises(ValueError, match="out of range"):
         Circuit(1, (sigx(3),))
-    with pytest.raises(ValueError, match="no open LOOP"):
-        Circuit(1, (end_loop(),))
-    with pytest.raises(ValueError, match="never closed"):
-        Circuit(1, (loop(2), sigx(0)))
+    chain = (sigx(0),)
+    for _ in range(101):
+        chain = (Loop(1, chain),)
     with pytest.raises(ValueError, match="line 100 nests deeper than 100"):
-        Circuit(1, (loop(1),) * 101 + (sigx(0),) + (end_loop(),) * 101)
+        Circuit(1, chain)
     with pytest.raises(ValueError, match="positive"):
         Circuit(0)
+
+
+def test_shared_loops_count_and_check_where_they_stand():
+    """A Loop object used twice is written twice: it counts its lines at each
+    use and its nesting depth at its deepest use, and a bad gate in it is
+    named at its first use."""
+    inner = Loop(2, (sigx(0), had2(0)))
+    circuit = Circuit(1, (inner, inner, sigx(0)))
+    assert len(circuit) == 9 == len(write_english(circuit).splitlines())
+    chain = (sigx(0),)
+    for _ in range(100):
+        chain = (Loop(1, chain),)
+    assert len(Circuit(1, chain + (sigx(0),))) == 202
+    with pytest.raises(ValueError, match=r"^LOOP at line 301 nests deeper than 100$"):
+        Circuit(1, chain + (Loop(1, chain),))
+    bad = Loop(2, (had2(0), sigx(3)))
+    with pytest.raises(ValueError, match=r"^line 3: bit 3 out of range for 2 qubit\(s\)$"):
+        Circuit(2, (had2(1), bad, bad))
 
 
 def per_line_picture(gates, n):
@@ -399,7 +409,7 @@ def test_range_check_names_first_line_of_a_repeated_bad_gate():
     with pytest.raises(ValueError, match=r"^line 1: bit 3 out of range for 2 qubit\(s\)$"):
         Circuit(2, (had2(0), bad, had2(1), bad))
     with pytest.raises(ValueError, match=r"^line 2: bit 5 out of range"):
-        Circuit(2, (had2(0), loop(2), swap(5, 0), sigx(1), end_loop(), bad, swap(5, 0)))
+        Circuit(2, (had2(0), Loop(2, (swap(5, 0), sigx(1))), bad, swap(5, 0)))
     with pytest.raises(ParseError, match="line 2: bit 3 out of range"):
         parse_english("HAD2  AT  0\nSIGX  AT  3\nHAD2  AT  0\nSIGX  AT  3\n", num_qubits=2)
 

@@ -6,13 +6,14 @@ import pytest
 
 from qsagen import sim
 from qsagen.annealer import GeneratorConfig, PEParams, emit_full
-from qsagen.ir import (Circuit, Control, MuxControl, Opcode, count_elementary_ops,
-                       mp_y, parse_english, write_english, write_picture)
+from qsagen.ir import (Circuit, Control, Instruction, MuxControl, Opcode,
+                       count_elementary_ops, mp_y, parse_english, write_english,
+                       write_picture)
 from qsagen.markov import AnnealingSchedule, default_problem
 from qsagen.mux_expander import (expand_circuit, expand_file, expand_mux,
                                  gray_code)
 
-from helpers import manual_unroll, random_circuit, random_gate
+from helpers import flat_lines, manual_unroll, random_circuit, random_gate
 
 
 def random_mux(rng, k, plain=0):
@@ -86,6 +87,13 @@ def test_expand_mux_rejects_other_opcodes():
     from qsagen.ir import had2
     with pytest.raises(ValueError, match="MP_Y"):
         expand_mux(had2(0))
+
+
+@pytest.mark.parametrize("angles", [(1e308, -1e308), (-1e308, -1e308), (1e308, 0.0)],
+                         ids=["sum-overflows", "both-overflow", "doubling-overflows"])
+def test_expand_mux_rejects_ladder_angles_that_overflow(angles):
+    with pytest.raises(ValueError, match="^ROTY angles must be finite$"):
+        expand_mux(mp_y(0, (MuxControl(1, 0),), angles))
 
 
 def test_expansion_instruction_count():
@@ -230,8 +238,12 @@ def test_expand_circuit_equals_per_line_expansion():
         circuit = random_circuit(rng)
         body = list(circuit.body) + [random_gate(rng, circuit.num_qubits) for _ in range(5)]
         circuit = Circuit(circuit.num_qubits, tuple(body))
-        want = tuple(g for ins in circuit.body
-                     for g in (expand_mux(ins) if ins.opcode is Opcode.MP_Y else (ins,)))
-        got = expand_circuit(circuit).body
+        want = [g for ins in flat_lines(circuit.body) for g in (
+            expand_mux(ins) if isinstance(ins, Instruction) and ins.opcode is Opcode.MP_Y
+            else (ins,))]
+        got = flat_lines(expand_circuit(circuit).body)
         assert got == want
-        assert repr([g.angles_deg for g in got]) == repr([g.angles_deg for g in want])
+
+        def angles(lines):
+            return repr([g.angles_deg if isinstance(g, Instruction) else g for g in lines])
+        assert angles(got) == angles(want)

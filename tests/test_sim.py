@@ -9,9 +9,9 @@ from scipy.linalg import expm
 
 from qsagen import sim
 from qsagen.cli import main
-from qsagen.ir import (Circuit, Control, MuxControl, _nest, end_loop, had2, loop, mp_y,
-                       p0ph, p1ph, parse_english, phas, rotn, rotx, roty, rotz, sigx,
-                       sigy, sigz, swap, write_english)
+from qsagen.ir import (Circuit, Control, Loop, MuxControl, had2, mp_y, p0ph, p1ph,
+                       parse_english, phas, rotn, rotx, roty, rotz, sigx, sigy, sigz,
+                       swap, write_english)
 
 from helpers import oracle_matrix, random_circuit, random_run_circuit
 
@@ -116,9 +116,9 @@ def test_to_matrix_is_multiplicative():
 
 
 def test_loops_unroll_in_simulation():
-    looped = Circuit(1, (loop(3), sigx(0), end_loop()))
+    looped = Circuit(1, (Loop(3, (sigx(0),)),))
     np.testing.assert_allclose(sim.to_matrix(looped), SX, atol=1e-15)
-    nested = Circuit(1, (loop(2), loop(2), rotz(10.0, 0), end_loop(), end_loop()))
+    nested = Circuit(1, (Loop(2, (Loop(2, (rotz(10.0, 0),)),)),))
     np.testing.assert_allclose(
         sim.to_matrix(nested), one_qubit_matrix(rotz(40.0, 0)), atol=1e-13)
 
@@ -238,7 +238,7 @@ def assert_matches_oracle(circuit, rng, states=3):
 
 def distinct_tables(circuit):
     runs = {}
-    sim._plan(_nest(circuit.body), runs, 1)
+    sim._plan(circuit.body, runs, 1)
     return sum(run.executions > 1 for run in runs.values())
 
 
@@ -260,7 +260,7 @@ def test_runs_with_equal_opcodes_get_their_own_tables():
              roty(-75.0, 0, (Control(2, False),)), sigx(0, (Control(2, True),))]
     second = [roty(110.0, 0, (Control(2, False),)), sigx(0, (Control(1, False),)),
               roty(5.0, 0, (Control(2, True),)), sigx(0, (Control(2, False),))]
-    circuit = Circuit(3, (had2(1), had2(2), loop(2), *first, had2(1), *second, end_loop()))
+    circuit = Circuit(3, (had2(1), had2(2), Loop(2, (*first, had2(1), *second))))
     assert distinct_tables(circuit) == 2
     assert_matches_oracle(circuit, np.random.default_rng(11))
 
@@ -271,7 +271,7 @@ def test_table_words_follow_bit_order():
     angles = (10.0, 20.0, 40.0, 80.0, -15.0, 33.0, 120.0, -170.0)
     ladder = (mp_y(0, mux, angles), roty(12.0, 0, (Control(3, True),)),
               p1ph(50.0, 0, (Control(1, False),)))
-    circuit = Circuit(4, (had2(1), had2(2), had2(3), loop(3), *ladder, end_loop()))
+    circuit = Circuit(4, (had2(1), had2(2), had2(3), Loop(3, ladder)))
     assert distinct_tables(circuit) == 1
     assert_matches_oracle(circuit, np.random.default_rng(12))
 
@@ -280,9 +280,9 @@ LONE_MUX = mp_y(0, (MuxControl(2, 1), MuxControl(1, 0)), (35.0, -120.0, 64.5, 17
 
 
 @pytest.mark.parametrize("body,tables", [
-    ((loop(3), LONE_MUX, had2(3), end_loop()), 1),
-    ((loop(3), replace(LONE_MUX, controls=(Control(3, False),)), had2(3), end_loop()), 1),
-    ((loop(2), LONE_MUX, had2(3), end_loop()), 0),
+    ((Loop(3, (LONE_MUX, had2(3))),), 1),
+    ((Loop(3, (replace(LONE_MUX, controls=(Control(3, False),)), had2(3))),), 1),
+    ((Loop(2, (LONE_MUX, had2(3))),), 0),
     ((had2(3), LONE_MUX, had2(3)), 0),
 ], ids=["thrice", "thrice-plain-control", "twice", "once"])
 def test_lone_multiplexor_gets_a_table_from_its_third_execution(body, tables, monkeypatch):
@@ -296,8 +296,7 @@ def test_lone_multiplexor_gets_a_table_from_its_third_execution(body, tables, mo
 
 def test_runs_stop_at_loop_markers():
     a, b, c = roty(40.0, 0, (Control(1, True),)), sigx(0, (Control(1, True),)), had2(0)
-    circuit = Circuit(2, (had2(1), a, b, loop(3), c, a, b, end_loop(), b, a, loop(2), a, b,
-                          end_loop(), c))
+    circuit = Circuit(2, (had2(1), a, b, Loop(3, (c, a, b)), b, a, Loop(2, (a, b)), c))
     assert_matches_oracle(circuit, np.random.default_rng(13))
 
 
@@ -307,7 +306,7 @@ def test_run_controlled_on_every_other_qubit():
     run += [mp_y(2, (MuxControl(4, 0), MuxControl(0, 1)), (15.0, -40.0, 95.0, 170.0),
                  (Control(1, True), Control(3, False))),
             rotn(10.0, 20.0, -30.0, 2, (Control(0, True), Control(1, False)))]
-    circuit = Circuit(n, (*[had2(b) for b in range(n)], loop(2), *run, end_loop(), *run))
+    circuit = Circuit(n, (*[had2(b) for b in range(n)], Loop(2, run), *run))
     assert distinct_tables(circuit) == 1
     assert_matches_oracle(circuit, np.random.default_rng(14))
 
@@ -317,7 +316,7 @@ def test_parsed_repeats_share_one_table():
     in a loop builds one table; an equal copy made apart builds its own."""
     ladder = [roty(25.0, 1, (Control(0, True),)), sigx(1, (Control(0, True),)),
               roty(-60.0, 1, (Control(0, False),))]
-    text = write_english(Circuit(2, (had2(0), *ladder, loop(2), *ladder, end_loop())))
+    text = write_english(Circuit(2, (had2(0), *ladder, Loop(2, ladder))))
     parsed = parse_english(text)
     assert distinct_tables(parsed) == 1
     copy = [replace(ins) for ins in ladder]
