@@ -27,24 +27,48 @@ slicing, so every gate reads and writes views.  The 2x2 unitary mixes the two
 halves; SWAP exchanges the 10- and 01-views; PHAS scales the control view.
 MP_Y is a single pass: the mux word of every amplitude pair is broadcast from
 one arange(2) << name term per mux axis and gathers that pair's cos/sin.
+Axes are addressed from the right, so the same code runs on any number of
+leading axes.
 
-Runs and tables.  Every gate but PHAS and SWAP is a 2x2 on one target.  Each
-loop body (the body of a Circuit or of a `Loop`) is cut into maximal runs of
-consecutive 2x2 gates on one target; a run never crosses a LOOP or NEXT.  A
+Segments.  Each loop body (the body of a Circuit or of a `Loop`) is cut into
+segments, the maximal runs of gates between its Loops, so nothing below
+crosses a Loop's boundary.  Runs (below) are told apart by the identities
+of their instructions, segments by those of their steps, the runs and the
+gates between them.  The parser and the emitters share one object per
+distinct line, so every repetition of a loop body, every repeat of a block
+in the text and every repeat of a multiplexor's ladder is one segment or
+one run, prepared once per call; each counts its executions, weighted by
+its loops' reps.
+
+Runs and tables.  Every gate but PHAS and SWAP is a 2x2 on one target.  A
+segment is cut into maximal runs of consecutive 2x2 gates on one target.  A
 run leaves its other operand bits, its k controls, unchanged, so it is one
 uniformly controlled 2x2: a unitary U_w for each word w of the controls.
 Its table, U_w[i, j] in a tensor of shape (2,)*k + (2, 2), is built by the
 same kernel on the identity, with each bit mapped to its table axis, and is
 applied like MP_Y, in one pass: its four entries, broadcast over the
-controls' axes of the state, mix the two target halves.  Runs are told
-apart by the identities of their instructions (the parser shares one object
-per distinct line), so every repetition of a loop body and every repeat of
-a multiplexor's ladder is one run, and its table is built once per call.
-A run that executes once goes to the kernel gate by gate, as does a run of
-one gate other than an MP_Y that executes three times or more (the kernel
-rebuilds a multiplexor's word tensor and cos/sin gather every time).  Tables
-change the order of the floating-point operations: results agree with
-gate-by-gate evaluation within 1e-12, not bit for bit.
+controls' axes of the state, mix the two target halves.  A run of two or
+more gates gets a table when it executes more than once, a lone MP_Y from
+its third execution (the kernel rebuilds a multiplexor's word tensor and
+cos/sin gather every time); any other gate goes to the kernel by itself.
+
+Segment operators.  A segment's operator is its dense 2^n x 2^n matrix,
+built by running its steps (gates and tables, so the tables come first) on
+the identity, whose column axis leads for `apply`; every execution is then
+one matvec on the state, viewed as a (2^n, columns) matrix.  One fixed cost
+rule decides, with constants measured by timeit (numpy 2.4.6, Python 3.11,
+2 vCPUs, one BLAS thread): a step costs 10 us + 5 ns per amplitude it runs
+on, a matvec 2 us + 0.5 ns per operator entry and column.  A segment of s
+steps that executes e times gets an operator when e * s * (step on the
+state) exceeds s * (step on 4^n amplitudes), the build, plus e * (matvec).
+At 6 qubits a segment of 26 steps pays from its third execution and one of
+2 steps from its fourth; at 10 qubits the build alone costs as much as 347
+executions step by step.  The operators of one call hold at most 16 MiB
+(16 * 4^n bytes each), the most saving first: 256 at 6 qubits, one at 10,
+none from 11.
+
+Tables and operators change the order of the floating-point operations:
+results agree with gate-by-gate evaluation within 1e-12, not bit for bit.
 """
 from __future__ import annotations
 
@@ -57,6 +81,12 @@ from .ir import Circuit, Instruction, Loop, Opcode
 MAX_STATE_QUBITS = 16   # apply: 2^n amplitudes
 MAX_MATRIX_QUBITS = 12  # to_matrix: 4^n amplitudes
 _PIN = (slice(0, 1), slice(1, 2))  # size-1 slices keep every axis for broadcasting
+# The segment-operator cost rule (see the module docstring): seconds per step
+# and per amplitude, per matvec and per operator entry and column, and the
+# bytes that the operators of one call may hold.
+_STEP_S, _AMPLITUDE_S = 10e-6, 5e-9
+_MATVEC_S, _ENTRY_S = 2e-6, 0.5e-9
+_OPERATOR_BYTES = 16 << 20
 
 _SIGX = np.array([[0, 1], [1, 0]], dtype=complex)
 _SIGY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -94,7 +124,8 @@ def _single_qubit_unitary(op: Opcode, angles_deg: tuple[float, ...]) -> tuple:
 
 
 def _apply_gate(psi: np.ndarray, ins: Instruction, axis) -> None:
-    """Apply one gate in place; `axis[b]` is the tensor axis of bit b."""
+    """Apply one gate in place; `axis[b]` is the tensor axis of bit b, counted
+    from the right."""
     index = [slice(None)] * psi.ndim
     for c in ins.controls:
         index[axis[c.bit]] = _PIN[c.on]
@@ -117,7 +148,7 @@ def _apply_gate(psi: np.ndarray, ins: Instruction, axis) -> None:
     a1 = psi[tuple(index)]
     if op is Opcode.MP_Y:
         # A (2, 1, ..., 1) term broadcasts from the right onto the bit's axis.
-        word = sum((np.arange(2) << m.name).reshape((2,) + (1,) * (psi.ndim - 1 - axis[m.bit]))
+        word = sum((np.arange(2) << m.name).reshape((2,) + (1,) * (-1 - axis[m.bit]))
                    for m in ins.mux_controls)
         cos_sin = np.array([(math.cos(r), math.sin(r))
                             for r in map(math.radians, ins.angles_deg)])[word]
@@ -137,16 +168,16 @@ def _mix(a0: np.ndarray, a1: np.ndarray, u00, u01, u10, u11) -> None:
 
 def _table(run: list[Instruction], axis, ndim: int) -> tuple:
     """A run of 2x2 gates on one target as one uniformly controlled 2x2: the
-    two target-half indices of the state tensor (`ndim` axes, bit b on
-    `axis[b]`) and the four entries U_w[i, j], each shaped to broadcast over
+    two target-half indices of a state tensor (bit b on `axis[b]` of its last
+    `ndim` axes) and the four entries U_w[i, j], each shaped to broadcast over
     the state's control axes."""
     target = run[0].targets[0]
     bits = sorted({b for ins in run for b in ins.operand_bits[1:]}, reverse=True)
     k = len(bits)
     u = np.zeros((2,) * k + (2, 2), dtype=complex)
     u[..., 0, 0] = u[..., 1, 1] = 1
-    table_axis = {b: i for i, b in enumerate(bits)}
-    table_axis[target] = k
+    table_axis = {b: i - k - 2 for i, b in enumerate(bits)}
+    table_axis[target] = -2
     for ins in run:
         _apply_gate(u, ins, table_axis)
     shape = [1] * ndim
@@ -154,9 +185,9 @@ def _table(run: list[Instruction], axis, ndim: int) -> tuple:
     for b in bits:
         shape[axis[b]] = 2
     index[axis[target]] = _PIN[0]
-    index0 = tuple(index)
+    index0 = (Ellipsis, *index)
     index[axis[target]] = _PIN[1]
-    return (index0, tuple(index),
+    return (index0, (Ellipsis, *index),
             *(u[..., i, j].reshape(shape) for i in range(2) for j in range(2)))
 
 
@@ -166,26 +197,52 @@ class _Run:
 
     __slots__ = ("gates", "executions", "table")
 
-    def __init__(self, gates: list[Instruction]):
-        self.gates, self.executions, self.table = gates, 0, None
+    def __init__(self, gates: list[Instruction], executions: int = 0):
+        self.gates, self.executions, self.table = gates, executions, None
 
 
-def _plan(nodes: tuple, runs: dict, weight: int) -> list:
-    """The loop tree with each run of two or more gates or one MP_Y replaced
-    by its _Run, shared through `runs`, keyed on its gates' identities."""
+class _Segment:
+    """A maximal run of gates between Loops, one object per distinct segment:
+    its steps (gates and _Runs), its executions counted like a _Run's, and
+    its dense operator once one is built."""
+
+    __slots__ = ("steps", "executions", "operator")
+
+    def __init__(self, steps: list):
+        self.steps, self.executions, self.operator = steps, 0, None
+
+
+def _segment(steps: list, segments: dict, weight: int) -> _Segment:
+    key = tuple(map(id, steps))
+    segment = segments.get(key)
+    if segment is None:
+        segment = segments[key] = _Segment(steps)
+    segment.executions += weight
+    return segment
+
+
+def _walk(nodes: tuple, runs: dict, segments: dict, weight: int) -> list:
+    """The loop tree with each maximal run of gates replaced by its _Segment,
+    shared through `segments` and keyed on its steps' identities, where each
+    run of two or more gates on one target is its _Run, shared through `runs`
+    and keyed on its gates' identities."""
+    plan: list = []
     steps: list = []
     i, count = 0, len(nodes)
     while i < count:
         node = nodes[i]
         i += 1
         if type(node) is Loop:
-            steps.append(Loop(node.reps, _plan(node.body, runs, weight * node.reps)))
+            if steps:
+                plan.append(_segment(steps, segments, weight))
+                steps = []
+            plan.append(Loop(node.reps, _walk(node.body, runs, segments, weight * node.reps)))
             continue
         start, targets = i - 1, node.targets
         if len(targets) == 1:
             while i < count and type(nodes[i]) is not Loop and nodes[i].targets == targets:
                 i += 1
-        if i - start == 1 and node.opcode is not Opcode.MP_Y:
+        if i - start == 1:
             steps.append(node)
             continue
         gates = nodes[start:i]
@@ -193,18 +250,51 @@ def _plan(nodes: tuple, runs: dict, weight: int) -> list:
         run = runs.get(key)
         if run is None:
             run = runs[key] = _Run(gates)
-        run.executions += weight
         steps.append(run)
-    return steps
+    if steps:
+        plan.append(_segment(steps, segments, weight))
+    return plan
 
 
-def _execute(psi: np.ndarray, steps: list, axis) -> None:
+def _plan(body: tuple) -> tuple[list, dict, dict]:
+    """The loop tree of segments, with the distinct runs and the distinct
+    segments, each knowing how often it executes.  A lone MP_Y becomes a
+    one-gate run only from its third execution, when a table pays for the
+    word tensor and cos/sin gather that the kernel rebuilds at every one."""
+    runs: dict = {}
+    segments: dict = {}
+    plan = _walk(body, runs, segments, 1)
+    lone: dict = {}
+    for segment in segments.values():
+        for step in segment.steps:
+            if type(step) is _Run:
+                step.executions += segment.executions
+            elif step.mux_controls:
+                lone.setdefault(id(step), [step, 0])[1] += segment.executions
+    tabled = {key: _Run([gate], executions)
+              for key, (gate, executions) in lone.items() if executions > 2}
+    if tabled:
+        runs.update(tabled)
+        for segment in segments.values():
+            segment.steps = [tabled.get(id(step), step) for step in segment.steps]
+    return plan, runs, segments
+
+
+def _saving(segment: _Segment, dim: int, cols: int) -> float:
+    """Seconds saved by building a segment's operator: its steps on the
+    identity plus one matvec per execution, against its steps on the state
+    at every execution."""
+    steps, executions = len(segment.steps), segment.executions
+    by_steps = executions * steps * (_STEP_S + _AMPLITUDE_S * dim * cols)
+    dense = (steps * (_STEP_S + _AMPLITUDE_S * dim * dim)
+             + executions * (_MATVEC_S + _ENTRY_S * dim * dim * cols))
+    return by_steps - dense
+
+
+def _run_steps(psi: np.ndarray, steps: list, axis) -> None:
     for step in steps:
         if type(step) is Instruction:
             _apply_gate(psi, step, axis)
-        elif type(step) is Loop:
-            for _ in range(step.reps):
-                _execute(psi, step.body, axis)
         elif step.table is None:
             for ins in step.gates:
                 _apply_gate(psi, ins, axis)
@@ -213,22 +303,43 @@ def _execute(psi: np.ndarray, steps: list, axis) -> None:
             _mix(psi[index0], psi[index1], *entries)
 
 
-def _evolve(circuit: Circuit, amp: np.ndarray) -> np.ndarray:
-    """Apply every gate in place to `amp`, whose first axis is the basis index.
+def _operator(steps: list, axis, dim: int) -> np.ndarray:
+    """The dense matrix of a segment: its steps run on the identity, whose
+    column axis is last, like the state's, or first if the state has none
+    and so neither has its tables (axis[0] is then -1)."""
+    op = np.eye(dim, dtype=complex)
+    psi = op.reshape((2,) * len(axis) + (dim,))
+    _run_steps(psi if axis[0] == -2 else np.moveaxis(psi, -1, 0), steps, axis)
+    return op
 
-    A run that executes once stays gate by gate, and so does a lone MP_Y
-    that executes twice: its table would cost as much to build as the gates
-    cost to apply."""
+
+def _execute(amp: np.ndarray, psi: np.ndarray, plan: list, axis) -> None:
+    for node in plan:
+        if type(node) is Loop:
+            for _ in range(node.reps):
+                _execute(amp, psi, node.body, axis)
+        elif node.operator is None:
+            _run_steps(psi, node.steps, axis)
+        else:
+            amp[...] = node.operator @ amp
+
+
+def _evolve(circuit: Circuit, amp: np.ndarray) -> None:
+    """Apply every gate in place to `amp`, of shape (2^n, columns)."""
     n = circuit.num_qubits
-    psi = amp.reshape((2,) * n + amp.shape[1:])
-    axis = tuple(range(n - 1, -1, -1))
-    runs: dict = {}
-    steps = _plan(circuit.body, runs, 1)
+    dim, cols = amp.shape
+    # A single column gets no axis; more get the last, which numpy runs fastest.
+    psi = amp.reshape((2,) * n + ((cols,) if cols > 1 else ()))
+    axis = tuple(n - psi.ndim - 1 - b for b in range(n))  # bit b, from the right
+    plan, runs, segments = _plan(circuit.body)
     for run in runs.values():
-        if run.executions > (2 if len(run.gates) == 1 else 1):
+        if run.executions > 1:
             run.table = _table(run.gates, axis, psi.ndim)
-    _execute(psi, steps, axis)
-    return psi.reshape(amp.shape)
+    worth = [s for s in segments.values() if _saving(s, dim, cols) > 0]
+    worth.sort(key=lambda s: _saving(s, dim, cols), reverse=True)
+    for segment in worth[:_OPERATOR_BYTES // (16 * dim * dim)]:
+        segment.operator = _operator(segment.steps, axis, dim)
+    _execute(amp, psi, plan, axis)
 
 
 def apply(circuit: Circuit, state: np.ndarray) -> np.ndarray:
@@ -240,7 +351,8 @@ def apply(circuit: Circuit, state: np.ndarray) -> np.ndarray:
     amp = np.array(state, dtype=complex)
     if amp.shape[0] != dim:
         raise ValueError(f"state has dimension {amp.shape[0]}, circuit needs {dim}")
-    return _evolve(circuit, amp)
+    _evolve(circuit, amp.reshape(dim, -1))
+    return amp
 
 
 def to_matrix(circuit: Circuit) -> np.ndarray:
@@ -249,7 +361,9 @@ def to_matrix(circuit: Circuit) -> np.ndarray:
         raise ValueError(
             f"to_matrix supports at most {MAX_MATRIX_QUBITS} qubits, "
             f"got {circuit.num_qubits}")
-    return _evolve(circuit, np.eye(1 << circuit.num_qubits, dtype=complex))
+    u = np.eye(1 << circuit.num_qubits, dtype=complex)
+    _evolve(circuit, u)
+    return u
 
 
 def basis_state(num_qubits: int, index: int = 0) -> np.ndarray:

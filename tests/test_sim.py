@@ -1,5 +1,6 @@
 """Simulator gate semantics against hand matrices, scipy's expm and the
-kron-built oracle, gate by gate and through the run tables."""
+kron-built oracle, gate by gate and through the run tables and segment
+operators."""
 import math
 from dataclasses import replace
 
@@ -8,12 +9,15 @@ import pytest
 from scipy.linalg import expm
 
 from qsagen import sim
+from qsagen.annealer import GeneratorConfig, PEParams, emit_full
 from qsagen.cli import main
 from qsagen.ir import (Circuit, Control, Loop, MuxControl, had2, mp_y, p0ph, p1ph,
                        parse_english, phas, rotn, rotx, roty, rotz, sigx, sigy, sigz,
                        swap, write_english)
+from qsagen.markov import AnnealingSchedule, default_problem
 
-from helpers import oracle_matrix, random_circuit, random_run_circuit
+from helpers import (manual_unroll, oracle_matrix, random_body, random_circuit,
+                     random_run_circuit)
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -237,8 +241,7 @@ def assert_matches_oracle(circuit, rng, states=3):
 
 
 def distinct_tables(circuit):
-    runs = {}
-    sim._plan(circuit.body, runs, 1)
+    _, runs, _ = sim._plan(circuit.body)
     return sum(run.executions > 1 for run in runs.values())
 
 
@@ -328,8 +331,9 @@ def test_parsed_repeats_share_one_table():
 
 
 def test_expanded_and_multiplexor_files_agree(tmp_path, monkeypatch, capsys):
-    """The expanded file runs on tables, the multiplexor-level file mostly
-    gate by gate: the two must give the same states."""
+    """The expanded file's segments are made of run tables, the
+    multiplexor-level file's of gates and lone multiplexors: the two must
+    give the same states."""
     monkeypatch.chdir(tmp_path)
     assert main(["generate", "--prefix", "x", "--nb", "2", "--probe-bits", "2",
                  "--pe-steps", "1", "--grover-depth", "1", "--num-betas", "3",
@@ -344,3 +348,102 @@ def test_expanded_and_multiplexor_files_agree(tmp_path, monkeypatch, capsys):
         state = sim.basis_state(6, index)
         np.testing.assert_allclose(sim.apply(flat, state), sim.apply(mux, state),
                                    rtol=0, atol=1e-12)
+
+
+# --- segment operators -----------------------------------------------------------
+
+def gate_by_gate(circuit, amp):
+    """The kernel on every gate of the literally unrolled body: no tables, no
+    segment operators, and the column axis last."""
+    n = circuit.num_qubits
+    amp = np.array(amp, dtype=complex).reshape(1 << n, -1)
+    psi = amp.reshape((2,) * n + (amp.shape[1],))
+    axis = tuple(range(-2, -n - 2, -1))
+    for ins in manual_unroll(circuit.body):
+        sim._apply_gate(psi, ins, axis)
+    return amp
+
+
+def count_operators(monkeypatch):
+    """The steps of every segment operator built from now on."""
+    built, operator = [], sim._operator
+    monkeypatch.setattr(sim, "_operator",
+                        lambda steps, *args: built.append(steps) or operator(steps, *args))
+    return built
+
+
+def random_segment_circuit(seed):
+    rng = np.random.default_rng(7000 + seed)
+    if seed % 2:
+        return random_run_circuit(rng), rng
+    n = int(rng.integers(2, 6))
+    return Circuit(n, (*random_body(rng, n), Loop(int(rng.integers(2, 4)), random_body(rng, n)))), rng
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_segment_operators_match_gate_by_gate_and_oracle(seed):
+    circuit, rng = random_segment_circuit(seed)
+    dim = 1 << circuit.num_qubits
+    want = oracle_matrix(circuit)
+    got = sim.to_matrix(circuit)
+    np.testing.assert_allclose(got, gate_by_gate(circuit, np.eye(dim)), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+    for state in rng.normal(size=(2, dim)) + 1j * rng.normal(size=(2, dim)):
+        got = sim.apply(circuit, state)
+        np.testing.assert_allclose(got, gate_by_gate(circuit, state)[:, 0], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(got, want @ state, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("run", [lambda c: sim.apply(c, sim.basis_state(c.num_qubits)),
+                                 sim.to_matrix], ids=["apply", "to_matrix"])
+def test_random_bodies_build_segment_operators(run, monkeypatch):
+    built = count_operators(monkeypatch)
+    counts = []
+    for seed in range(40):
+        before = len(built)
+        run(random_segment_circuit(seed)[0])
+        counts.append(len(built) - before)
+    assert sum(count > 0 for count in counts) >= 30
+
+
+def test_segment_repeated_in_loops_and_in_the_text_gets_one_operator(monkeypatch):
+    """A segment written twice between Loops and once as a Loop's body parses
+    to the same objects, so it is one segment of five executions."""
+    segment = (roty(25.0, 1, (Control(0, True),)), sigx(1, (Control(0, True),)),
+               mp_y(3, (MuxControl(1, 0), MuxControl(5, 1)), (10.0, -35.0, 70.0, 125.0)),
+               rotn(10.0, 20.0, -30.0, 4, (Control(2, False),)), had2(5))
+    apart = Loop(1, (p1ph(40.0, 2),))
+    circuit = parse_english(write_english(Circuit(6, (
+        apart, *segment, apart, *segment, Loop(3, segment)))))
+    built = count_operators(monkeypatch)
+    state = np.random.default_rng(17).normal(size=64) + 0j
+    got = sim.apply(circuit, state)
+    assert len(built) == 1 and len(built[0]) == 4   # two runs, ROTN, HAD2
+    _, _, segments = sim._plan(circuit.body)
+    assert sorted(s.executions for s in segments.values()) == [2, 5]
+    np.testing.assert_allclose(got, oracle_matrix(circuit) @ state, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("flow", [(4, 3, 1, 1), (2, 3, 2, 1)], ids=["n11", "n10"])
+def test_wide_generated_circuits_get_no_operator(flow, monkeypatch):
+    nb, a, c, d = flow
+    circuit = emit_full(GeneratorConfig(default_problem(nb), PEParams(a, c, d),
+                                        AnnealingSchedule(0.5, 2)), prep=True)
+    assert circuit.num_qubits == 2 * nb + a * c
+    built = count_operators(monkeypatch)
+    sim.apply(circuit, sim.basis_state(circuit.num_qubits))
+    assert built == []
+
+
+def test_apply_with_operators_is_pure_and_repeatable(monkeypatch):
+    rng = np.random.default_rng(18)
+    circuit = random_run_circuit(rng)
+    circuit = Circuit(circuit.num_qubits, (Loop(3, circuit.body),))
+    built = count_operators(monkeypatch)
+    state = rng.normal(size=1 << circuit.num_qubits) + 0j
+    before = state.copy()
+    first = sim.apply(circuit, state)
+    assert np.array_equal(state, before)
+    second = sim.apply(circuit, state)
+    assert built and len(built) % 2 == 0  # each call builds its own operators
+    assert np.array_equal(first, second)
