@@ -16,13 +16,12 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 
 import numpy as np
 
 from . import mux_expander, sim
 from .annealer import GeneratorConfig, PEParams, emit_R_tilde, emit_full
-from .ir import Circuit, Opcode, ParseError, format_number, parse_english, render
+from .ir import Circuit, Loop, Opcode, ParseError, format_number, parse_english, render
 from .markov import (AnnealingSchedule, boltzmann, check_beta, default_problem,
                      metropolis, spectral)
 from .qembed import qembed_circuit
@@ -214,9 +213,8 @@ def _maybe_corrupt(circuit: Circuit, args: argparse.Namespace) -> Circuit:
         return circuit
     body = list(circuit.body)
     for i, ins in enumerate(body):
-        if ins.opcode is Opcode.MP_Y:
-            angles = (ins.angles_deg[0] + 5.0,) + ins.angles_deg[1:]
-            body[i] = replace(ins, angles_deg=angles)
+        if type(ins) is not Loop and ins.opcode is Opcode.MP_Y:
+            body[i] = ins.with_angles((ins.angles_deg[0] + 5.0,) + ins.angles_deg[1:])
             break
     return Circuit(circuit.num_qubits, tuple(body))
 

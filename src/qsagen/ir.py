@@ -47,10 +47,8 @@ class Opcode(Enum):
     SWAP = "SWAP"
     MP_Y = "MP_Y"
 
+    __hash__ = object.__hash__  # members are singletons; Enum's own hash runs in Python
 
-PAULI_LIKE = frozenset({Opcode.SIGX, Opcode.SIGY, Opcode.SIGZ, Opcode.HAD2})
-AXIS_ROTATIONS = frozenset({Opcode.ROTX, Opcode.ROTY, Opcode.ROTZ})
-SELF_INVERSE = frozenset({Opcode.SIGX, Opcode.SIGY, Opcode.SIGZ, Opcode.HAD2, Opcode.SWAP})
 
 _ANGLE_COUNT = {
     Opcode.ROTX: 1, Opcode.ROTY: 1, Opcode.ROTZ: 1, Opcode.ROTN: 3,
@@ -146,6 +144,15 @@ class Instruction:
                            + tuple(m.bit for m in self.mux_controls))
         _check_instruction(self)
 
+    def with_angles(self, angles_deg: Iterable[float]) -> Instruction:
+        """This instruction with new angles; only their count and finiteness
+        are checked, and the operand fields are shared.  (Reading ``__dict__``
+        gives an instance a dict of its own: only this fast copy does.)"""
+        derived = object.__new__(Instruction)
+        derived.__dict__.update(self.__dict__, angles_deg=tuple(map(float, angles_deg)))
+        _check_angles(derived)
+        return derived
+
 
 def _check_instruction(ins: Instruction) -> None:
     op = ins.opcode
@@ -164,22 +171,22 @@ def _check_instruction(ins: Instruction) -> None:
         names = sorted(m.name for m in ins.mux_controls)
         if names != list(range(k)):
             raise ValueError(f"MP_Y control names must be 0..{k - 1}, got {names}")
-        if len(ins.angles_deg) != 1 << k:
-            raise ValueError(
-                f"MP_Y with {k} controls needs {1 << k} angles, got {len(ins.angles_deg)}")
-    else:
-        if ins.mux_controls:
-            raise ValueError(f"{op.value} takes no mux controls")
-        if len(ins.angles_deg) != _ANGLE_COUNT.get(op, 0):
-            raise ValueError(
-                f"{op.value} needs {_ANGLE_COUNT.get(op, 0)} angle(s), got {len(ins.angles_deg)}")
-
-    if any(not math.isfinite(a) for a in ins.angles_deg):
-        raise ValueError(f"{op.value} angles must be finite")
-
+    elif ins.mux_controls:
+        raise ValueError(f"{op.value} takes no mux controls")
+    _check_angles(ins)
     bits = list(ins.operand_bits)
     if len(set(bits)) != len(bits):
         raise ValueError(f"{op.value} operand bits must be distinct, got {bits}")
+
+
+def _check_angles(ins: Instruction) -> None:
+    op, got, k = ins.opcode, len(ins.angles_deg), len(ins.mux_controls)
+    want = 1 << k if k else _ANGLE_COUNT.get(op, 0)  # only MP_Y has mux controls
+    if got != want:
+        raise ValueError(f"MP_Y with {k} controls needs {want} angles, got {got}" if k
+                         else f"{op.value} needs {want} angle(s), got {got}")
+    if not all(map(math.isfinite, ins.angles_deg)):
+        raise ValueError(f"{op.value} angles must be finite")
 
 
 # --- instruction constructors -------------------------------------------------
@@ -325,19 +332,14 @@ def count_elementary_ops(circuit: Circuit) -> int:
 
 # --- structural transforms ------------------------------------------------------
 
-def _invert(ins: Instruction) -> Instruction:
-    if ins.opcode in SELF_INVERSE:
-        return ins
-    return replace(ins, angles_deg=tuple(-a for a in ins.angles_deg))
-
-
 def dagger(body: Sequence[Instruction | Loop]) -> tuple[Instruction | Loop, ...]:
-    """Inverse of a body: reverse order, negate angles.
+    """Inverse of a body: reverse order, negate angles; angle-free gates are self-inverse.
 
     Loops stay loops: their daggered bodies repeat the same number of times.
     """
-    return tuple(Loop(node.reps, dagger(node.body)) if type(node) is Loop else _invert(node)
-                 for node in reversed(body))
+    return tuple(Loop(node.reps, dagger(node.body)) if type(node) is Loop
+                 else node.with_angles([-a for a in node.angles_deg]) if node.angles_deg
+                 else node for node in reversed(body))
 
 
 def with_control(body: Sequence[Instruction | Loop],
@@ -371,19 +373,26 @@ def render(circuit: Circuit,
     repetitions.  A LOOP label is the running output line index, which its
     NEXT repeats.  Each gate is converted and rendered once per object and
     once per value: equal instructions differ at most in the sign of a zero
-    angle, which format_number does not print.  Pictures show no angle, so
-    they are keyed on operands: all rotations of a ladder share one line.
+    angle, which format_number does not print.  In a chunk, a repeated gate
+    object is written once, and the text around the angles and the picture
+    (which has none) once per operand set, shared by a ladder's rotations.
     """
     n = circuit.num_qubits
     by_id: dict[int, tuple[str, str, int]] = {}  # id(gate) -> (english, picture, lines)
     by_value: dict[Instruction, tuple[str, str, int]] = {}
-    pictures: dict[tuple, str] = {}  # (opcode, targets, controls, mux controls) -> picture
+    frames: dict[tuple, tuple[str, str, str]] = {}  # operands -> english head, tail; picture
     out: list[tuple] = []  # (english, picture[, lines]) of each node, in output order
     line = 0
 
-    def picture(g: Instruction) -> str:
-        key = (g.opcode, g.targets, g.controls, g.mux_controls)
-        return pictures.get(key) or pictures.setdefault(key, _picture_line(g, n) + "\n")
+    def chunk_of(gates: Sequence[Instruction]) -> tuple[str, str, int]:
+        texts = {id(g): g for g in gates}  # each gate object once, then its (english, picture)
+        for i, g in texts.items():
+            key = (g.opcode, g.targets, g.controls, g.mux_controls)
+            head, tail, pic = frames.get(key) or frames.setdefault(
+                key, (*_english_frame(g), _picture_line(g, n)))
+            texts[i] = head + " ".join(map(format_number, g.angles_deg)) + tail, pic
+        english, pictures = zip(*[texts[id(g)] for g in gates])
+        return "\n".join(english) + "\n", "\n".join(pictures) + "\n", len(gates)
 
     def walk(nodes: tuple) -> int:
         nonlocal line
@@ -401,9 +410,7 @@ def render(circuit: Circuit,
             if chunk is None:
                 chunk = by_value.get(node)
                 if chunk is None:
-                    gates = (node,) if convert is None else convert(node)
-                    chunk = by_value[node] = ("".join(_english_line(g) + "\n" for g in gates),
-                                              "".join(map(picture, gates)), len(gates))
+                    chunk = by_value[node] = chunk_of(convert(node) if convert else (node,))
                 by_id[id(node)] = chunk
             out.append(chunk)
             line += chunk[2]
@@ -424,32 +431,28 @@ def write_picture(circuit: Circuit) -> str:
 
 # --- english format -------------------------------------------------------------
 
-def _english_line(ins: Instruction) -> str:
-    op = ins.opcode
+def _english_frame(ins: Instruction) -> tuple[str, str]:
+    """The english line of a gate before and after its space-separated angles."""
+    op, t = ins.opcode, ins.targets
     ctrls = [c.token for c in ins.controls]
+    ifs = f"  IF  {'  '.join(ctrls)}" if ctrls else ""
+    if op is Opcode.MP_Y:  # named controls first (descending bit), then plain controls
+        operands = " ".join([m.token for m in ins.mux_controls] + ctrls)
+        return f"MP_Y  AT  {t[0]} IF {operands} BY ", ""
     if op is Opcode.SWAP:
-        line = f"SWAP  {ins.targets[0]}  {ins.targets[1]}"
-        return line + (f"  IF  {'  '.join(ctrls)}" if ctrls else "")
+        return f"SWAP  {t[0]}  {t[1]}{ifs}", ""
     if op is Opcode.PHAS:
-        line = f"PHAS {format_number(ins.angles_deg[0])}"
-        return line + (f" IF  {'  '.join(ctrls)}" if ctrls else "")
+        return "PHAS ", ifs[1:]
     if op in (Opcode.P0PH, Opcode.P1PH):
-        line = f"{op.value} {format_number(ins.angles_deg[0])} AT  {ins.targets[0]}"
-        return line + (f" IF {' '.join(ctrls)}" if ctrls else "")
-    if op in PAULI_LIKE:
-        line = f"{op.value}  AT  {ins.targets[0]}"
-        return line + (f"  IF  {'  '.join(ctrls)}" if ctrls else "")
-    if op in AXIS_ROTATIONS:
-        line = f"{op.value}  {format_number(ins.angles_deg[0])}  AT  {ins.targets[0]}"
-        return line + (f"  IF  {'  '.join(ctrls)}" if ctrls else "")
-    if op is Opcode.ROTN:
-        angles = " ".join(format_number(a) for a in ins.angles_deg)
-        line = f"ROTN  {angles}  AT  {ins.targets[0]}"
-        return line + (f"  IF  {'  '.join(ctrls)}" if ctrls else "")
-    # MP_Y: named controls first (descending bit), then plain controls.
-    operands = " ".join([m.token for m in ins.mux_controls] + ctrls)
-    angles = " ".join(format_number(a) for a in ins.angles_deg)
-    return f"MP_Y  AT  {ins.targets[0]} IF {operands} BY {angles}"
+        return f"{op.value} ", f" AT  {t[0]}" + (f" IF {' '.join(ctrls)}" if ctrls else "")
+    if not ins.angles_deg:  # SIGX, SIGY, SIGZ, HAD2
+        return f"{op.value}  AT  {t[0]}{ifs}", ""
+    return f"{op.value}  ", f"  AT  {t[0]}{ifs}"  # ROTX, ROTY, ROTZ, ROTN
+
+
+def _english_line(ins: Instruction) -> str:
+    head, tail = _english_frame(ins)
+    return head + " ".join(map(format_number, ins.angles_deg)) + tail
 
 
 # --- picture format -------------------------------------------------------------

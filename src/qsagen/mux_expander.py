@@ -17,6 +17,7 @@ The sums are numpy vector adds over all r, each left to right over m from
 0.0 (builtin sum from 3.12, and np.sum, round differently).  Angles are
 solved in the kernel convention and doubled on ROTY lines (whose kernel
 carries a half angle).  Plain controls are attached to every emitted gate.
+The rotations are one validated ROTY given new angles: operands checked once.
 
 `expand_file` is `parse_english` followed by `ir.render` with each MP_Y
 written as its ladder: each distinct input line is expanded once.
@@ -49,18 +50,16 @@ def expand_mux(ins: Instruction) -> list[Instruction]:
         raise ValueError(f"expected an MP_Y instruction, got {ins.opcode.value}")
     words = len(ins.angles_deg)
     target, plain = ins.targets[0], ins.controls
-    cnot = {m.name: sigx(target, (Control(m.bit, on=True),) + plain) for m in ins.mux_controls}
+    cnot = {1 << m.name: sigx(target, (Control(m.bit),) + plain) for m in ins.mux_controls}
     signs, acc = np.ones(words), np.zeros(words)
-    with np.errstate(over="ignore", invalid="ignore"):  # roty rejects what overflows
+    with np.errstate(over="ignore", invalid="ignore"):  # the rungs reject what overflows
         for step, theta in zip(_sign_steps(len(ins.mux_controls)), ins.angles_deg):
             signs *= step
             acc += theta * signs  # exact: theta * (+-1.0) is +-theta
         angles = (2.0 * acc / words).tolist()
-    out: list[Instruction] = []
-    for r, angle in enumerate(angles):
-        flip = gray_code(r) ^ gray_code((r + 1) % words)
-        out += (roty(angle, target, plain), cnot[flip.bit_length() - 1])
-    return out
+    rung = roty(0.0, target, plain)
+    return [g for r, angle in enumerate(angles)
+            for g in (rung.with_angles((angle,)), cnot[gray_code(r) ^ gray_code((r + 1) % words)])]
 
 
 def expand_circuit(circuit: Circuit) -> Circuit:

@@ -283,18 +283,25 @@ def test_emit_full_work_does_not_grow_with_depth(monkeypatch):
     more Instructions and daggers no longer sequence."""
     built = 0
     dagger_lengths = []
-    post_init, plain_dagger = Instruction.__post_init__, ir.dagger
+    post_init, with_angles, plain_dagger = (Instruction.__post_init__, Instruction.with_angles,
+                                            ir.dagger)
 
     def counting_post_init(self):
         nonlocal built
         built += 1
         post_init(self)
 
+    def counting_with_angles(self, angles_deg):
+        nonlocal built
+        built += 1
+        return with_angles(self, angles_deg)
+
     def recording_dagger(body):
         dagger_lengths.append(len(body))
         return plain_dagger(body)
 
     monkeypatch.setattr(Instruction, "__post_init__", counting_post_init)
+    monkeypatch.setattr(Instruction, "with_angles", counting_with_angles)
     for module in (ir, annealer, szegedy):
         monkeypatch.setattr(module, "dagger", recording_dagger)
 

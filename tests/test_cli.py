@@ -1,4 +1,5 @@
 """End-to-end CLI behavior: files, logs, diagnostics, exit codes."""
+import argparse
 import hashlib
 
 import numpy as np
@@ -6,7 +7,8 @@ import pytest
 
 from qsagen import annealer, cli, sim
 from qsagen.cli import main
-from qsagen.ir import count_elementary_ops, parse_english, write_english
+from qsagen.ir import (Circuit, Loop, MuxControl, count_elementary_ops, had2, mp_y,
+                       parse_english, write_english)
 
 GEN_ARGS = ["generate", "--prefix", "demo", "--nb", "1", "--probe-bits", "2",
             "--pe-steps", "1", "--grover-depth", "1", "--num-betas", "3",
@@ -319,6 +321,17 @@ def test_verify_detects_corrupted_angle(workdir, capsys):
     assert main(["verify", "--nb", "1", "--corrupt-angle"]) == 1
     out = capsys.readouterr().out
     assert "walk spectrum" in out and "FAIL" in out
+
+
+def test_corrupt_angle_skips_loops_and_shifts_the_first_multiplexor():
+    mux = mp_y(1, (MuxControl(0, 0),), (10.0, 20.0))
+    loop = Loop(2, (had2(0), mp_y(1, (MuxControl(0, 0),), (1.0, 2.0))))
+    circuit = Circuit(2, (loop, had2(1), mux, mux))
+    out = cli._maybe_corrupt(circuit, argparse.Namespace(corrupt_angle=True))
+    corrupted = mp_y(1, (MuxControl(0, 0),), (15.0, 20.0))
+    assert out == Circuit(2, (loop, had2(1), corrupted, mux))
+    assert out.body[0] is loop and out.body[3] is mux
+    assert cli._maybe_corrupt(circuit, argparse.Namespace(corrupt_angle=False)) is circuit
 
 
 def test_verify_fixed_point_fails_on_wrong_q_phase(workdir, capsys, monkeypatch):

@@ -1,11 +1,14 @@
 """IR construction, both writers (golden-pinned), the parser, and counting."""
+import re
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qsagen.ir import (Circuit, Control, Instruction, Loop, MuxControl, Opcode,
-                       ParseError, _picture_line, count_elementary_ops, dagger,
+                       ParseError, _english_line, _picture_line, count_elementary_ops, dagger,
                        format_number, had2, mp_y, p0ph, p1ph, parse_english,
                        phas, render, rotn, rotx, roty, rotz, sigx, sigy, sigz, swap,
                        with_control, write_english, write_picture)
@@ -53,6 +56,7 @@ def test_golden_rows(ins, n, eng, pic):
     circuit = Circuit(n, (ins,))
     assert write_english(circuit) == eng + "\n"
     assert write_picture(circuit) == pic + "\n"
+    assert _english_line(ins) == eng
 
 
 def test_golden_loop_lines():
@@ -312,6 +316,69 @@ def test_dagger_negates_angles_and_reverses():
     assert dagger(body) == (sigx(1), phas(-10.0), roty(-30.0, 0))
 
 
+def replace_dagger(body):
+    """dagger by the full constructor: a gate of the five self-inverse opcodes
+    is kept as it is, every other gate is rebuilt with its angles negated."""
+    keep = (Opcode.SIGX, Opcode.SIGY, Opcode.SIGZ, Opcode.HAD2, Opcode.SWAP)
+    return tuple(Loop(node.reps, replace_dagger(node.body)) if isinstance(node, Loop)
+                 else node if node.opcode in keep
+                 else replace(node, angles_deg=tuple(-a for a in node.angles_deg))
+                 for node in reversed(body))
+
+
+def test_dagger_equals_a_replace_based_inversion():
+    c = (Control(2, False),)
+    signed_zeros = [roty(0.0, 0, c), roty(-0.0, 1), phas(-0.0, c), p1ph(0.0, 1, c),
+                    rotn(0.0, -0.0, 1e-300, 1), rotz(-1e300, 0), sigy(1, c), swap(0, 1, c),
+                    mp_y(1, (MuxControl(0, 0),), (-0.0, 0.0), c)]
+    rng = np.random.default_rng(11)
+    for _ in range(30):
+        body = random_body(rng, 3) + [signed_zeros[i] for i in rng.permutation(9)[:4]]
+        got, want = dagger(body), replace_dagger(body)
+        assert got == want
+        for g, w in zip(flat_lines(got), flat_lines(want), strict=True):
+            assert repr(vars(g) if isinstance(g, Instruction) else g) == repr(
+                vars(w) if isinstance(w, Instruction) else w)
+            if isinstance(g, Instruction):
+                assert hash(g) == hash(w) and (g is w) == (not g.angles_deg)
+
+
+@pytest.mark.parametrize("template,angles,message", [
+    (roty(1.0, 0), (float("nan"),), "ROTY angles must be finite"),
+    (roty(1.0, 0, (Control(1),)), (float("-inf"),), "ROTY angles must be finite"),
+    (phas(1.0), (1e308 * 10,), "PHAS angles must be finite"),
+    (rotn(1.0, 2.0, 3.0, 0), (1.0, float("inf"), 3.0), "ROTN angles must be finite"),
+    (mp_y(0, (MuxControl(1, 0),), (1.0, 2.0)), (1.0, float("nan")),
+     "MP_Y angles must be finite"),
+    (roty(1.0, 0), (1.0, 2.0), "ROTY needs 1 angle(s), got 2"),
+    (p0ph(1.0, 0), (), "P0PH needs 1 angle(s), got 0"),
+    (rotn(1.0, 2.0, 3.0, 0), (1.0,), "ROTN needs 3 angle(s), got 1"),
+    (sigx(0), (1.0,), "SIGX needs 0 angle(s), got 1"),
+    (mp_y(0, (MuxControl(1, 0), MuxControl(2, 1)), (1.0, 2.0, 3.0, 4.0)), (1.0, 2.0),
+     "MP_Y with 2 controls needs 4 angles, got 2"),
+], ids=lambda v: v if isinstance(v, str) else None)
+def test_derived_instruction_checks_its_angles(template, angles, message):
+    """The same messages as the full constructor, which the derived
+    constructor must not skip."""
+    for build in (template.with_angles, lambda a: replace(template, angles_deg=a)):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            build(angles)
+
+
+def test_derived_instruction_equals_the_full_constructor():
+    template = mp_y(3, (MuxControl(0, 1), MuxControl(2, 0)), (1.0, 2.0, 3.0, 4.0),
+                    (Control(5, False), Control(4)))
+    angles = (-0.0, 1e-300, np.float64(2.5), 7)
+    derived = template.with_angles(angles)
+    full = replace(template, angles_deg=angles)
+    assert derived == full and hash(derived) == hash(full)
+    assert repr(vars(derived)) == repr(vars(full))
+    assert all(type(a) is float for a in derived.angles_deg)
+    assert template.angles_deg == (1.0, 2.0, 3.0, 4.0)
+    assert all(getattr(derived, f) is getattr(template, f)
+               for f in ("opcode", "targets", "controls", "mux_controls", "operand_bits"))
+
+
 def test_with_control_adds_and_collides():
     body = (sigx(0), Loop(2, (had2(1),)))
     out = with_control(body, Control(3, True))
@@ -371,6 +438,10 @@ def per_line_picture(gates, n):
     return "".join(_picture_line(g, n) + "\n" for g in gates)
 
 
+def per_line_english(gates):
+    return "".join(_english_line(g) + "\n" for g in gates)
+
+
 def test_pictures_are_keyed_on_all_operands():
     """Gates that share some operands and differ in one drawn field each."""
     c = (Control(3, True),)
@@ -390,6 +461,7 @@ def test_pictures_are_keyed_on_all_operands():
     for gates in (body, body[::-1]):
         circuit = Circuit(4, gates)
         assert write_picture(circuit) == per_line_picture(gates, 4)
+        assert write_english(circuit) == per_line_english(gates)
     assert len(set(per_line_picture(body, 4).splitlines())) == 10
 
 
@@ -402,6 +474,23 @@ def test_ladder_picture_on_a_wide_register():
     assert picture == per_line_picture(ladder, 12)
     assert english == write_english(Circuit(12, tuple(ladder)))
     assert len(set(picture.splitlines()[::2])) == 1  # every rotation draws alike
+
+
+def test_chunk_of_repeated_and_derived_gates_reads_like_single_lines():
+    """A converted gate written as gates that repeat objects (like a ladder's
+    CNOTs) and share operands (like its rotations) among other gates."""
+    c = (Control(3, True), Control(0, False))
+    cnot, rung = sigx(1, c), roty(0.0, 1, c)
+    chunk = [rung.with_angles((a,)) for a in (1.0, -0.0, 1e300, 2.5e-300, -7.25)]
+    chunk = [g for pair in zip(chunk, (cnot, swap(1, 2, c), cnot, rotx(3.0, 1, c), cnot))
+             for g in pair] + [cnot, rotn(0.0, -0.0, 5.0, 1, c), cnot,
+                               mp_y(1, (MuxControl(2, 0),), (-0.0, 4.0), c), phas(-0.0, c)]
+    for gates in (chunk, chunk[::-1]):
+        ops, english, picture = render(Circuit(4, (had2(2), had2(1), had2(2))),
+                                       lambda ins: gates if ins.targets == (1,) else [ins])
+        assert ops == len(gates) + 2
+        assert english == "".join(per_line_english(g) for g in ([had2(2)], gates, [had2(2)]))
+        assert picture == "".join(per_line_picture(g, 4) for g in ([had2(2)], gates, [had2(2)]))
 
 
 def test_range_check_names_first_line_of_a_repeated_bad_gate():

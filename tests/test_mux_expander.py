@@ -7,8 +7,8 @@ import pytest
 from qsagen import sim
 from qsagen.annealer import GeneratorConfig, PEParams, emit_full
 from qsagen.ir import (Circuit, Control, Instruction, MuxControl, Opcode,
-                       count_elementary_ops, mp_y, parse_english, write_english,
-                       write_picture)
+                       _english_line, _picture_line, count_elementary_ops, mp_y,
+                       parse_english, roty, sigx, write_english, write_picture)
 from qsagen.markov import AnnealingSchedule, default_problem
 from qsagen.mux_expander import (expand_circuit, expand_file, expand_mux,
                                  gray_code)
@@ -247,3 +247,46 @@ def test_expand_circuit_equals_per_line_expansion():
         def angles(lines):
             return repr([g.angles_deg if isinstance(g, Instruction) else g for g in lines])
         assert angles(got) == angles(want)
+
+
+def full_constructor_ladder(ins):
+    """The ladder of `ins` with every gate built by the full constructors: the
+    rotations take the scalar loop's angles, and the CNOT after rotation r
+    sits on the control named where Gray-code words r and r + 1 differ."""
+    words, target, plain = len(ins.angles_deg), ins.targets[0], ins.controls
+    bit_of = {m.name: m.bit for m in ins.mux_controls}
+    out = []
+    for r, angle in enumerate(scalar_ladder_angles(ins)):
+        s = (r + 1) % words
+        name = ((r ^ (r >> 1)) ^ (s ^ (s >> 1))).bit_length() - 1
+        out += [roty(angle, target, plain), sigx(target, [Control(bit_of[name])] + list(plain))]
+    return out
+
+
+@pytest.mark.parametrize("plain", (0, 2), ids=("no-plain", "plain"))
+@pytest.mark.parametrize("k", range(1, 9))
+def test_ladder_gates_equal_the_full_constructor(k, plain):
+    """Derived rotations and shared CNOTs are indistinguishable from gates the
+    full constructors build: equality, hash, every field (the sign of a zero
+    angle included), and both written lines."""
+    rng = np.random.default_rng(90 + k)
+    n = k + 1 + plain
+    for angles in ladder_angle_inputs(k):
+        shape = random_mux(rng, k, plain)
+        ins = mp_y(shape.targets[0], shape.mux_controls, angles, shape.controls)
+        got, want = expand_mux(ins), full_constructor_ladder(ins)
+        assert len(got) == len(want) == 2 << k
+        for g, w in zip(got, want):
+            assert g == w and hash(g) == hash(w)
+            assert g.operand_bits == w.operand_bits
+            assert repr(vars(g)) == repr(vars(w))
+            assert _english_line(g) == _english_line(w)
+            assert _picture_line(g, n) == _picture_line(w, n)
+
+
+def test_ladder_rotations_share_the_operands_of_one_validated_rotation():
+    ins = random_mux(np.random.default_rng(99), 4, plain=2)
+    rotations = expand_mux(ins)[::2]
+    assert len({id(g) for g in rotations}) == 16
+    for field in ("targets", "controls", "mux_controls", "operand_bits"):
+        assert len({id(getattr(g, field)) for g in rotations}) == 1
