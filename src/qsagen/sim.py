@@ -42,15 +42,29 @@ its loops' reps.
 
 Runs and tables.  Every gate but PHAS and SWAP is a 2x2 on one target.  A
 segment is cut into maximal runs of consecutive 2x2 gates on one target.  A
-run leaves its other operand bits, its k controls, unchanged, so it is one
+run leaves its other operand bits, its controls, unchanged, so it is one
 uniformly controlled 2x2: a unitary U_w for each word w of the controls.
-Its table, U_w[i, j] in a tensor of shape (2,)*k + (2, 2), is built by the
-same kernel on the identity, with each bit mapped to its table axis, and is
-applied like MP_Y, in one pass: its four entries, broadcast over the
-controls' axes of the state, mix the two target halves.  A run of two or
-more gates gets a table when it executes more than once, a lone MP_Y from
-its third execution (the kernel rebuilds a multiplexor's word tensor and
-cos/sin gather every time); any other gate goes to the kernel by itself.
+A control that every gate of the run shares (same bit, same value) is
+pinned in the two target-half indices, as the kernel pins a gate's
+controls, and gets no table axis; each other control bit gets one.  The
+table's four entries U_w[i, j], broadcast over those axes of the state, mix
+the two target halves in one pass, like MP_Y.  A run of ROTY, SIGX and MP_Y
+gates (every expanded ladder, the uniformly controlled rotation of Mottonen
+et al., quant-ph/0404089, and every lone multiplexor) has a closed form:
+U_w = X^p(w) R(A(w)), R(a) = [[cos a, sin a], [-sin a, cos a]], because
+X R(a) X = R(-a).  p(w) is the parity of the SIGX gates active at w; A(w)
+sums the angles of the active rotations (r/2 for ROTY, r_w for MP_Y), each
+negated after an odd number of active SIGX.  It takes a few numpy calls per
+run: a (gates x words) bool activity mask, its running XOR along the gates,
+one signed sum and one cos/sin per word.  Each angle is reduced before its
+conversion to radians, by its period, 720 degrees for ROTY and 360 for MP_Y,
+so whole turns drop out exactly and the sum stays within gates * 2pi.  Any
+other run (the HAD2/P1PH runs of the inverse QFT) is built by the kernel on
+the identity, with a table axis for every operand bit, and sliced at the
+pinned values.  A run of two or more gates gets a table when it executes
+more than once, a lone MP_Y from its third execution (the kernel rebuilds a
+multiplexor's word tensor and cos/sin gather every time); any other gate
+goes to the kernel by itself.
 
 Segment operators.  A segment's operator is its dense 2^n x 2^n matrix,
 built by running its steps (gates and tables, so the tables come first) on
@@ -72,7 +86,9 @@ results agree with gate-by-gate evaluation within 1e-12, not bit for bit.
 """
 from __future__ import annotations
 
+import functools
 import math
+import operator
 
 import numpy as np
 
@@ -94,6 +110,7 @@ _SIGZ = np.array([[1, 0], [0, -1]], dtype=complex)
 _HAD = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
 _FIXED = {op: tuple(u.flat) for op, u in (
     (Opcode.SIGX, _SIGX), (Opcode.SIGY, _SIGY), (Opcode.SIGZ, _SIGZ), (Opcode.HAD2, _HAD))}
+_REAL = frozenset((Opcode.ROTY, Opcode.SIGX, Opcode.MP_Y))  # runs with a closed-form table
 
 
 def _single_qubit_unitary(op: Opcode, angles_deg: tuple[float, ...]) -> tuple:
@@ -169,26 +186,78 @@ def _mix(a0: np.ndarray, a1: np.ndarray, u00, u01, u10, u11) -> None:
 def _table(run: list[Instruction], axis, ndim: int) -> tuple:
     """A run of 2x2 gates on one target as one uniformly controlled 2x2: the
     two target-half indices of a state tensor (bit b on `axis[b]` of its last
-    `ndim` axes) and the four entries U_w[i, j], each shaped to broadcast over
-    the state's control axes."""
+    `ndim` axes), which pin the controls every gate shares, and the four
+    entries U_w[i, j], each shaped to broadcast over the state's axes of the
+    other control bits."""
     target = run[0].targets[0]
-    bits = sorted({b for ins in run for b in ins.operand_bits[1:]}, reverse=True)
-    k = len(bits)
-    u = np.zeros((2,) * k + (2, 2), dtype=complex)
-    u[..., 0, 0] = u[..., 1, 1] = 1
-    table_axis = {b: i - k - 2 for i, b in enumerate(bits)}
-    table_axis[target] = -2
+    masks, values, used = [], [], 0  # per gate: its plain control bits, those that are on
     for ins in run:
-        _apply_gate(u, ins, table_axis)
+        mask = value = 0
+        for c in ins.controls:
+            mask |= 1 << c.bit
+            value |= c.on << c.bit
+        masks.append(mask)
+        values.append(value)
+        used |= mask
+        for m in ins.mux_controls:
+            used |= 1 << m.bit
+    on = functools.reduce(operator.and_, values)
+    pinned = on | functools.reduce(operator.and_, map(operator.xor, masks, values))
+    bits = [b for b in reversed(range(len(axis))) if (used & ~pinned) >> b & 1]
+    if all(ins.opcode in _REAL for ins in run):
+        entries = _closed_form(run, masks, values, on, bits)
+    else:
+        every = [b for b in reversed(range(len(axis))) if used >> b & 1]
+        u = np.zeros((2,) * len(every) + (2, 2), dtype=complex)
+        u[..., 0, 0] = u[..., 1, 1] = 1
+        table_axis = {b: i - len(every) - 2 for i, b in enumerate(every)}
+        table_axis[target] = -2
+        for ins in run:
+            _apply_gate(u, ins, table_axis)
+        u = u[tuple(on >> b & 1 if pinned >> b & 1 else slice(None) for b in every)]
+        entries = [u[..., i, j] for i in range(2) for j in range(2)]
     shape = [1] * ndim
     index = [slice(None)] * ndim
     for b in bits:
         shape[axis[b]] = 2
+    for b in range(len(axis)):
+        if pinned >> b & 1:
+            index[axis[b]] = _PIN[on >> b & 1]
     index[axis[target]] = _PIN[0]
     index0 = (Ellipsis, *index)
     index[axis[target]] = _PIN[1]
-    return (index0, (Ellipsis, *index),
-            *(u[..., i, j].reshape(shape) for i in range(2) for j in range(2)))
+    return (index0, (Ellipsis, *index), *(entry.reshape(shape) for entry in entries))
+
+
+def _closed_form(run: list[Instruction], masks: list, values: list, on: int,
+                 bits: list) -> tuple:
+    """The entries U_w[i, j] of a run of ROTY, SIGX and MP_Y gates for each
+    word w of `bits` (descending: the first is the most significant bit of w),
+    where `on` holds the pinned bits that are 1.  U_w = X^p(w) R(A(w)), with
+    R(a) = [[cos a, sin a], [-sin a, cos a]], as X R(a) X = R(-a): p(w) is
+    the parity of the SIGX gates active at w, and A(w) sums the angles of the
+    active rotations, each negated after an odd number of active SIGX."""
+    digits = np.arange(1 << len(bits)) >> np.arange(len(bits) - 1, -1, -1)[:, None] & 1
+    word = on + np.array([1 << b for b in bits], dtype=np.int64) @ digits  # w on the qubits
+    # (gates, words) bool: gate i is active at w when its controls match w
+    active = np.logical_not((word ^ np.array(values)[:, None]) & np.array(masks)[:, None])
+    sigx, roty, mp_y = Opcode.SIGX, Opcode.ROTY, Opcode.MP_Y
+    flips = active & np.array([ins.opcode is sigx for ins in run])[:, None]
+    np.logical_xor.accumulate(flips, axis=0, out=flips)  # at a rotation: the parity before it
+    parity = flips[-1].copy()
+    flips &= active
+    active ^= flips  # now disjoint: the rotations that add their angle, those that subtract
+    sign = np.subtract(active, flips, dtype=float)  # +1, -1 or 0
+    total = [math.radians(math.fmod(ins.angles_deg[0], 720.0)) / 2
+             if ins.opcode is roty else 0.0 for ins in run] @ sign
+    for i, ins in enumerate(run):
+        if ins.opcode is mp_y:
+            names = {m.bit: 1 << m.name for m in ins.mux_controls}
+            mux = np.array([names.get(b, 0) for b in bits], dtype=np.int64) @ digits
+            total += np.radians(np.fmod(ins.angles_deg, 360.0))[mux] * sign[i]
+    c, s = np.cos(total), np.sin(total)
+    return (np.where(parity, -s, c), np.where(parity, c, s),
+            np.where(parity, c, -s), np.where(parity, s, c))
 
 
 class _Run:
@@ -348,7 +417,7 @@ def apply(circuit: Circuit, state: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"apply supports at most {MAX_STATE_QUBITS} qubits, got {circuit.num_qubits}")
     dim = 1 << circuit.num_qubits
-    amp = np.array(state, dtype=complex)
+    amp = np.array(state, dtype=complex, ndmin=1)
     if amp.shape[0] != dim:
         raise ValueError(f"state has dimension {amp.shape[0]}, circuit needs {dim}")
     _evolve(circuit, amp.reshape(dim, -1))

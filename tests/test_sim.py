@@ -15,6 +15,7 @@ from qsagen.ir import (Circuit, Control, Loop, MuxControl, had2, mp_y, p0ph, p1p
                        parse_english, phas, rotn, rotx, roty, rotz, sigx, sigy, sigz,
                        swap, write_english)
 from qsagen.markov import AnnealingSchedule, default_problem
+from qsagen.mux_expander import expand_mux
 
 from helpers import (manual_unroll, oracle_matrix, random_body, random_circuit,
                      random_run_circuit)
@@ -197,8 +198,9 @@ def test_circuit_matrices_are_unitary():
 
 
 def test_apply_dimension_mismatch():
-    with pytest.raises(ValueError, match="dimension"):
-        sim.apply(Circuit(2, (had2(0),)), sim.basis_state(3))
+    for num_qubits, state in ((2, sim.basis_state(3)), (1, np.complex128(1))):
+        with pytest.raises(ValueError, match="state has dimension"):
+            sim.apply(Circuit(num_qubits, (had2(0),)), state)
 
 
 def test_to_matrix_qubit_cap():
@@ -295,6 +297,143 @@ def test_lone_multiplexor_gets_a_table_from_its_third_execution(body, tables, mo
     sim.to_matrix(circuit)
     assert len(built) == tables
     assert_matches_oracle(circuit, np.random.default_rng(16))
+
+
+def kernel_table(run):
+    """The kernel on the identity, with a table axis for every operand bit of
+    the run: (those bits, descending; U_w[i, j] in shape (2,)*k + (2, 2))."""
+    bits = sorted({b for ins in run for b in ins.operand_bits[1:]}, reverse=True)
+    u = np.zeros((2,) * len(bits) + (2, 2), dtype=complex)
+    u[..., 0, 0] = u[..., 1, 1] = 1
+    table_axis = {b: i - len(bits) - 2 for i, b in enumerate(bits)}
+    table_axis[run[0].targets[0]] = -2
+    for ins in run:
+        sim._apply_gate(u, ins, table_axis)
+    return bits, u
+
+
+def assert_table_matches_kernel(run, n):
+    """`_table` for an n-qubit state vector pins the controls that every gate
+    shares, gives each other operand bit a table axis, and matches the kernel's
+    table at the pinned values."""
+    axis = tuple(-1 - b for b in range(n))
+    index0, index1, *entries = sim._table(run, axis, n)
+    target = run[0].targets[0]
+    shared = set.intersection(*(set(ins.controls) for ins in run))
+    assert index0[axis[target]] == slice(0, 1) and index1[axis[target]] == slice(1, 2)
+    for b in range(n):
+        pin = next((slice(int(c.on), int(c.on) + 1) for c in shared if c.bit == b), slice(None))
+        assert index0[axis[b]] == pin or b == target
+        assert index1[axis[b]] == pin or b == target
+    bits, u = kernel_table(run)
+    pinned = {c.bit: int(c.on) for c in shared}
+    want = u[tuple(pinned.get(b, slice(None)) for b in bits)]
+    free = [b for b in bits if b not in pinned]
+    for entry, (i, j) in zip(entries, [(0, 0), (0, 1), (1, 0), (1, 1)]):
+        assert entry.shape == tuple(2 if n - 1 - a in free else 1 for a in range(n))
+        np.testing.assert_allclose(entry.reshape(want.shape[:-2]), want[..., i, j],
+                                   rtol=0, atol=1e-12)
+
+
+def random_real_run(rng, n):
+    """ROTY, SIGX and MP_Y gates on one target: random plain controls, on and
+    off, often one control that every gate shares, signed zeros and angles up
+    to 1e4 degrees."""
+    target = int(rng.integers(n))
+    others = [int(b) for b in rng.permutation(n) if b != target]
+    shared = []
+    if len(others) > 1 and rng.random() < 0.7:
+        shared.append(Control(others.pop(), bool(rng.integers(2))))
+    angle = lambda: float(rng.choice([0.0, -0.0, *rng.uniform(-1e4, 1e4, size=4)]))
+    run = []
+    for _ in range(int(rng.integers(1, 13))):
+        free = [int(b) for b in rng.permutation(others)]
+        plain = lambda bits: shared + [Control(b, bool(rng.integers(2)))
+                                       for b in bits[:rng.integers(0, min(2, len(bits)) + 1)]]
+        kind = rng.integers(3)
+        if kind == 0:
+            run.append(sigx(target, plain(free)))
+        elif kind == 1 or not free:
+            run.append(roty(angle(), target, plain(free)))
+        else:
+            k = int(rng.integers(1, min(3, len(free)) + 1))
+            mux = [MuxControl(b, name) for name, b in enumerate(free[:k])]
+            run.append(mp_y(target, mux, [angle() for _ in range(1 << k)], plain(free[k:])))
+    return run
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_closed_form_tables_match_kernel_and_oracle(seed):
+    rng = np.random.default_rng(9000 + seed)
+    n = int(rng.integers(2, 6))
+    run = random_real_run(rng, n)
+    assert_table_matches_kernel(run, n)
+    assert_matches_oracle(Circuit(n, (*[had2(b) for b in range(n)], Loop(3, run))), rng, states=2)
+
+
+@pytest.mark.parametrize("plain", [(), (Control(0, False),)], ids=["bare", "off-control"])
+@pytest.mark.parametrize("k", range(1, 9))
+def test_ladder_tables_match_kernel_and_multiplexor(k, plain):
+    """Every ladder the expander builds is the multiplexor it expands."""
+    rng = np.random.default_rng(k)
+    n = k + 1 + len(plain)
+    bits = [int(b) for b in rng.permutation(range(len(plain), n))]
+    mux = mp_y(bits[0], [MuxControl(b, name) for name, b in enumerate(bits[1:])],
+               rng.uniform(-1e4, 1e4, size=1 << k), plain)
+    ladder = expand_mux(mux)
+    assert_table_matches_kernel(ladder, n)
+    circuit = Circuit(n, (Loop(2, ladder),))
+    state = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+    want = gate_by_gate(Circuit(n, (mux, mux)), state)[:, 0]
+    np.testing.assert_allclose(sim.apply(circuit, state), want, rtol=0, atol=1e-12)
+    if k <= 5:
+        np.testing.assert_allclose(sim.to_matrix(circuit),
+                                   oracle_matrix(Circuit(n, (mux, mux))), rtol=0, atol=1e-12)
+
+
+def test_shared_control_is_pinned_and_mixed_control_is_not():
+    """Bit 3 is on in every gate: pinned, no table axis.  Bit 2 is on in one
+    gate and off in another: a table axis."""
+    run = [roty(40.0, 0, (Control(3), Control(2))), sigx(0, (Control(3), Control(1))),
+           roty(-75.0, 0, (Control(3), Control(2, False)))]
+    index0, index1, *entries = sim._table(run, (-1, -2, -3, -4), 4)
+    assert index0[-4] == index1[-4] == slice(1, 2)
+    assert index0[-3] == index0[-2] == slice(None)
+    assert all(entry.shape == (1, 2, 2, 1) for entry in entries)
+    assert_table_matches_kernel(run, 4)
+    assert_matches_oracle(Circuit(4, (*[had2(b) for b in range(4)], Loop(2, run))),
+                          np.random.default_rng(19))
+
+
+def test_closed_form_reduces_angles_by_whole_periods():
+    """ROTY has period 720 degrees and MP_Y 360: angles that differ by whole
+    periods give the same table, however large (each angle here is exact)."""
+    periods = 2.0 ** 40
+    mux = (MuxControl(1, 0), MuxControl(2, 1))
+
+    def run(turns):
+        return [roty(30.25 + 720.0 * turns, 0, (Control(1),)), sigx(0, (Control(2),)),
+                mp_y(0, mux, [a + 360.0 * turns for a in (10.5, -97.25, 170.0, -3.125)]),
+                roty(-101.5 - 720.0 * turns, 0)]
+
+    axis = (-1, -2, -3)
+    for got, want in zip(sim._table(run(periods), axis, 3)[2:], sim._table(run(0), axis, 3)[2:]):
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("run,kernel", [
+    ([roty(25.0, 0, (Control(1),)), sigx(0, (Control(1),)), roty(-60.0, 0)], False),
+    ([mp_y(0, (MuxControl(1, 0),), (35.0, -120.0))], False),
+    ([roty(25.0, 0, (Control(1),)), had2(0), roty(-60.0, 0)], True),
+    ([p1ph(30.0, 0, (Control(1),)), had2(0, (Control(1),))], True),
+], ids=["ladder", "multiplexor", "with-had2", "qft"])
+def test_only_runs_of_roty_sigx_and_mp_y_skip_the_kernel(run, kernel, monkeypatch):
+    calls, gate = [], sim._apply_gate
+    monkeypatch.setattr(sim, "_apply_gate", lambda *args: calls.append(args) or gate(*args))
+    sim._table(run, (-1, -2), 2)
+    assert len(calls) == (len(run) if kernel else 0)
+    monkeypatch.undo()
+    assert_table_matches_kernel(run, 2)
 
 
 def test_runs_stop_at_loop_markers():
