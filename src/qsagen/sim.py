@@ -203,11 +203,11 @@ def _table(run: list[Instruction], axis, ndim: int) -> tuple:
             used |= 1 << m.bit
     on = functools.reduce(operator.and_, values)
     pinned = on | functools.reduce(operator.and_, map(operator.xor, masks, values))
-    bits = [b for b in reversed(range(len(axis))) if (used & ~pinned) >> b & 1]
+    every = [b for b in reversed(range(len(axis))) if used >> b & 1]  # descending
+    bits = [b for b in every if not pinned >> b & 1]
     if all(ins.opcode in _REAL for ins in run):
         entries = _closed_form(run, masks, values, on, bits)
     else:
-        every = [b for b in reversed(range(len(axis))) if used >> b & 1]
         u = np.zeros((2,) * len(every) + (2, 2), dtype=complex)
         u[..., 0, 0] = u[..., 1, 1] = 1
         table_axis = {b: i - len(every) - 2 for i, b in enumerate(every)}
