@@ -5,7 +5,7 @@ Szegedy walk for a Metropolis chain, phase estimation against it, and a
 pi/3 fixed-point annealing schedule; ships an exact multiplexor expander
 and a dense simulator used to verify everything numerically.
 """
-from .ir import (Circuit, Control, Instruction, Loop, MuxControl, Opcode, ParseError,
+from .ir import (Circuit, Control, Instruction, Loop, MuxControl, Opcode, ParseError, Seq,
                  count_elementary_ops, dagger, parse_english, with_control,
                  write_english, write_picture)
 from .markov import (AnnealingSchedule, ProblemSpec, SpectralData, boltzmann,
@@ -22,7 +22,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AnnealingSchedule", "Circuit", "Control", "GeneratorConfig", "Instruction",
     "Loop", "MuxAngleTable", "MuxControl", "Opcode", "PEParams", "ParseError",
-    "ProblemSpec", "SpectralData", "WalkLayout", "apply", "basis_state",
+    "ProblemSpec", "Seq", "SpectralData", "WalkLayout", "apply", "basis_state",
     "boltzmann", "count_elementary_ops", "dagger", "default_problem",
     "eig_unitary", "emit_R_tilde", "emit_U", "emit_U_grover", "emit_V",
     "emit_W", "emit_full", "emit_reflection",

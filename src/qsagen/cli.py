@@ -15,13 +15,14 @@ Diagnostics go to stderr as ``Message: ...`` lines.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 import numpy as np
 
 from . import mux_expander, sim
 from .annealer import GeneratorConfig, PEParams, emit_R_tilde, emit_full
-from .ir import Circuit, Loop, Opcode, ParseError, format_number, parse_english, render
+from .ir import Circuit, Instruction, Opcode, ParseError, Seq, format_number, parse_english, render
 from .markov import (AnnealingSchedule, boltzmann, check_beta, default_problem,
                      metropolis, spectral)
 from .qembed import qembed_circuit
@@ -141,9 +142,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if not 0 <= args.initial < (1 << n):
         return _fail(f"initial basis state {args.initial} outside 0..{(1 << n) - 1}")
     state = sim.apply(circuit, sim.basis_state(n, args.initial))
-    for k, amp in enumerate(state):
-        if abs(amp) > args.cutoff:
-            print(f"|{k:0{n}b}>  {amp.real:+.12f}  {amp.imag:+.12f}")
+    for k in np.flatnonzero(np.abs(state) > args.cutoff):
+        amp = state[k]
+        print(f"|{k:0{n}b}>  {amp.real:+.12f}  {amp.imag:+.12f}")
     return 0
 
 
@@ -209,14 +210,19 @@ def _verify_checks(args: argparse.Namespace, config: GeneratorConfig):
 
 
 def _maybe_corrupt(circuit: Circuit, args: argparse.Namespace) -> Circuit:
+    """The circuit with 5 degrees added to the first angle of its first
+    MP_Y outside Loops, if --corrupt-angle is given."""
     if not args.corrupt_angle:
         return circuit
     body = list(circuit.body)
-    for i, ins in enumerate(body):
-        if type(ins) is not Loop and ins.opcode is Opcode.MP_Y:
-            body[i] = ins.with_angles((ins.angles_deg[0] + 5.0,) + ins.angles_deg[1:])
-            break
-    return Circuit(circuit.num_qubits, tuple(body))
+    for i, node in enumerate(body):
+        gates = list(node.body) if type(node) is Seq else [node]
+        for j, ins in enumerate(gates):
+            if type(ins) is Instruction and ins.opcode is Opcode.MP_Y:
+                gates[j] = ins.with_angles((ins.angles_deg[0] + 5.0,) + ins.angles_deg[1:])
+                body[i] = Seq(gates) if type(node) is Seq else gates[0]
+                return Circuit(circuit.num_qubits, tuple(body))
+    return circuit
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -319,7 +325,15 @@ def main(argv=None) -> int:
 
 
 def entrypoint() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader of stdout has gone: send what is left, and the flush
+        # at exit, to devnull, and fail without a traceback.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -1,9 +1,9 @@
 """Gate-level circuit IR and its two text renderings.
 
-A circuit is an ordered sequence of instructions and `Loop` blocks acting
-on ``num_qubits`` qubit lines.  Bit 0 is the rightmost column in pictures and
-the least significant bit of simulator basis indices.  Two renderings are
-supported:
+A circuit is an ordered sequence of instructions, `Seq` spans and `Loop`
+blocks acting on ``num_qubits`` qubit lines.  Bit 0 is the rightmost column
+in pictures and the least significant bit of simulator basis indices.  Two
+renderings are supported:
 
 * the *english* format -- one line per operation, fully spelling out the
   opcode, target(s), controls and angles (always degrees);
@@ -17,7 +17,10 @@ repeated ``n`` times.  The label ``k`` equals the 0-based line index of its
 LOOP line.  In memory a block is a `Loop` node, whose body holds gates and
 further Loops; the body of a Circuit is that tree.  Labels exist only in the
 text: `render` works them out as it walks the tree, and the parser checks
-them and drops them.
+them and drops them.  A `Seq` is a straight-line span of gates written
+inline with no markers; the parser gives every distinct span between
+LOOP/NEXT lines one shared Seq, which is checked, rendered, expanded and
+planned for simulation once per object.
 
 Multiplexor lines (``MP_Y``) rotate their target about y by one of ``2**k``
 angles, selected by ``k`` *named* controls: the control named ``j`` supplies
@@ -249,12 +252,24 @@ def mp_y(target: int, mux_controls: Iterable[MuxControl], angles_deg: Iterable[f
 # --- circuits -------------------------------------------------------------------
 
 @dataclass(frozen=True)
+class Seq:
+    """A straight-line span of gates, written inline with no markers."""
+
+    body: tuple[Instruction, ...] = ()
+
+    def __post_init__(self):
+        object.__setattr__(self, "body", tuple(self.body))
+        if not set(map(type, self.body)) <= {Instruction}:
+            raise TypeError("a Seq holds only Instructions")
+
+
+@dataclass(frozen=True)
 class Loop:
-    """A block of gates and Loops repeated ``reps`` times; written as
+    """A block of gates, Seqs and Loops repeated ``reps`` times; written as
     ``LOOP k REPS: reps`` ... ``NEXT k``."""
 
     reps: int
-    body: tuple[Instruction | Loop, ...] = ()
+    body: tuple[Instruction | Seq | Loop, ...] = ()
 
     def __post_init__(self):
         object.__setattr__(self, "body", tuple(self.body))
@@ -264,7 +279,7 @@ class Loop:
 
 @dataclass(frozen=True)
 class Circuit:
-    """An immutable tree of gates and Loops over a fixed number of qubits.
+    """An immutable tree of gates, Seqs and Loops over a fixed number of qubits.
 
     Construction keeps the body as given and validates every invariant
     (loops nested at most _MAX_LOOP_DEPTH deep, operand bits inside the
@@ -274,7 +289,7 @@ class Circuit:
     """
 
     num_qubits: int
-    body: tuple[Instruction | Loop, ...] = ()
+    body: tuple[Instruction | Seq | Loop, ...] = ()
     _lines: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -283,16 +298,24 @@ class Circuit:
             raise ValueError(f"num_qubits must be positive, got {n}")
         object.__setattr__(self, "body", tuple(self.body))
         loops: dict[int, tuple[int, int]] = {}  # id(Loop) -> (written lines, nesting height)
+        spans: dict[int, int] = {}  # id(Seq) -> its lines, once its gates are checked
         checked: set[int] = set()  # ids of the gates whose bits are checked
         bad: list[tuple[int, int]] = []  # (line, bit) of the first operand out of range
 
         def walk(nodes: tuple, line: int, depth: int) -> tuple[int, int]:
             """The line after `nodes`, which start at `line` inside `depth` loops,
-            and their height.  Each Loop is walked once unless a reuse of it
-            nests too deep, and then again, to name the offending line."""
+            and their height.  Each Seq is walked once; each Loop too, unless
+            a reuse of it nests too deep, and then again, to name the
+            offending line."""
             height = 0
             for node in nodes:
-                if type(node) is Loop:
+                if type(node) is Instruction:
+                    if id(node) not in checked:
+                        checked.add(id(node))
+                        if not bad:
+                            bad.extend((line, bit) for bit in node.operand_bits if bit >= n)
+                    line += 1
+                elif type(node) is Loop:
                     seen = loops.get(id(node))
                     if seen is None or depth + seen[1] > _MAX_LOOP_DEPTH:
                         if depth == _MAX_LOOP_DEPTH:
@@ -302,12 +325,11 @@ class Circuit:
                         seen = loops[id(node)] = (end + 1 - line, inner + 1)
                     line += seen[0]
                     height = max(height, seen[1])
-                    continue
-                if id(node) not in checked:
-                    checked.add(id(node))
-                    if not bad:
-                        bad.extend((line, bit) for bit in node.operand_bits if bit >= n)
-                line += 1
+                else:
+                    lines = spans.get(id(node))
+                    if lines is None:
+                        lines = spans[id(node)] = walk(node.body, line, depth)[0] - line
+                    line += lines
             return line, height
 
         object.__setattr__(self, "_lines", walk(self.body, 0, 0)[0])
@@ -325,26 +347,28 @@ def count_elementary_ops(circuit: Circuit) -> int:
     multiplexor line counts as a single operation.
     """
     def weight(nodes: tuple) -> int:
-        return sum(node.reps * weight(node.body) if type(node) is Loop else 1
-                   for node in nodes)
+        return sum(1 if type(node) is Instruction else len(node.body) if type(node) is Seq
+                   else node.reps * weight(node.body) for node in nodes)
     return weight(circuit.body)
 
 
 # --- structural transforms ------------------------------------------------------
 
-def dagger(body: Sequence[Instruction | Loop]) -> tuple[Instruction | Loop, ...]:
+def dagger(body: Sequence[Instruction | Seq | Loop]) -> tuple[Instruction | Seq | Loop, ...]:
     """Inverse of a body: reverse order, negate angles; angle-free gates are self-inverse.
 
-    Loops stay loops: their daggered bodies repeat the same number of times.
+    Seqs and Loops keep their kind: a Loop's daggered body repeats the same
+    number of times.
     """
     return tuple(Loop(node.reps, dagger(node.body)) if type(node) is Loop
+                 else Seq(dagger(node.body)) if type(node) is Seq
                  else node.with_angles([-a for a in node.angles_deg]) if node.angles_deg
                  else node for node in reversed(body))
 
 
-def with_control(body: Sequence[Instruction | Loop],
-                 control: Control) -> tuple[Instruction | Loop, ...]:
-    """Attach one extra control to every gate, inside Loops too.
+def with_control(body: Sequence[Instruction | Seq | Loop],
+                 control: Control) -> tuple[Instruction | Seq | Loop, ...]:
+    """Attach one extra control to every gate, inside Seqs and Loops too.
 
     Raises ValueError if the control bit collides with any operand bit.
     """
@@ -352,6 +376,8 @@ def with_control(body: Sequence[Instruction | Loop],
     for node in body:
         if type(node) is Loop:
             out.append(Loop(node.reps, with_control(node.body, control)))
+        elif type(node) is Seq:
+            out.append(Seq(with_control(node.body, control)))
         elif control.bit in node.operand_bits:
             raise ValueError(
                 f"control bit {control.bit} collides with {node.opcode.value} operands")
@@ -376,10 +402,12 @@ def render(circuit: Circuit,
     angle, which format_number does not print.  In a chunk, a repeated gate
     object is written once, and the text around the angles and the picture
     (which has none) once per operand set, shared by a ladder's rotations.
+    A Seq's list of chunks is built once per object and spliced in whole.
     """
     n = circuit.num_qubits
     by_id: dict[int, tuple[str, str, int]] = {}  # id(gate) -> (english, picture, lines)
     by_value: dict[Instruction, tuple[str, str, int]] = {}
+    spans: dict[int, tuple[list, int]] = {}  # id(Seq) -> (its gates' chunks, lines)
     frames: dict[tuple, tuple[str, str, str]] = {}  # operands -> english head, tail; picture
     out: list[tuple] = []  # (english, picture[, lines]) of each node, in output order
     line = 0
@@ -394,27 +422,37 @@ def render(circuit: Circuit,
         english, pictures = zip(*[texts[id(g)] for g in gates])
         return "\n".join(english) + "\n", "\n".join(pictures) + "\n", len(gates)
 
+    def first_chunk(gate: Instruction) -> tuple[str, str, int]:
+        chunk = by_value.get(gate)
+        if chunk is None:
+            chunk = by_value[gate] = chunk_of(convert(gate) if convert else (gate,))
+        by_id[id(gate)] = chunk
+        return chunk
+
     def walk(nodes: tuple) -> int:
         nonlocal line
         ops = 0
         for node in nodes:
-            if type(node) is Loop:
+            if type(node) is Instruction:
+                chunk = by_id.get(id(node)) or first_chunk(node)
+                out.append(chunk)
+                line += chunk[2]
+                ops += chunk[2]
+            elif type(node) is Loop:
                 label, line = line, line + 1
                 out.append((f"LOOP {label} REPS: {node.reps}\n",
                             f"LOOP {label} REPS:{node.reps}\n"))
                 ops += node.reps * walk(node.body)
                 out.append((f"NEXT {label}\n", f"NEXT {label}\n"))
                 line += 1
-                continue
-            chunk = by_id.get(id(node))
-            if chunk is None:
-                chunk = by_value.get(node)
-                if chunk is None:
-                    chunk = by_value[node] = chunk_of(convert(node) if convert else (node,))
-                by_id[id(node)] = chunk
-            out.append(chunk)
-            line += chunk[2]
-            ops += chunk[2]
+            else:
+                span = spans.get(id(node))
+                if span is None:
+                    chunks = [by_id.get(id(g)) or first_chunk(g) for g in node.body]
+                    span = spans[id(node)] = chunks, sum(chunk[2] for chunk in chunks)
+                out.extend(span[0])
+                line += span[1]
+                ops += span[1]
         return ops
 
     ops = walk(circuit.body)
@@ -506,30 +544,59 @@ def _picture_line(ins: Instruction, n: int) -> str:
 
 _CONTROL_RE = re.compile(r"^(\d+)([TF])$")
 _MUX_RE = re.compile(r"^(\d+)\((\d+)$")
+# The "\n" that ends the line before a LOOP or NEXT line.
+_MARKER_RE = re.compile(r"\n[^\S\n]*(?:LOOP|NEXT)(?!\S)")
 
 
 def parse_english(text: str, num_qubits: int | None = None) -> Circuit:
     """Parse english-format text back into a Circuit.
 
-    The qubit count is inferred as 1 + the highest bit mentioned unless
-    given explicitly.  Loop labels must equal their 0-based line index and
-    every LOOP must be closed by a NEXT with the same label, properly
-    nested; each LOOP/NEXT pair becomes one Loop.  Any malformed line raises
-    ParseError with its line number.  Equal gate lines are parsed once and
-    share one Instruction.
+    The lines are those of ``str.splitlines``.  The qubit count is inferred
+    as 1 + the highest bit mentioned unless given explicitly.  Loop labels
+    must equal their 0-based line index and every LOOP must be closed by a
+    NEXT with the same label, properly nested; each LOOP/NEXT pair becomes
+    one Loop.  Any malformed line raises ParseError with its line number.
+
+    The text is cut at its LOOP/NEXT lines, and each span of gate lines
+    between them becomes a Seq, so a body alternates Seqs and Loops.  Equal
+    spans share one Seq, split and parsed once; equal gate lines share one
+    Instruction.
     """
-    body: list[Instruction | Loop] = []  # the innermost open block
+    # str.splitlines also ends a line at these, and at "\x85", "\u2028" and "\u2029"
+    if not text.isascii() or any(c in text for c in "\r\x0b\x0c\x1c\x1d\x1e"):
+        text = "\n".join(text.splitlines()) + "\n"
+    lines_end = len(text) + 1 - text.endswith("\n")
+    text = "\n" + text  # the lines are text[1:lines_end].split("\n"), if any
+    body: list[Seq | Loop] = []  # the innermost open block
+    spans: dict[str, Seq] = {}  # span text -> its Seq
     gates: dict[str, Instruction] = {}  # gate line text -> its parsed instruction
     open_loops: list[tuple[int, int, Loop, list]] = []  # (label, line number, Loop, outer body)
-    for index, raw in enumerate(text.splitlines()):
-        ins = gates.get(raw)
-        if ins is not None:
-            body.append(ins)
-            continue
+    index, pos = 0, 1  # the 0-based index and the offset of the first line not yet read
+    breaks = [m.start() for m in _MARKER_RE.finditer(text, 0, lines_end)]
+    if len(text) > 1:
+        breaks.append(lines_end)  # after the last line
+    for end in breaks:
+        if end >= pos:  # the gate lines text[pos:end]
+            span = text[pos:end]
+            seq = spans.get(span)
+            if seq is None:
+                parsed = []
+                for line_no, raw in enumerate(span.split("\n"), index + 1):
+                    ins = gates.get(raw)
+                    if ins is None:
+                        ins = gates[raw] = _parse_gate_line(raw, line_no, num_qubits)
+                    parsed.append(ins)
+                seq = spans[span] = Seq(parsed)
+            body.append(seq)
+            index += len(seq.body)
+        if end == lines_end:
+            break
+        stop = text.find("\n", end + 1, lines_end)
+        if stop < 0:
+            stop = lines_end
+        tokens = text[end + 1:stop].split()
+        pos = stop + 1
         line_no = index + 1
-        tokens = raw.split()
-        if not tokens:
-            raise ParseError("blank line", line_no)
         try:
             if tokens[0] == "LOOP":
                 label, reps = _parse_loop(tokens, line_no)
@@ -538,7 +605,7 @@ def parse_english(text: str, num_qubits: int | None = None) -> Circuit:
                         f"LOOP label {label} must equal its line index {index}", line_no)
                 open_loops.append((label, line_no, Loop(reps), body))
                 body = []
-            elif tokens[0] == "NEXT":
+            else:
                 if len(tokens) != 2:
                     raise ParseError("NEXT takes exactly one label", line_no)
                 label = _int_token(tokens[1], line_no)
@@ -548,25 +615,13 @@ def parse_english(text: str, num_qubits: int | None = None) -> Circuit:
                 if label != open_label:
                     raise ParseError(
                         f"NEXT label {label} does not match open LOOP {open_label}", line_no)
-                outer.append(replace(loop, body=body))
+                outer.append(Loop(loop.reps, body))
                 body = outer
-            else:
-                try:
-                    op = Opcode(tokens[0])
-                except ValueError:
-                    raise ParseError("unknown opcode", line_no, tokens[0]) from None
-                ins = _parse_gate(op, tokens, line_no)
-                if num_qubits is not None:
-                    for bit in ins.operand_bits:
-                        if bit >= num_qubits:
-                            raise ParseError(
-                                f"bit {bit} out of range for {num_qubits} qubit(s)", line_no)
-                gates[raw] = ins
-                body.append(ins)
         except ParseError:
             raise
         except ValueError as err:
             raise ParseError(str(err), line_no) from None
+        index += 1
     if open_loops:
         label, line_no, _, _ = open_loops[-1]
         raise ParseError(f"LOOP {label} is never closed", line_no)
@@ -578,6 +633,27 @@ def parse_english(text: str, num_qubits: int | None = None) -> Circuit:
         return Circuit(num_qubits, body)
     except ValueError as err:
         raise ParseError(str(err)) from None
+
+
+def _parse_gate_line(raw: str, line_no: int, num_qubits: int | None) -> Instruction:
+    tokens = raw.split()
+    if not tokens:
+        raise ParseError("blank line", line_no)
+    try:
+        op = Opcode(tokens[0])
+    except ValueError:
+        raise ParseError("unknown opcode", line_no, tokens[0]) from None
+    try:
+        ins = _parse_gate(op, tokens, line_no)
+    except ParseError:
+        raise
+    except ValueError as err:
+        raise ParseError(str(err), line_no) from None
+    if num_qubits is not None:
+        for bit in ins.operand_bits:
+            if bit >= num_qubits:
+                raise ParseError(f"bit {bit} out of range for {num_qubits} qubit(s)", line_no)
+    return ins
 
 
 def _parse_loop(tokens: list[str], line_no: int) -> tuple[int, int]:

@@ -28,7 +28,8 @@ import functools
 
 import numpy as np
 
-from .ir import Circuit, Control, Instruction, Loop, Opcode, parse_english, render, roty, sigx
+from .ir import (Circuit, Control, Instruction, Loop, Opcode, Seq, parse_english, render, roty,
+                 sigx)
 
 
 def gray_code(i: int) -> int:
@@ -67,15 +68,22 @@ def expand_circuit(circuit: Circuit) -> Circuit:
 
     Each distinct multiplexor is expanded once and its repeats share the
     ladder's instructions.  Equality merges only angles 0.0 and -0.0, and a
-    sum that starts from 0.0 gives both the same ladder, bit for bit.
+    sum that starts from 0.0 gives both the same ladder, bit for bit.  Each
+    Seq is expanded once and its repeats share the expanded Seq.
     """
     ladders: dict[Instruction, list[Instruction]] = {}
+    spans: dict[int, Seq] = {}  # id(Seq) -> the expanded Seq
 
     def expand(nodes: tuple) -> list:
         body: list = []
         for node in nodes:
             if type(node) is Loop:
                 body.append(Loop(node.reps, expand(node.body)))
+            elif type(node) is Seq:
+                span = spans.get(id(node))
+                if span is None:
+                    span = spans[id(node)] = Seq(expand(node.body))
+                body.append(span)
             elif node.opcode is Opcode.MP_Y:
                 body += ladders.get(node) or ladders.setdefault(node, expand_mux(node))
             else:

@@ -31,14 +31,16 @@ Axes are addressed from the right, so the same code runs on any number of
 leading axes.
 
 Segments.  Each loop body (the body of a Circuit or of a `Loop`) is cut into
-segments, the maximal runs of gates between its Loops, so nothing below
-crosses a Loop's boundary.  Runs (below) are told apart by the identities
-of their instructions, segments by those of their steps, the runs and the
-gates between them.  The parser and the emitters share one object per
-distinct line, so every repetition of a loop body, every repeat of a block
-in the text and every repeat of a multiplexor's ladder is one segment or
-one run, prepared once per call; each counts its executions, weighted by
-its loops' reps.
+segments: each `Seq` is one, and so is each maximal run of loose gates
+between its Seqs and Loops, so nothing below crosses a Loop's boundary.
+Runs (below) are told apart by the identities of their instructions,
+segments by those of their steps, the runs and the gates between them; a
+Seq is cut into steps once per object.  The parser gives every distinct span
+of gate lines one Seq and every distinct line one Instruction, and the
+emitters share one object per distinct gate, so every repetition of a loop
+body, every repeat of a block in the text and every repeat of a
+multiplexor's ladder is one segment or one run, prepared once per call;
+each counts its executions, weighted by its loops' reps.
 
 Runs and tables.  Every gate but PHAS and SWAP is a 2x2 on one target.  A
 segment is cut into maximal runs of consecutive 2x2 gates on one target.  A
@@ -92,7 +94,7 @@ import operator
 
 import numpy as np
 
-from .ir import Circuit, Instruction, Loop, Opcode
+from .ir import Circuit, Instruction, Loop, Opcode, Seq
 
 MAX_STATE_QUBITS = 16   # apply: 2^n amplitudes
 MAX_MATRIX_QUBITS = 12  # to_matrix: 4^n amplitudes
@@ -281,47 +283,65 @@ class _Segment:
         self.steps, self.executions, self.operator = steps, 0, None
 
 
-def _segment(steps: list, segments: dict, weight: int) -> _Segment:
+def _steps(gates: tuple, runs: dict) -> list:
+    """A run of gates cut into steps: each maximal run of two or more gates
+    on one target is its _Run, shared through `runs` and keyed on its
+    gates' identities; any other gate is a step by itself."""
+    steps: list = []
+    i, count = 0, len(gates)
+    while i < count:
+        gate = gates[i]
+        start, targets = i, gate.targets
+        i += 1
+        if len(targets) == 1:
+            while i < count and gates[i].targets == targets:
+                i += 1
+        if i - start == 1:
+            steps.append(gate)
+            continue
+        run_gates = gates[start:i]
+        key = tuple(map(id, run_gates))
+        run = runs.get(key)
+        if run is None:
+            run = runs[key] = _Run(run_gates)
+        steps.append(run)
+    return steps
+
+
+def _segment(steps: list, segments: dict) -> _Segment:
     key = tuple(map(id, steps))
     segment = segments.get(key)
     if segment is None:
         segment = segments[key] = _Segment(steps)
-    segment.executions += weight
     return segment
 
 
-def _walk(nodes: tuple, runs: dict, segments: dict, weight: int) -> list:
-    """The loop tree with each maximal run of gates replaced by its _Segment,
-    shared through `segments` and keyed on its steps' identities, where each
-    run of two or more gates on one target is its _Run, shared through `runs`
-    and keyed on its gates' identities."""
+def _walk(nodes: tuple, runs: dict, segments: dict, spans: dict, weight: int) -> list:
+    """The loop tree with each Seq and each maximal run of loose gates
+    replaced by its _Segment, shared through `segments` and keyed on its
+    steps' identities; a Seq is cut into steps once, and its segment is
+    kept in `spans` under its id."""
     plan: list = []
-    steps: list = []
-    i, count = 0, len(nodes)
-    while i < count:
-        node = nodes[i]
-        i += 1
+    start = 0
+    for i, node in enumerate(nodes):
+        if type(node) is Instruction:
+            continue
+        if start < i:
+            plan.append(_segment(_steps(nodes[start:i], runs), segments))
+        start = i + 1
         if type(node) is Loop:
-            if steps:
-                plan.append(_segment(steps, segments, weight))
-                steps = []
-            plan.append(Loop(node.reps, _walk(node.body, runs, segments, weight * node.reps)))
+            plan.append(Loop(node.reps, _walk(node.body, runs, segments, spans,
+                                              weight * node.reps)))
             continue
-        start, targets = i - 1, node.targets
-        if len(targets) == 1:
-            while i < count and type(nodes[i]) is not Loop and nodes[i].targets == targets:
-                i += 1
-        if i - start == 1:
-            steps.append(node)
-            continue
-        gates = nodes[start:i]
-        key = tuple(map(id, gates))
-        run = runs.get(key)
-        if run is None:
-            run = runs[key] = _Run(gates)
-        steps.append(run)
-    if steps:
-        plan.append(_segment(steps, segments, weight))
+        segment = spans.get(id(node))
+        if segment is None:
+            segment = spans[id(node)] = _segment(_steps(node.body, runs), segments)
+        plan.append(segment)
+    if start < len(nodes):
+        plan.append(_segment(_steps(nodes[start:], runs), segments))
+    for node in plan:
+        if type(node) is _Segment:
+            node.executions += weight
     return plan
 
 
@@ -332,7 +352,7 @@ def _plan(body: tuple) -> tuple[list, dict, dict]:
     word tensor and cos/sin gather that the kernel rebuilds at every one."""
     runs: dict = {}
     segments: dict = {}
-    plan = _walk(body, runs, segments, 1)
+    plan = _walk(body, runs, segments, {}, 1)
     lone: dict = {}
     for segment in segments.values():
         for step in segment.steps:

@@ -7,8 +7,9 @@ from dataclasses import replace
 import numpy as np
 from scipy.linalg import expm
 
-from qsagen.ir import (Circuit, Control, Instruction, Loop, MuxControl, Opcode, had2, mp_y,
-                       p0ph, p1ph, phas, rotn, rotx, roty, rotz, sigx, sigy, sigz, swap)
+from qsagen.ir import (Circuit, Control, Instruction, Loop, MuxControl, Opcode, ParseError, Seq,
+                       _int_token, _parse_gate, _parse_loop, had2, mp_y, p0ph, p1ph, phas,
+                       rotn, rotx, roty, rotz, sigx, sigy, sigz, swap)
 
 GATE_MAKERS = "sig had rot rotn phas pph swap mpy".split()
 
@@ -141,10 +142,26 @@ def random_run_circuit(rng: np.random.Generator) -> Circuit:
     return Circuit(n, tuple(random_run_body(rng, n)))
 
 
+def spliced(tree):
+    """A Circuit or a body with each Seq replaced by its gates, inside Loops
+    too: the same gates, written the same way, with no Seq."""
+    if isinstance(tree, Circuit):
+        return Circuit(tree.num_qubits, spliced(tree.body))
+    out: list = []
+    for node in tree:
+        if isinstance(node, Seq):
+            out.extend(node.body)
+        elif isinstance(node, Loop):
+            out.append(Loop(node.reps, spliced(node.body)))
+        else:
+            out.append(node)
+    return tuple(out)
+
+
 def manual_unroll(body) -> list[Instruction]:
     """Independent loop expansion by literal block copying (counting oracle)."""
     out: list[Instruction] = []
-    for node in body:
+    for node in spliced(body):
         if isinstance(node, Instruction):
             out.append(node)
         else:
@@ -156,12 +173,79 @@ def flat_lines(body) -> list:
     """The lines a body is written as, in order: its gates, with each loop's
     lines between ("LOOP", reps) and ("NEXT",)."""
     out: list = []
-    for node in body:
+    for node in spliced(body):
         if isinstance(node, Instruction):
             out.append(node)
         else:
             out += [("LOOP", node.reps), *flat_lines(node.body), ("NEXT",)]
     return out
+
+
+def per_line_parse_english(text: str, num_qubits: int | None = None) -> Circuit:
+    """The english parser one line at a time, over ``str.splitlines``: the
+    oracle of the span parser.  Its bodies hold gates and Loops, no Seq; its
+    errors are the ParseErrors (message, line, token) the span parser must
+    raise."""
+    body: list[Instruction | Loop] = []  # the innermost open block
+    gates: dict[str, Instruction] = {}  # gate line text -> its parsed instruction
+    open_loops: list[tuple[int, int, Loop, list]] = []  # (label, line number, Loop, outer body)
+    for index, raw in enumerate(text.splitlines()):
+        ins = gates.get(raw)
+        if ins is not None:
+            body.append(ins)
+            continue
+        line_no = index + 1
+        tokens = raw.split()
+        if not tokens:
+            raise ParseError("blank line", line_no)
+        try:
+            if tokens[0] == "LOOP":
+                label, reps = _parse_loop(tokens, line_no)
+                if label != index:
+                    raise ParseError(
+                        f"LOOP label {label} must equal its line index {index}", line_no)
+                open_loops.append((label, line_no, Loop(reps), body))
+                body = []
+            elif tokens[0] == "NEXT":
+                if len(tokens) != 2:
+                    raise ParseError("NEXT takes exactly one label", line_no)
+                label = _int_token(tokens[1], line_no)
+                if not open_loops:
+                    raise ParseError("NEXT without an open LOOP", line_no)
+                open_label, _, loop, outer = open_loops.pop()
+                if label != open_label:
+                    raise ParseError(
+                        f"NEXT label {label} does not match open LOOP {open_label}", line_no)
+                outer.append(replace(loop, body=body))
+                body = outer
+            else:
+                try:
+                    op = Opcode(tokens[0])
+                except ValueError:
+                    raise ParseError("unknown opcode", line_no, tokens[0]) from None
+                ins = _parse_gate(op, tokens, line_no)
+                if num_qubits is not None:
+                    for bit in ins.operand_bits:
+                        if bit >= num_qubits:
+                            raise ParseError(
+                                f"bit {bit} out of range for {num_qubits} qubit(s)", line_no)
+                gates[raw] = ins
+                body.append(ins)
+        except ParseError:
+            raise
+        except ValueError as err:
+            raise ParseError(str(err), line_no) from None
+    if open_loops:
+        label, line_no, _, _ = open_loops[-1]
+        raise ParseError(f"LOOP {label} is never closed", line_no)
+
+    if num_qubits is None:
+        num_qubits = 1 + max((b for ins in gates.values() for b in ins.operand_bits),
+                             default=0)
+    try:
+        return Circuit(num_qubits, body)
+    except ValueError as err:
+        raise ParseError(str(err)) from None
 
 
 def random_stochastic(rng: np.random.Generator, ns: int) -> np.ndarray:

@@ -1,13 +1,17 @@
 """End-to-end CLI behavior: files, logs, diagnostics, exit codes."""
 import argparse
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from qsagen import annealer, cli, sim
 from qsagen.cli import main
-from qsagen.ir import (Circuit, Loop, MuxControl, count_elementary_ops, had2, mp_y,
+from qsagen.ir import (Circuit, Loop, MuxControl, Seq, count_elementary_ops, had2, mp_y,
                        parse_english, write_english)
 
 GEN_ARGS = ["generate", "--prefix", "demo", "--nb", "1", "--probe-bits", "2",
@@ -294,6 +298,24 @@ def test_simulate_runs_above_the_matrix_cap(workdir, capsys):
         f"|{1 << 12:013b}>  +0.707106781187  +0.000000000000"]
 
 
+def test_simulate_into_a_closed_pipe_exits_1_without_a_traceback(workdir):
+    """`simulate | head -1`: the reader closes the pipe after one line while
+    4096 amplitudes, more than the pipe holds, are still to be written."""
+    (workdir / "h12_eng.txt").write_text("".join(f"HAD2  AT  {b}\n" for b in range(12)))
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.Popen([sys.executable, "-m", "qsagen.cli", "simulate", "--in-prefix", "h12"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 1
+    assert first == f"|{0:012b}>  +0.015625000000  +0.000000000000\n".encode()
+    assert err == b""
+
+
 def test_simulate_enforces_the_state_cap(workdir, capsys):
     (workdir / "q17_eng.txt").write_text("HAD2  AT  16\n")
     assert main(["simulate", "--in-prefix", "q17"]) == 2
@@ -332,6 +354,16 @@ def test_corrupt_angle_skips_loops_and_shifts_the_first_multiplexor():
     assert out == Circuit(2, (loop, had2(1), corrupted, mux))
     assert out.body[0] is loop and out.body[3] is mux
     assert cli._maybe_corrupt(circuit, argparse.Namespace(corrupt_angle=False)) is circuit
+
+
+def test_corrupt_angle_looks_inside_seqs():
+    mux = mp_y(1, (MuxControl(0, 0),), (10.0, 20.0))
+    span = Seq((had2(1), mux, mux))
+    circuit = Circuit(2, (Seq((had2(0),)), span, span))
+    out = cli._maybe_corrupt(circuit, argparse.Namespace(corrupt_angle=True))
+    corrupted = mp_y(1, (MuxControl(0, 0),), (15.0, 20.0))
+    assert out == Circuit(2, (Seq((had2(0),)), Seq((had2(1), corrupted, mux)), span))
+    assert out.body[0] is circuit.body[0] and out.body[2] is span
 
 
 def test_verify_fixed_point_fails_on_wrong_q_phase(workdir, capsys, monkeypatch):

@@ -17,7 +17,7 @@ from qsagen.ir import (Circuit, Control, Instruction, Loop, MuxControl, Opcode,
                        parse_english, render, rotn, roty, write_english, write_picture)
 from qsagen.mux_expander import expand_circuit, expand_file, expand_mux
 
-from helpers import flat_lines, manual_unroll, random_gate
+from helpers import flat_lines, manual_unroll, random_gate, spliced
 
 N = 4
 SEEDS = range(25)
@@ -90,7 +90,7 @@ def test_parser_equals_per_line_parsing(seed):
              for line in write_english(circuit).splitlines()]
     parsed = flat_lines(parse_english("\n".join(lines) + "\n", num_qubits=N).body)
     written = flat_lines(circuit.body)
-    expected = [parse_english(line).body[0] if isinstance(ins, Instruction) else ins
+    expected = [spliced(parse_english(line).body)[0] if isinstance(ins, Instruction) else ins
                 for ins, line in zip(written, lines)]
     assert signed(parsed) == signed(expected)
     gate_lines = {line for ins, line in zip(written, lines) if isinstance(ins, Instruction)}

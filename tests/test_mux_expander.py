@@ -13,7 +13,7 @@ from qsagen.markov import AnnealingSchedule, default_problem
 from qsagen.mux_expander import (expand_circuit, expand_file, expand_mux,
                                  gray_code)
 
-from helpers import flat_lines, manual_unroll, random_circuit, random_gate
+from helpers import flat_lines, manual_unroll, random_circuit, random_gate, spliced
 
 
 def random_mux(rng, k, plain=0):
@@ -172,7 +172,7 @@ def test_whole_circuit_equivalence_after_expansion():
     circuit = emit_full(config)
     roundtrip = parse_english(write_english(circuit), num_qubits=circuit.num_qubits)
     expanded = expand_circuit(roundtrip)
-    assert all(ins.opcode is not Opcode.MP_Y for ins in expanded.body)
+    assert all(ins.opcode is not Opcode.MP_Y for ins in spliced(expanded.body))
     diff = np.abs(sim.to_matrix(expanded) - sim.to_matrix(circuit)).max()
     assert diff < 1e-9
 
