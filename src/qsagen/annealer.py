@@ -26,6 +26,14 @@ built once per beta along with its inverse, the emitter carries each inverse alo
     G(t, d+1)^dagger = G^dagger . R(beta_{t+1})^dagger . G . R(beta_t)^dagger . G^dagger
     R(beta)^dagger   = V^dagger . Q^dagger . V
 
+Each block is one shared node (see `ir`): V(beta) and V(beta)^dagger are
+Seqs built once per beta, the four reflections of each t Seqs of three
+references, and G(t, d+1) and its inverse Seqs of five references to the
+level below and to the reflections.  The
+circuit's text grows as 3^d, but its tree holds O(d) nodes per temperature
+on top of the V blocks, so emitting and checking it cost O(distinct nodes),
+and rendering it that plus O(placements of nodes), not O(lines).
+
 The inverse Fourier stage is emitted swap-free, so probe outcomes appear
 bit-reversed; the all-zeros outcome (the only one Q rewards) is fixed by the
 reversal, hence R(beta) is unchanged by this choice.
@@ -35,7 +43,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .ir import Circuit, Control, Instruction, Loop, dagger, had2, p1ph, phas, with_control
+from .ir import Circuit, Control, Instruction, Loop, Seq, dagger, had2, p1ph, phas, with_control
 from .markov import AnnealingSchedule, ProblemSpec, metropolis
 from .szegedy import WalkLayout, emit_W
 
@@ -129,23 +137,24 @@ def _q_gate(config: GeneratorConfig, angle_deg: float) -> Instruction:
     return phas(angle_deg, [Control(b, on=False) for b in config.probe_bit_list])
 
 
-def _v_pair(beta: float, config: GeneratorConfig) -> tuple[tuple[Instruction, ...], ...]:
-    v = _v_body(beta, config)
-    return v, dagger(v)
+def _v_pair(beta: float, config: GeneratorConfig) -> tuple[Seq, Seq]:
+    v = Seq(_v_body(beta, config))
+    return v, dagger((v,))[0]
 
 
-def _r_body(v: tuple, v_dag: tuple, config: GeneratorConfig, q_angle_deg: float) -> tuple:
-    return v + (_q_gate(config, q_angle_deg),) + v_dag  # inverse: negate the angle
+def _r_body(v_pair: tuple[Seq, Seq], config: GeneratorConfig, q_angle_deg: float) -> tuple:
+    return v_pair[0], _q_gate(config, q_angle_deg), v_pair[1]  # inverse: negate the angle
 
 
 def emit_R_tilde(beta: float, config: GeneratorConfig,
                  q_angle_deg: float = Q_ANGLE_DEG) -> Circuit:
     """V(beta)^dagger . Q . V(beta); Q's phase angle is overridable."""
-    return Circuit(config.num_qubits, _r_body(*_v_pair(beta, config), config, q_angle_deg))
+    return Circuit(config.num_qubits, _r_body(_v_pair(beta, config), config, q_angle_deg))
 
 
-def _grover_pair(t: int, d: int, config: GeneratorConfig, v_pairs: dict) -> tuple:
-    """(G(t, d), G(t, d)^dagger); v_pairs caches (V, V^dagger) by schedule index."""
+def _grover_pair(t: int, d: int, config: GeneratorConfig, v_pairs: dict) -> tuple[Seq, Seq]:
+    """(G(t, d), G(t, d)^dagger) as shared nodes, each level two Seqs of five
+    references; v_pairs caches (V, V^dagger) by schedule index."""
     if not 0 <= t < config.schedule.t_f:
         raise ValueError(f"schedule index {t} outside 0..{config.schedule.t_f - 1}")
     if d < 0:
@@ -153,18 +162,20 @@ def _grover_pair(t: int, d: int, config: GeneratorConfig, v_pairs: dict) -> tupl
     for s in {t, t + 1} - v_pairs.keys():
         v_pairs[s] = _v_pair(config.schedule.beta(s), config)
     next_angle = -Q_ANGLE_DEG if config.conjugate_q else Q_ANGLE_DEG
-    r_here, r_here_dag = (_r_body(*v_pairs[t], config, a) for a in (Q_ANGLE_DEG, -Q_ANGLE_DEG))
-    r_next, r_next_dag = (_r_body(*v_pairs[t + 1], config, a) for a in (next_angle, -next_angle))
-    seq = seq_dag = ()
+    r_here, r_here_dag = (Seq(_r_body(v_pairs[t], config, a))
+                          for a in (Q_ANGLE_DEG, -Q_ANGLE_DEG))
+    r_next, r_next_dag = (Seq(_r_body(v_pairs[t + 1], config, a))
+                          for a in (next_angle, -next_angle))
+    g = g_dag = Seq()
     for _ in range(d):
-        seq, seq_dag = (seq + r_next + seq_dag + r_here + seq,
-                        seq_dag + r_here_dag + seq + r_next_dag + seq_dag)
-    return seq, seq_dag
+        g, g_dag = (Seq((g, r_next, g_dag, r_here, g)),
+                    Seq((g_dag, r_here_dag, g, r_next_dag, g_dag)))
+    return g, g_dag
 
 
 def emit_U_grover(t: int, d: int, config: GeneratorConfig) -> Circuit:
     """Fixed-point recursion at schedule index t, expanded to depth d."""
-    return Circuit(config.num_qubits, _grover_pair(t, d, config, {})[0])
+    return Circuit(config.num_qubits, _grover_pair(t, d, config, {})[0].body)
 
 
 def emit_full(config: GeneratorConfig, prep: bool = False) -> Circuit:
@@ -172,12 +183,13 @@ def emit_full(config: GeneratorConfig, prep: bool = False) -> Circuit:
 
     With prep=True, Hadamards preparing the uniform (beta_0 = 0) stationary
     state on the beta register are prepended; by default preparation is the
-    caller's job, as the operator product starts from it either way.
+    caller's job, as the operator product starts from it either way.  The
+    body is the Hadamards and one shared G(t, depth) node per t.
     """
-    body: tuple[Instruction, ...] = ()
+    body: tuple[Instruction | Seq, ...] = ()
     if prep:
         body += tuple(had2(config.nb + j) for j in range(config.nb))
     v_pairs: dict = {}
-    for t in range(config.schedule.t_f):
-        body += _grover_pair(t, config.pe.grover_depth, config, v_pairs)[0]
+    body += tuple(_grover_pair(t, config.pe.grover_depth, config, v_pairs)[0]
+                  for t in range(config.schedule.t_f))
     return Circuit(config.num_qubits, body)

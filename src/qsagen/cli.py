@@ -29,6 +29,7 @@ from .qembed import qembed_circuit
 from .szegedy import WalkLayout, emit_W, walk_state
 
 MAX_VERIFY_NB = 2
+_WRITE_SLICE = 1 << 20  # characters per write
 
 
 def _fail(message: str, code: int = 1) -> int:
@@ -41,9 +42,11 @@ class _FileError(Exception):
 
 
 def _write(path: str, text: str) -> None:
+    """Write text in slices, so that encoding it never copies all of it."""
     try:
         with open(path, "w", newline="\n") as handle:
-            handle.write(text)
+            for start in range(0, len(text), _WRITE_SLICE):
+                handle.write(text[start:start + _WRITE_SLICE])
     except OSError as err:
         raise _FileError(f"cannot write {path}: {err.strerror}") from None
 
@@ -211,18 +214,21 @@ def _verify_checks(args: argparse.Namespace, config: GeneratorConfig):
 
 def _maybe_corrupt(circuit: Circuit, args: argparse.Namespace) -> Circuit:
     """The circuit with 5 degrees added to the first angle of its first
-    MP_Y outside Loops, if --corrupt-angle is given."""
-    if not args.corrupt_angle:
-        return circuit
-    body = list(circuit.body)
-    for i, node in enumerate(body):
-        gates = list(node.body) if type(node) is Seq else [node]
-        for j, ins in enumerate(gates):
-            if type(ins) is Instruction and ins.opcode is Opcode.MP_Y:
-                gates[j] = ins.with_angles((ins.angles_deg[0] + 5.0,) + ins.angles_deg[1:])
-                body[i] = Seq(gates) if type(node) is Seq else gates[0]
-                return Circuit(circuit.num_qubits, tuple(body))
-    return circuit
+    MP_Y outside Loops, if --corrupt-angle is given; only the Seqs around
+    that line are rebuilt."""
+    def corrupt(body: tuple) -> tuple | None:
+        for i, node in enumerate(body):
+            if type(node) is Seq:
+                inner = corrupt(node.body)
+                if inner is not None:
+                    return body[:i] + (Seq(inner),) + body[i + 1:]
+            elif type(node) is Instruction and node.opcode is Opcode.MP_Y:
+                shifted = node.with_angles((node.angles_deg[0] + 5.0,) + node.angles_deg[1:])
+                return body[:i] + (shifted,) + body[i + 1:]
+        return None
+
+    body = corrupt(circuit.body) if args.corrupt_angle else None
+    return circuit if body is None else Circuit(circuit.num_qubits, body)
 
 
 def cmd_verify(args: argparse.Namespace) -> int:

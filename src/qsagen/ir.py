@@ -14,13 +14,18 @@ renderings are supported:
 The english format is the authoritative, parseable representation; pictures
 are write-only.  ``LOOP k REPS: n`` / ``NEXT k`` lines bracket a block to be
 repeated ``n`` times.  The label ``k`` equals the 0-based line index of its
-LOOP line.  In memory a block is a `Loop` node, whose body holds gates and
-further Loops; the body of a Circuit is that tree.  Labels exist only in the
-text: `render` works them out as it walks the tree, and the parser checks
-them and drops them.  A `Seq` is a straight-line span of gates written
-inline with no markers; the parser gives every distinct span between
-LOOP/NEXT lines one shared Seq, which is checked, rendered, expanded and
-planned for simulation once per object.
+LOOP line.  In memory a block is a `Loop` node, and a `Seq` is a span written
+inline with no markers; either holds gates, Seqs and Loops, and the body of a
+Circuit is that tree.  Labels exist only in the text: `render` works them out
+from where each node is placed, and the parser checks them and drops them.
+A node may be placed many times: the emitters build V(beta) once per beta,
+and the reflections and G(t, d) once per step t, so G(t, d+1) is a Seq of
+five references; the parser gives every distinct span of gate lines
+between LOOP/NEXT lines one shared Seq.  The Circuit checks, the op count,
+`dagger` and `with_control` handle each node once per object, in
+O(distinct nodes); `render` adds one step per placement of a node, to write
+its LOOP/NEXT labels, not one per line.  (The simulator reads a Seq that
+nests through, wherever it is placed.)
 
 Multiplexor lines (``MP_Y``) rotate their target about y by one of ``2**k``
 angles, selected by ``k`` *named* controls: the control named ``j`` supplies
@@ -30,7 +35,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Iterable, Sequence
 
@@ -156,6 +161,26 @@ class Instruction:
         _check_angles(derived)
         return derived
 
+    def with_controls(self, control: Control) -> Instruction:
+        """This instruction with one more plain control, put in its sorted
+        place; only a collision with the operand bits is checked, and the
+        other fields are shared."""
+        if control.bit in self.operand_bits:
+            raise ValueError(
+                f"control bit {control.bit} collides with {self.opcode.value} operands")
+        at = sum(c.bit > control.bit for c in self.controls)
+        split = len(self.targets) + at
+        derived = object.__new__(Instruction)
+        set_field = object.__setattr__
+        set_field(derived, "opcode", self.opcode)
+        set_field(derived, "targets", self.targets)
+        set_field(derived, "controls", self.controls[:at] + (control,) + self.controls[at:])
+        set_field(derived, "mux_controls", self.mux_controls)
+        set_field(derived, "angles_deg", self.angles_deg)
+        set_field(derived, "operand_bits",
+                  self.operand_bits[:split] + (control.bit,) + self.operand_bits[split:])
+        return derived
+
 
 def _check_instruction(ins: Instruction) -> None:
     op = ins.opcode
@@ -253,14 +278,18 @@ def mp_y(target: int, mux_controls: Iterable[MuxControl], angles_deg: Iterable[f
 
 @dataclass(frozen=True)
 class Seq:
-    """A straight-line span of gates, written inline with no markers."""
+    """A span of gates, Seqs and Loops, written inline with no markers.
+    ``nests`` (derived, not compared) tells whether it holds Seqs or Loops."""
 
-    body: tuple[Instruction, ...] = ()
+    body: tuple[Instruction | Seq | Loop, ...] = ()
+    nests: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "body", tuple(self.body))
-        if not set(map(type, self.body)) <= {Instruction}:
-            raise TypeError("a Seq holds only Instructions")
+        kinds = set(map(type, self.body))
+        if not kinds <= {Instruction, Seq, Loop}:
+            raise TypeError("a Seq holds only Instructions, Seqs and Loops")
+        object.__setattr__(self, "nests", not kinds <= {Instruction})
 
 
 @dataclass(frozen=True)
@@ -291,50 +320,54 @@ class Circuit:
     num_qubits: int
     body: tuple[Instruction | Seq | Loop, ...] = ()
     _lines: int = field(init=False, repr=False, compare=False)
+    _ops: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = self.num_qubits
         if n < 1:
             raise ValueError(f"num_qubits must be positive, got {n}")
         object.__setattr__(self, "body", tuple(self.body))
-        loops: dict[int, tuple[int, int]] = {}  # id(Loop) -> (written lines, nesting height)
-        spans: dict[int, int] = {}  # id(Seq) -> its lines, once its gates are checked
+        nodes: dict[int, tuple[int, int, int]] = {}  # id(Seq or Loop) -> (lines, height, ops)
         checked: set[int] = set()  # ids of the gates whose bits are checked
         bad: list[tuple[int, int]] = []  # (line, bit) of the first operand out of range
 
-        def walk(nodes: tuple, line: int, depth: int) -> tuple[int, int]:
-            """The line after `nodes`, which start at `line` inside `depth` loops,
-            and their height.  Each Seq is walked once; each Loop too, unless
-            a reuse of it nests too deep, and then again, to name the
-            offending line."""
-            height = 0
-            for node in nodes:
+        def walk(body: tuple, line: int, depth: int) -> tuple[int, int, int]:
+            """The line after `body`, which starts at `line` inside `depth`
+            loops, its loop height and its op count.  Each Seq and Loop is
+            walked once, unless a reuse of it nests too deep, and then again,
+            to name the offending line."""
+            height = ops = 0
+            for node in body:
                 if type(node) is Instruction:
                     if id(node) not in checked:
                         checked.add(id(node))
                         if not bad:
                             bad.extend((line, bit) for bit in node.operand_bits if bit >= n)
                     line += 1
-                elif type(node) is Loop:
-                    seen = loops.get(id(node))
-                    if seen is None or depth + seen[1] > _MAX_LOOP_DEPTH:
-                        if depth == _MAX_LOOP_DEPTH:
-                            raise ValueError(
-                                f"LOOP at line {line} nests deeper than {_MAX_LOOP_DEPTH}")
-                        end, inner = walk(node.body, line + 1, depth + 1)
-                        seen = loops[id(node)] = (end + 1 - line, inner + 1)
-                    line += seen[0]
-                    height = max(height, seen[1])
-                else:
-                    lines = spans.get(id(node))
-                    if lines is None:
-                        lines = spans[id(node)] = walk(node.body, line, depth)[0] - line
-                    line += lines
-            return line, height
+                    ops += 1
+                    continue
+                seen = nodes.get(id(node))
+                if seen is None or depth + seen[1] > _MAX_LOOP_DEPTH:
+                    if type(node) is Seq:
+                        end, inner, inner_ops = walk(node.body, line, depth)
+                        seen = end - line, inner, inner_ops
+                    elif depth == _MAX_LOOP_DEPTH:
+                        raise ValueError(
+                            f"LOOP at line {line} nests deeper than {_MAX_LOOP_DEPTH}")
+                    else:
+                        end, inner, inner_ops = walk(node.body, line + 1, depth + 1)
+                        seen = end + 1 - line, inner + 1, node.reps * inner_ops
+                    nodes[id(node)] = seen
+                line += seen[0]
+                height = max(height, seen[1])
+                ops += seen[2]
+            return line, height, ops
 
-        object.__setattr__(self, "_lines", walk(self.body, 0, 0)[0])
+        lines, _, ops = walk(self.body, 0, 0)
         if bad:
             raise ValueError(f"line {bad[0][0]}: bit {bad[0][1]} out of range for {n} qubit(s)")
+        object.__setattr__(self, "_lines", lines)
+        object.__setattr__(self, "_ops", ops)
 
     def __len__(self) -> int:
         return self._lines
@@ -344,15 +377,39 @@ def count_elementary_ops(circuit: Circuit) -> int:
     """Operation count with Loop bodies weighted by their repetitions.
 
     LOOP/NEXT lines themselves are free; nested loops multiply; a
-    multiplexor line counts as a single operation.
+    multiplexor line counts as a single operation.  The Circuit checks count
+    it, once per Seq and Loop object.
     """
-    def weight(nodes: tuple) -> int:
-        return sum(1 if type(node) is Instruction else len(node.body) if type(node) is Seq
-                   else node.reps * weight(node.body) for node in nodes)
-    return weight(circuit.body)
+    return circuit._ops
 
 
 # --- structural transforms ------------------------------------------------------
+
+def _map_gates(body: Sequence[Instruction | Seq | Loop],
+               gate: Callable[[Instruction], Sequence[Instruction]],
+               reverse: bool = False) -> tuple[Instruction | Seq | Loop, ...]:
+    """The body with each gate replaced by the gates ``gate`` maps it to and
+    each Seq and Loop by a new node of its kind, with every body reversed if
+    ``reverse``.  Each object is mapped once, so a node or gate shared in the
+    input is one shared node or gate in the output."""
+    mapped: dict[int, tuple] = {}  # id(input node) -> the nodes it becomes
+
+    def walk(nodes: Sequence) -> tuple:
+        out: list = []
+        for node in reversed(nodes) if reverse else nodes:
+            new = mapped.get(id(node))
+            if new is None:
+                if type(node) is Instruction:
+                    new = tuple(gate(node))
+                elif type(node) is Loop:
+                    new = Loop(node.reps, walk(node.body)),
+                else:
+                    new = Seq(walk(node.body)),
+                mapped[id(node)] = new
+            out += new
+        return tuple(out)
+    return walk(tuple(body))
+
 
 def dagger(body: Sequence[Instruction | Seq | Loop]) -> tuple[Instruction | Seq | Loop, ...]:
     """Inverse of a body: reverse order, negate angles; angle-free gates are self-inverse.
@@ -360,10 +417,8 @@ def dagger(body: Sequence[Instruction | Seq | Loop]) -> tuple[Instruction | Seq 
     Seqs and Loops keep their kind: a Loop's daggered body repeats the same
     number of times.
     """
-    return tuple(Loop(node.reps, dagger(node.body)) if type(node) is Loop
-                 else Seq(dagger(node.body)) if type(node) is Seq
-                 else node.with_angles([-a for a in node.angles_deg]) if node.angles_deg
-                 else node for node in reversed(body))
+    return _map_gates(body, lambda ins: (ins.with_angles([-a for a in ins.angles_deg]),)
+                      if ins.angles_deg else (ins,), reverse=True)
 
 
 def with_control(body: Sequence[Instruction | Seq | Loop],
@@ -372,45 +427,52 @@ def with_control(body: Sequence[Instruction | Seq | Loop],
 
     Raises ValueError if the control bit collides with any operand bit.
     """
-    out = []
-    for node in body:
-        if type(node) is Loop:
-            out.append(Loop(node.reps, with_control(node.body, control)))
-        elif type(node) is Seq:
-            out.append(Seq(with_control(node.body, control)))
-        elif control.bit in node.operand_bits:
-            raise ValueError(
-                f"control bit {control.bit} collides with {node.opcode.value} operands")
-        else:
-            out.append(replace(node, controls=node.controls + (control,)))
-    return tuple(out)
+    return _map_gates(body, lambda ins: (ins.with_controls(control),))
 
 
 # --- writers --------------------------------------------------------------------
 
+class _Fragment:
+    """A Seq or Loop as `render` writes it: its lines (a Loop's LOOP and NEXT
+    lines included), its op count, its reps (0 for a Seq), and its parts:
+    runs of gate texts, as lists of chunks or joined, and (line offset,
+    _Fragment) placements of the Seqs and Loops in it, offsets counted from
+    the first line of its body.  `placed` counts where it is written."""
+
+    __slots__ = ("lines", "ops", "reps", "parts", "placed")
+
+    def __init__(self, lines: int, ops: int, reps: int, parts: list):
+        self.lines, self.ops, self.reps, self.parts, self.placed = lines, ops, reps, parts, 0
+
+
 def render(circuit: Circuit,
            convert: Callable[[Instruction], Sequence[Instruction]] | None = None,
            ) -> tuple[int, str, str]:
-    """(op count, english text, picture text) of a circuit, in one walk of
-    its body.
+    """(op count, english text, picture text) of a circuit.
 
     ``convert`` maps one gate to the gates it is written as (by default the
     gate itself); the op count weights the written gates by their loops'
-    repetitions.  A LOOP label is the running output line index, which its
-    NEXT repeats.  Each gate is converted and rendered once per object and
-    once per value: equal instructions differ at most in the sign of a zero
-    angle, which format_number does not print.  In a chunk, a repeated gate
-    object is written once, and the text around the angles and the picture
-    (which has none) once per operand set, shared by a ladder's rotations.
-    A Seq's list of chunks is built once per object and spliced in whole.
+    repetitions.  A LOOP label is the output line index of its LOOP line,
+    which its NEXT repeats.
+
+    Each Seq and Loop is rendered once per object, into a _Fragment whose
+    labels are line offsets.  A run of gates in a node is joined into one
+    text when the copy takes fewer bytes than the list slots it saves, two
+    of 8 bytes per chunk and placement: the emitters' blocks, written
+    thousands of times, are joined, and a parsed span written a few times
+    is spliced in chunk by chunk.  Writing a fragment at a line then only
+    formats its LOOP/NEXT lines.  Each gate is converted and rendered once
+    per object and once per value: equal instructions differ at most in the
+    sign of a zero angle, which format_number does not print.  In a chunk, a
+    repeated gate object is written once, and the text around the angles and
+    the picture (which has none) once per operand set, shared by a ladder's
+    rotations.
     """
     n = circuit.num_qubits
     by_id: dict[int, tuple[str, str, int]] = {}  # id(gate) -> (english, picture, lines)
     by_value: dict[Instruction, tuple[str, str, int]] = {}
-    spans: dict[int, tuple[list, int]] = {}  # id(Seq) -> (its gates' chunks, lines)
     frames: dict[tuple, tuple[str, str, str]] = {}  # operands -> english head, tail; picture
-    out: list[tuple] = []  # (english, picture[, lines]) of each node, in output order
-    line = 0
+    fragments: dict[int, _Fragment] = {}  # id(Seq or Loop) -> its fragment, children first
 
     def chunk_of(gates: Sequence[Instruction]) -> tuple[str, str, int]:
         texts = {id(g): g for g in gates}  # each gate object once, then its (english, picture)
@@ -429,34 +491,65 @@ def render(circuit: Circuit,
         by_id[id(gate)] = chunk
         return chunk
 
-    def walk(nodes: tuple) -> int:
-        nonlocal line
-        ops = 0
-        for node in nodes:
+    def fragment(body: tuple, reps: int) -> _Fragment:
+        lines = ops = 0
+        parts: list[tuple] = []
+        english: list[str] = []  # the run of gate chunks since the last node
+        pictures: list[str] = []
+        for node in body:
             if type(node) is Instruction:
                 chunk = by_id.get(id(node)) or first_chunk(node)
-                out.append(chunk)
-                line += chunk[2]
+                english.append(chunk[0])
+                pictures.append(chunk[1])
+                lines += chunk[2]
                 ops += chunk[2]
-            elif type(node) is Loop:
-                label, line = line, line + 1
-                out.append((f"LOOP {label} REPS: {node.reps}\n",
-                            f"LOOP {label} REPS:{node.reps}\n"))
-                ops += node.reps * walk(node.body)
-                out.append((f"NEXT {label}\n", f"NEXT {label}\n"))
-                line += 1
-            else:
-                span = spans.get(id(node))
-                if span is None:
-                    chunks = [by_id.get(id(g)) or first_chunk(g) for g in node.body]
-                    span = spans[id(node)] = chunks, sum(chunk[2] for chunk in chunks)
-                out.extend(span[0])
-                line += span[1]
-                ops += span[1]
-        return ops
+                continue
+            if english:
+                parts.append((english, pictures))
+                english, pictures = [], []
+            frag = fragments.get(id(node))
+            if frag is None:
+                frag = fragments[id(node)] = fragment(
+                    node.body, node.reps if type(node) is Loop else 0)
+            parts.append((lines, frag))
+            lines += frag.lines
+            ops += frag.ops
+        if english:
+            parts.append((english, pictures))
+        return _Fragment(lines + 2 if reps else lines, ops * max(reps, 1), reps, parts)
 
-    ops = walk(circuit.body)
-    return ops, "".join(c[0] for c in out), "".join(c[1] for c in out)
+    root = fragment(circuit.body, 0)
+    root.placed = 1
+    for frag in (root, *reversed(fragments.values())):  # each after every node that holds it
+        for i, (first, second) in enumerate(frag.parts):
+            if type(first) is int:
+                second.placed += frag.placed
+            elif 16 * frag.placed * (len(first) - 1) > sum(map(len, first + second)):
+                frag.parts[i] = "".join(first), "".join(second)
+
+    english: list[str] = []
+    pictures: list[str] = []
+
+    def place(parts: list, line: int) -> None:
+        for first, second in parts:
+            if type(first) is str:
+                english.append(first)
+                pictures.append(second)
+            elif type(first) is list:
+                english.extend(first)
+                pictures.extend(second)
+            elif not second.reps:
+                place(second.parts, line + first)
+            else:
+                label = line + first
+                english.append(f"LOOP {label} REPS: {second.reps}\n")
+                pictures.append(f"LOOP {label} REPS:{second.reps}\n")
+                place(second.parts, label + 1)
+                english.append(f"NEXT {label}\n")
+                pictures.append(english[-1])
+
+    place(root.parts, 0)
+    return root.ops, "".join(english), "".join(pictures)
 
 
 def write_english(circuit: Circuit) -> str:
@@ -544,8 +637,34 @@ def _picture_line(ins: Instruction, n: int) -> str:
 
 _CONTROL_RE = re.compile(r"^(\d+)([TF])$")
 _MUX_RE = re.compile(r"^(\d+)\((\d+)$")
-# The "\n" that ends the line before a LOOP or NEXT line.
-_MARKER_RE = re.compile(r"\n[^\S\n]*(?:LOOP|NEXT)(?!\S)")
+
+
+def _newlines_only(text: str) -> bool:
+    """Whether "\\n" is the only line break in text that str.splitlines knows;
+    it also breaks at "\\r", "\\x0b", "\\x0c", "\\x1c"-"\\x1e", "\\x85",
+    "\\u2028" and "\\u2029"."""
+    return text.isascii() and not any(c in text for c in "\r\x0b\x0c\x1c\x1d\x1e")
+
+
+def _marker_breaks(text: str, end: int) -> list[int]:
+    """The offsets of the newline before each line of text[:end] whose first
+    token is LOOP or NEXT, ascending; text starts with a newline.  Each token
+    is found by its first letter (a memchr), checked in place, and then its
+    line is skipped, so no other line is looked at."""
+    breaks = []
+    for token in ("LOOP", "NEXT"):
+        at = text.find(token[0], 0, end)
+        while at >= 0:
+            after = at + 4
+            if (text.startswith(token, at, end) and (after == end or text[after].isspace())):
+                start = text.rfind("\n", 0, at)
+                if not text[start + 1:at].strip():
+                    breaks.append(start)
+            at = text.find("\n", at, end)  # a later find on this line is not its first token
+            if at >= 0:
+                at = text.find(token[0], at, end)
+    breaks.sort()
+    return breaks
 
 
 def parse_english(text: str, num_qubits: int | None = None) -> Circuit:
@@ -562,8 +681,7 @@ def parse_english(text: str, num_qubits: int | None = None) -> Circuit:
     spans share one Seq, split and parsed once; equal gate lines share one
     Instruction.
     """
-    # str.splitlines also ends a line at these, and at "\x85", "\u2028" and "\u2029"
-    if not text.isascii() or any(c in text for c in "\r\x0b\x0c\x1c\x1d\x1e"):
+    if not _newlines_only(text):
         text = "\n".join(text.splitlines()) + "\n"
     lines_end = len(text) + 1 - text.endswith("\n")
     text = "\n" + text  # the lines are text[1:lines_end].split("\n"), if any
@@ -572,7 +690,7 @@ def parse_english(text: str, num_qubits: int | None = None) -> Circuit:
     gates: dict[str, Instruction] = {}  # gate line text -> its parsed instruction
     open_loops: list[tuple[int, int, Loop, list]] = []  # (label, line number, Loop, outer body)
     index, pos = 0, 1  # the 0-based index and the offset of the first line not yet read
-    breaks = [m.start() for m in _MARKER_RE.finditer(text, 0, lines_end)]
+    breaks = _marker_breaks(text, lines_end)
     if len(text) > 1:
         breaks.append(lines_end)  # after the last line
     for end in breaks:

@@ -25,11 +25,12 @@ written as its ladder: each distinct input line is expanded once.
 from __future__ import annotations
 
 import functools
+from typing import Sequence
 
 import numpy as np
 
-from .ir import (Circuit, Control, Instruction, Loop, Opcode, Seq, parse_english, render, roty,
-                 sigx)
+from .ir import (Circuit, Control, Instruction, Opcode, _map_gates, _newlines_only,
+                 parse_english, render, roty, sigx)
 
 
 def gray_code(i: int) -> int:
@@ -69,28 +70,24 @@ def expand_circuit(circuit: Circuit) -> Circuit:
     Each distinct multiplexor is expanded once and its repeats share the
     ladder's instructions.  Equality merges only angles 0.0 and -0.0, and a
     sum that starts from 0.0 gives both the same ladder, bit for bit.  Each
-    Seq is expanded once and its repeats share the expanded Seq.
+    Seq and Loop is expanded once and its repeats share the expanded node.
     """
     ladders: dict[Instruction, list[Instruction]] = {}
-    spans: dict[int, Seq] = {}  # id(Seq) -> the expanded Seq
 
-    def expand(nodes: tuple) -> list:
-        body: list = []
-        for node in nodes:
-            if type(node) is Loop:
-                body.append(Loop(node.reps, expand(node.body)))
-            elif type(node) is Seq:
-                span = spans.get(id(node))
-                if span is None:
-                    span = spans[id(node)] = Seq(expand(node.body))
-                body.append(span)
-            elif node.opcode is Opcode.MP_Y:
-                body += ladders.get(node) or ladders.setdefault(node, expand_mux(node))
-            else:
-                body.append(node)
-        return body
+    def expand(ins: Instruction) -> Sequence[Instruction]:
+        if ins.opcode is not Opcode.MP_Y:
+            return ins,
+        return ladders.get(ins) or ladders.setdefault(ins, expand_mux(ins))
 
-    return Circuit(circuit.num_qubits, expand(circuit.body))
+    return Circuit(circuit.num_qubits, _map_gates(circuit.body, expand))
+
+
+def _line_count(text: str) -> int:
+    """len(text.splitlines()), without the list when "\\n" is the only line
+    break in text."""
+    if not _newlines_only(text):
+        return len(text.splitlines())
+    return text.count("\n") + (text[-1:] not in ("", "\n"))
 
 
 def expand_file(eng_text: str, pic_text: str) -> tuple[str, str, str]:
@@ -101,7 +98,7 @@ def expand_file(eng_text: str, pic_text: str) -> tuple[str, str, str]:
     the written loop labels follow the new line numbering.
     """
     circuit = parse_english(eng_text)
-    pic_lines = len(pic_text.splitlines())
+    pic_lines = _line_count(pic_text)
     if pic_lines != len(circuit):
         raise ValueError(
             f"picture file has {pic_lines} line(s) but english file has {len(circuit)}")

@@ -31,16 +31,21 @@ Axes are addressed from the right, so the same code runs on any number of
 leading axes.
 
 Segments.  Each loop body (the body of a Circuit or of a `Loop`) is cut into
-segments: each `Seq` is one, and so is each maximal run of loose gates
-between its Seqs and Loops, so nothing below crosses a Loop's boundary.
-Runs (below) are told apart by the identities of their instructions,
-segments by those of their steps, the runs and the gates between them; a
-Seq is cut into steps once per object.  The parser gives every distinct span
-of gate lines one Seq and every distinct line one Instruction, and the
-emitters share one object per distinct gate, so every repetition of a loop
-body, every repeat of a block in the text and every repeat of a
-multiplexor's ladder is one segment or one run, prepared once per call;
-each counts its executions, weighted by its loops' reps.
+segments: maximal runs of gates between its Loops, so nothing below crosses
+a Loop's boundary.  A Seq that holds Seqs or Loops (the emitters' shared
+V, R and G nodes) is read through, so the tree is cut where its flat tuple
+of gates and Loops would be; a Seq of gates only (what the parser builds,
+one per span between LOOP/NEXT lines) is one piece of a run.  A run is cut
+into steps once per distinct sequence of pieces.  Runs (below) are told
+apart by the identities of their instructions, segments by those of their
+steps, the runs and the gates between them.  The parser gives every
+distinct span of gate lines one Seq and every distinct line one
+Instruction, and the emitters share one object per distinct gate, so every
+repetition of a loop body, every repeat of a block in the text and every
+repeat of a multiplexor's ladder is one segment or one run, prepared once
+per call; each counts its executions, weighted by its loops' reps.  The
+plan is built by one walk over the placements of the nodes, O(executed
+ops) at most.
 
 Runs and tables.  Every gate but PHAS and SWAP is a 2x2 on one target.  A
 segment is cut into maximal runs of consecutive 2x2 gates on one target.  A
@@ -317,32 +322,45 @@ def _segment(steps: list, segments: dict) -> _Segment:
 
 
 def _walk(nodes: tuple, runs: dict, segments: dict, spans: dict, weight: int) -> list:
-    """The loop tree with each Seq and each maximal run of loose gates
-    replaced by its _Segment, shared through `segments` and keyed on its
-    steps' identities; a Seq is cut into steps once, and its segment is
-    kept in `spans` under its id."""
+    """The loop tree with each maximal run of gates between Loops replaced
+    by its _Segment, shared through `segments` and keyed on its steps'
+    identities.  A Seq of gates only is one piece of a run, and a Seq that
+    nests is read through, so a body is cut where its flat tuple of gates
+    and Loops would be.  A run is cut into steps once per distinct sequence
+    of pieces, kept in `spans`."""
     plan: list = []
-    start = 0
-    for i, node in enumerate(nodes):
-        if type(node) is Instruction:
-            continue
-        if start < i:
-            plan.append(_segment(_steps(nodes[start:i], runs), segments))
-        start = i + 1
-        if type(node) is Loop:
-            plan.append(Loop(node.reps, _walk(node.body, runs, segments, spans,
-                                              weight * node.reps)))
-            continue
-        segment = spans.get(id(node))
-        if segment is None:
-            segment = spans[id(node)] = _segment(_steps(node.body, runs), segments)
-        plan.append(segment)
-    if start < len(nodes):
-        plan.append(_segment(_steps(nodes[start:], runs), segments))
-    for node in plan:
-        if type(node) is _Segment:
-            node.executions += weight
+    pieces: list = []  # the gates and gate-only Seqs since the last Loop
+    readers = [iter(nodes)]  # the bodies being read, innermost last
+    while readers:
+        for node in readers[-1]:
+            if type(node) is Loop:
+                if pieces:
+                    plan.append(_run_segment(pieces, runs, segments, spans, weight))
+                    pieces = []
+                plan.append(Loop(node.reps, _walk(node.body, runs, segments, spans,
+                                                  weight * node.reps)))
+            elif type(node) is Seq and node.nests:
+                readers.append(iter(node.body))
+                break  # read it, then go on with this body
+            else:
+                pieces.append(node)
+        else:
+            readers.pop()
+    if pieces:
+        plan.append(_run_segment(pieces, runs, segments, spans, weight))
     return plan
+
+
+def _run_segment(pieces: list, runs: dict, segments: dict, spans: dict,
+                 weight: int) -> _Segment:
+    """The _Segment of a run of pieces, which executes `weight` more times."""
+    key = id(pieces[0]) if len(pieces) == 1 else tuple(map(id, pieces))
+    segment = spans.get(key)
+    if segment is None:
+        gates = [g for piece in pieces for g in (piece.body if type(piece) is Seq else (piece,))]
+        segment = spans[key] = _segment(_steps(gates, runs), segments)
+    segment.executions += weight
+    return segment
 
 
 def _plan(body: tuple) -> tuple[list, dict, dict]:

@@ -143,14 +143,15 @@ def random_run_circuit(rng: np.random.Generator) -> Circuit:
 
 
 def spliced(tree):
-    """A Circuit or a body with each Seq replaced by its gates, inside Loops
-    too: the same gates, written the same way, with no Seq."""
+    """A Circuit or a body with each Seq replaced by its contents, Seqs
+    nested in it too, inside Loops as well: the same gates and Loops,
+    written the same way, with no Seq."""
     if isinstance(tree, Circuit):
         return Circuit(tree.num_qubits, spliced(tree.body))
     out: list = []
     for node in tree:
         if isinstance(node, Seq):
-            out.extend(node.body)
+            out.extend(spliced(node.body))
         elif isinstance(node, Loop):
             out.append(Loop(node.reps, spliced(node.body)))
         else:

@@ -13,6 +13,8 @@ from qsagen.markov import (AnnealingSchedule, boltzmann, default_problem,
                            metropolis, spectral)
 from qsagen.szegedy import walk_state
 
+from helpers import spliced
+
 
 def make_config(nb=1, a=1, c=1, d=1, delta=0.5, t_f=2, conjugate_q=False):
     return GeneratorConfig(
@@ -69,7 +71,7 @@ def test_inverse_qft_matrix(a):
 
 def test_emit_v_structure_minimal():
     config = make_config(nb=1, a=1, c=1)
-    v = emit_V(0.0, config)
+    v = spliced(emit_V(0.0, config))
     assert v.num_qubits == 3
     ops = [ins.opcode for ins in v.body]
     assert ops[0] is Opcode.HAD2 and ops[-1] is Opcode.HAD2
@@ -144,9 +146,9 @@ def test_grover_depth_zero_is_identity():
 
 def test_grover_depth_one_is_two_reflections():
     config = make_config()
-    r_len = len(emit_R_tilde(0.0, config).body)
+    r_len = len(spliced(emit_R_tilde(0.0, config)).body)
     circuit = emit_U_grover(0, 1, config)
-    assert len(circuit.body) == 2 * r_len
+    assert len(spliced(circuit).body) == 2 * r_len
     got = sim.to_matrix(circuit)
     r0 = sim.to_matrix(emit_R_tilde(config.schedule.beta(0), config))
     r1 = sim.to_matrix(emit_R_tilde(config.schedule.beta(1), config))
@@ -191,14 +193,14 @@ def test_grover_index_bounds():
 
 def test_full_single_factor_matches_grover():
     config = make_config(t_f=1, d=1)
-    assert emit_full(config).body == emit_U_grover(0, 1, config).body
+    assert spliced(emit_full(config)).body == spliced(emit_U_grover(0, 1, config)).body
 
 
 def test_full_prep_prepends_hadamards():
     config = make_config(nb=1, t_f=1)
-    circuit = emit_full(config, prep=True)
+    circuit = spliced(emit_full(config, prep=True))
     assert circuit.body[0] == had2(1)
-    bare = emit_full(config)
+    bare = spliced(emit_full(config))
     assert circuit.body[1:] == bare.body
     # prep maps |0...0> to the lifted uniform stationary state
     prep_only = Circuit(config.num_qubits, (circuit.body[0],))
@@ -270,12 +272,12 @@ def test_recursion_matches_redaggering_reference(conjugate_q, c, t_f):
         config = make_config(nb=1, a=1, c=c, d=d, t_f=t_f, conjugate_q=conjugate_q)
         want = [reference_grover(t, d, config) for t in range(t_f)]
         for t in range(t_f):
-            seq, seq_dag = _grover_pair(t, d, config, {})
+            seq, seq_dag = (spliced((node,)) for node in _grover_pair(t, d, config, {}))
             assert_same_lines(seq, want[t])
             assert_same_lines(seq_dag, dagger(seq))
-        assert_same_lines(emit_U_grover(t_f - 1, d, config).body, want[-1])
+        assert_same_lines(spliced(emit_U_grover(t_f - 1, d, config)).body, want[-1])
         prep = tuple(had2(config.nb + j) for j in range(config.nb))
-        assert_same_lines(emit_full(config, prep=True).body, sum(want, prep))
+        assert_same_lines(spliced(emit_full(config, prep=True)).body, sum(want, prep))
 
 
 def test_emit_full_work_does_not_grow_with_depth(monkeypatch):
@@ -309,7 +311,7 @@ def test_emit_full_work_does_not_grow_with_depth(monkeypatch):
         nonlocal built
         built = 0
         dagger_lengths.clear()
-        length = len(emit_full(make_config(nb=1, a=2, c=1, d=d, t_f=2)).body)
+        length = len(spliced(emit_full(make_config(nb=1, a=2, c=1, d=d, t_f=2))).body)
         return length, built, max(dagger_lengths)
 
     short, deep = work(1), work(4)

@@ -404,3 +404,24 @@ def test_usage_error_exit_code(workdir):
     with pytest.raises(SystemExit) as info:
         main(["generate", "--bogus"])
     assert info.value.code == 2
+
+
+def test_write_in_slices_keeps_the_bytes(workdir, monkeypatch):
+    text = "".join(f"LOOP {i} REPS: 2\nPHAS 1.5 IF  0T\nNEXT {i}\n" for i in range(500))
+    written = []
+    real_open = open
+
+    def recording_open(*args, **kwargs):
+        handle = real_open(*args, **kwargs)
+        write = handle.write
+        handle.write = lambda piece: written.append(len(piece)) or write(piece)
+        return handle
+
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "_WRITE_SLICE", 1000)
+        patch.setattr("builtins.open", recording_open)
+        cli._write("out.txt", text)
+    assert Path("out.txt").read_bytes() == text.encode()
+    assert max(written) == 1000 and sum(written) == len(text)
+    cli._write("empty.txt", "")
+    assert Path("empty.txt").read_bytes() == b""

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qsagen import sim
 from qsagen.annealer import GeneratorConfig, PEParams, emit_full
@@ -10,7 +12,7 @@ from qsagen.ir import (Circuit, Control, Instruction, MuxControl, Opcode,
                        _english_line, _picture_line, count_elementary_ops, mp_y,
                        parse_english, roty, sigx, write_english, write_picture)
 from qsagen.markov import AnnealingSchedule, default_problem
-from qsagen.mux_expander import (expand_circuit, expand_file, expand_mux,
+from qsagen.mux_expander import (_line_count, expand_circuit, expand_file, expand_mux,
                                  gray_code)
 
 from helpers import flat_lines, manual_unroll, random_circuit, random_gate, spliced
@@ -290,3 +292,22 @@ def test_ladder_rotations_share_the_operands_of_one_validated_rotation():
     assert len({id(g) for g in rotations}) == 16
     for field in ("targets", "controls", "mux_controls", "operand_bits"):
         assert len({id(getattr(g, field)) for g in rotations}) == 1
+
+
+# Every line terminator of str.splitlines.
+LINE_BREAKS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028",
+               "\u2029"]
+
+
+@pytest.mark.parametrize("brk", LINE_BREAKS)
+def test_picture_line_count_keeps_splitlines(brk):
+    for text in ("", brk, brk * 3, "a" + brk, "a" + brk + "b", brk + "a", "a" + brk + brk + " ",
+                 "a\r" + brk, brk + "\n", "\r" + brk + "\n", "x\u3000" + brk + "y"):
+        assert _line_count(text) == len(text.splitlines()), repr(text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(LINE_BREAKS + ["a", " ", "\t", "\x1f", "\xa0"]), max_size=20))
+def test_picture_line_count_on_mixed_breaks(pieces):
+    text = "".join(pieces)
+    assert _line_count(text) == len(text.splitlines())

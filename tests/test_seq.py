@@ -1,11 +1,13 @@
 """Seq nodes: the span parser against the per-line parser, and every walker
 on Seqs against the same circuit with its Seqs spliced into gates."""
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qsagen import sim
+from qsagen import ir, sim
 from qsagen.annealer import GeneratorConfig, PEParams, emit_full
 from qsagen.ir import (Circuit, Control, Loop, Opcode, ParseError, Seq, count_elementary_ops,
                        dagger, had2, parse_english, render, sigx, with_control, write_english)
@@ -107,16 +109,36 @@ def test_span_parser_equals_per_line_parser_on_edge_cases(text):
             per_line_parse_english, text, num_qubits)
 
 
-def test_seq_holds_only_instructions():
+# The regex that found the LOOP/NEXT lines before the literal token search.
+OLD_MARKER_RE = re.compile(r"\n[^\S\n]*(?:LOOP|NEXT)(?!\S)")
+MARKER_PIECES = ["LOOP", "NEXT", "LOOPX", "XNEXT", "LOOP0", "NEXTLOOP", "HAD2", "0", "REPS:",
+                 " ", "  ", "\t", "\x1f", "\xa0", "\u3000", "\n", "\n", "\n"]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.sampled_from(MARKER_PIECES), max_size=30), st.booleans())
+def test_marker_search_equals_the_old_regex(pieces, final_newline):
+    """Leading spaces and tabs, tokens that only start with LOOP or NEXT,
+    trailing blanks, and a last line with or without its newline."""
+    text = "".join(pieces) + ("\n" if final_newline else "")
+    lines_end = len(text) + 1 - text.endswith("\n")
+    text = "\n" + text
+    assert ir._marker_breaks(text, lines_end) == [
+        m.start() for m in OLD_MARKER_RE.finditer(text, 0, lines_end)]
+
+
+def test_seq_holds_only_nodes():
     assert Seq([had2(0)]).body == (had2(0),)
-    for node in (Loop(1), Seq(), "HAD2  AT  0"):
+    assert Seq((had2(0), Loop(1), Seq())).body == (had2(0), Loop(1), Seq())
+    for node in ("HAD2  AT  0", None, (had2(0),)):
         with pytest.raises(TypeError):
             Seq((had2(0), node))
 
 
 def grouped_body(rng: np.random.Generator, body: tuple, shared: list) -> list:
     """The body with random stretches of gates made Seqs, inside Loops too,
-    some Seqs used again, here or in another Loop, and some empty."""
+    some Seqs used again, here or in another Loop, some empty, and some
+    stretches of the result, Loops and Seqs included, nested in a Seq."""
     out: list = []
     i = 0
     while i < len(body):
@@ -138,6 +160,10 @@ def grouped_body(rng: np.random.Generator, body: tuple, shared: list) -> list:
             out.append(shared[int(rng.integers(len(shared)))])
         if rng.random() < 0.05:
             out.append(Seq())
+    for _ in range(int(rng.integers(0, 3))):
+        i, j = sorted(map(int, rng.integers(0, len(out) + 1, size=2)))
+        out[i:j] = [Seq(out[i:j])]
+        shared.append(out[i])
     return out
 
 
