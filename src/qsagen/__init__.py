@@ -14,7 +14,7 @@ from .qembed import MuxAngleTable, qembed_angles, qembed_circuit
 from .szegedy import WalkLayout, emit_reflection, emit_U, emit_W, walk_state
 from .annealer import (GeneratorConfig, PEParams, emit_full, emit_R_tilde,
                        emit_U_grover, emit_V, inverse_qft)
-from .mux_expander import expand_circuit, expand_file, expand_mux
+from .mux_expander import expand_file, expand_mux
 from .sim import apply, basis_state, eig_unitary, phases_match, to_matrix
 
 __version__ = "0.1.0"
@@ -26,7 +26,7 @@ __all__ = [
     "boltzmann", "count_elementary_ops", "dagger", "default_problem",
     "eig_unitary", "emit_R_tilde", "emit_U", "emit_U_grover", "emit_V",
     "emit_W", "emit_full", "emit_reflection",
-    "expand_circuit", "expand_file", "expand_mux", "inverse_qft", "metropolis",
+    "expand_file", "expand_mux", "inverse_qft", "metropolis",
     "parse_english", "phases_match", "qembed_angles", "qembed_circuit",
     "spectral", "symmetrized", "to_matrix", "walk_state",
     "with_control", "write_english", "write_picture",

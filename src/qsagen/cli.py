@@ -15,6 +15,7 @@ Diagnostics go to stderr as ``Message: ...`` lines.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -155,13 +156,25 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def _verify_checks(args: argparse.Namespace, config: GeneratorConfig):
     """Yield (name, beta, callable) triples; each callable returns a defect
-    that must stay inside the advertised tolerance."""
+    that must stay inside the advertised tolerance.  The walk W(beta), its
+    matrix and the spectral data are built once per beta, by the first check
+    that needs them; a build that raises is retried by the next."""
     problem, nb = config.problem, config.nb
     layout = WalkLayout(nb)
+    ns = 1 << nb
 
     for beta in args.beta:
         m = metropolis(problem, beta)
         pi = boltzmann(problem, beta)
+
+        @functools.cache
+        def walk(m=m):
+            w = emit_W(m, layout)
+            return w, sim.to_matrix(w)
+
+        @functools.cache
+        def data(m=m, pi=pi):
+            return spectral(m, pi)
 
         def column_sums(m=m):
             return float(np.abs(m.sum(axis=0) - 1).max()), 1e-12
@@ -170,36 +183,34 @@ def _verify_checks(args: argparse.Namespace, config: GeneratorConfig):
             flow = m * pi[np.newaxis, :]
             return float(np.abs(flow - flow.T).max()), 1e-12
 
-        def embedding(m=m, beta=beta):
+        def embedding(m=m):
+            # column x holds sqrt(m[yt, x]) at row (yt << nb) | y for y == x, else 0
             u = sim.to_matrix(_maybe_corrupt(qembed_circuit(m), args))
-            ns = 1 << nb
-            worst = 0.0
-            for x in range(ns):
-                for y in range(ns):
-                    for yt in range(ns):
-                        amp = u[(yt << nb) | y, x]
-                        want = np.sqrt(m[yt, x]) if y == x else 0.0
-                        worst = max(worst, abs(amp - want))
-            return worst, 1e-10
+            want = np.sqrt(m)[:, None, :] * np.eye(ns)
+            return float(np.abs(u[:, :ns].reshape(ns, ns, ns) - want).max()), 1e-10
 
-        def spectrum(m=m, pi=pi):
-            data = spectral(m, pi)
-            w = sim.to_matrix(_maybe_corrupt(emit_W(m, layout), args))
-            ns = 1 << nb
+        def spectrum(walk=walk, data=data):
+            phis = data().phis
+            w, u = walk()
+            corrupted = _maybe_corrupt(w, args)
+            if corrupted is not w:
+                u = sim.to_matrix(corrupted)
             expected = [0.0] * (ns * ns - 2 * (ns - 1))
-            for phi in data.phis[1:]:
+            for phi in phis[1:]:
                 expected += [2 * phi, -2 * phi]
-            ok = sim.phases_match(sim.eig_unitary(w), expected, tol=1e-8)
+            ok = sim.phases_match(sim.eig_unitary(u), expected, tol=1e-8)
             return (0.0 if ok else 1.0), 1e-8
 
-        def expansion(m=m):
-            w = emit_W(m, layout)
-            diff = sim.to_matrix(mux_expander.expand_circuit(w)) - sim.to_matrix(w)
+        def expansion(walk=walk):
+            # the bytes `expand` writes for W, parsed back
+            w, u = walk()
+            _, english, picture = render(w)
+            _, expanded, _ = mux_expander.expand_file(english, picture)
+            diff = sim.to_matrix(parse_english(expanded, num_qubits=w.num_qubits)) - u
             return float(np.abs(diff).max()), 1e-10
 
-        def fixed_point(m=m, pi=pi, beta=beta):
-            data = spectral(m, pi)
-            state = walk_state(data.vectors[:, 0], config.layout)
+        def fixed_point(data=data, beta=beta):
+            state = walk_state(data().vectors[:, 0], config.layout)
             out = sim.apply(emit_R_tilde(beta, config), state)
             want = np.exp(1j * np.pi / 3) * state
             return float(np.abs(out - want).max()), 1e-8

@@ -20,17 +20,18 @@ carries a half angle).  Plain controls are attached to every emitted gate.
 The rotations are one validated ROTY given new angles: operands checked once.
 
 `expand_file` is `parse_english` followed by `ir.render` with each MP_Y
-written as its ladder: each distinct input line is expanded once.
+written as its ladder: each distinct input line is expanded once.  It is
+the one expansion of a whole circuit: the `expand` command writes its
+output, and `verify` parses that output back and compares its unitary.
 """
 from __future__ import annotations
 
 import functools
-from typing import Sequence
 
 import numpy as np
 
-from .ir import (Circuit, Control, Instruction, Opcode, _map_gates, _newlines_only,
-                 parse_english, render, roty, sigx)
+from .ir import (Control, Instruction, Opcode, _newlines_only, parse_english, render, roty,
+                 sigx)
 
 
 def gray_code(i: int) -> int:
@@ -62,24 +63,6 @@ def expand_mux(ins: Instruction) -> list[Instruction]:
     rung = roty(0.0, target, plain)
     return [g for r, angle in enumerate(angles)
             for g in (rung.with_angles((angle,)), cnot[gray_code(r) ^ gray_code((r + 1) % words)])]
-
-
-def expand_circuit(circuit: Circuit) -> Circuit:
-    """The circuit with every MP_Y line replaced by its ladder.
-
-    Each distinct multiplexor is expanded once and its repeats share the
-    ladder's instructions.  Equality merges only angles 0.0 and -0.0, and a
-    sum that starts from 0.0 gives both the same ladder, bit for bit.  Each
-    Seq and Loop is expanded once and its repeats share the expanded node.
-    """
-    ladders: dict[Instruction, list[Instruction]] = {}
-
-    def expand(ins: Instruction) -> Sequence[Instruction]:
-        if ins.opcode is not Opcode.MP_Y:
-            return ins,
-        return ladders.get(ins) or ladders.setdefault(ins, expand_mux(ins))
-
-    return Circuit(circuit.num_qubits, _map_gates(circuit.body, expand))
 
 
 def _line_count(text: str) -> int:

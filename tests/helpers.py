@@ -10,6 +10,7 @@ from scipy.linalg import expm
 from qsagen.ir import (Circuit, Control, Instruction, Loop, MuxControl, Opcode, ParseError, Seq,
                        _int_token, _parse_gate, _parse_loop, had2, mp_y, p0ph, p1ph, phas,
                        rotn, rotx, roty, rotz, sigx, sigy, sigz, swap)
+from qsagen.mux_expander import expand_mux
 
 GATE_MAKERS = "sig had rot rotn phas pph swap mpy".split()
 
@@ -154,6 +155,25 @@ def spliced(tree):
             out.extend(spliced(node.body))
         elif isinstance(node, Loop):
             out.append(Loop(node.reps, spliced(node.body)))
+        else:
+            out.append(node)
+    return tuple(out)
+
+
+def ladders_expanded(tree):
+    """A Circuit or a body with each MP_Y replaced by its `expand_mux`
+    ladder, in Seqs and Loops too, placement by placement: the oracle of
+    the expand path, with no sharing and no cache."""
+    if isinstance(tree, Circuit):
+        return Circuit(tree.num_qubits, ladders_expanded(tree.body))
+    out: list = []
+    for node in tree:
+        if isinstance(node, Seq):
+            out.append(Seq(ladders_expanded(node.body)))
+        elif isinstance(node, Loop):
+            out.append(Loop(node.reps, ladders_expanded(node.body)))
+        elif node.opcode is Opcode.MP_Y:
+            out.extend(expand_mux(node))
         else:
             out.append(node)
     return tuple(out)

@@ -17,7 +17,7 @@ from qsagen.ir import (Circuit, Control, Loop, MuxControl, count_elementary_ops,
                        write_picture)
 from qsagen.markov import (AnnealingSchedule, boltzmann, default_problem,
                            metropolis, spectral)
-from qsagen.mux_expander import expand_circuit, expand_mux
+from qsagen.mux_expander import expand_file, expand_mux
 from qsagen.qembed import qembed_circuit
 from qsagen.szegedy import WalkLayout, emit_W, walk_state
 
@@ -163,7 +163,8 @@ def test_criterion_07_expansion_equivalence():
         config = GeneratorConfig(default_problem(1), PEParams(1, 1, 1),
                                  AnnealingSchedule(0.5, 1))
         circuit = emit_full(config)
-        expanded = expand_circuit(circuit)
+        _, english, _ = expand_file(write_english(circuit), write_picture(circuit))
+        expanded = parse_english(english, num_qubits=circuit.num_qubits)
         assert np.abs(sim.to_matrix(expanded)
                       - sim.to_matrix(circuit)).max() <= 1e-9
 

@@ -375,6 +375,28 @@ def test_verify_fixed_point_fails_on_wrong_q_phase(workdir, capsys, monkeypatch)
     assert len(rows) == 2 and all("FAIL" in line for line in rows)
 
 
+def test_verify_expansion_fails_on_a_wrong_ladder_angle(workdir, capsys, monkeypatch):
+    """`verify` checks the english text that `expand` writes: one ladder
+    rotation 1 degree off fails every expansion row and no other."""
+    expand_file = cli.mux_expander.expand_file
+
+    def shifted(eng_text, pic_text):
+        log, english, picture = expand_file(eng_text, pic_text)
+        lines = english.split("\n")
+        i = next(i for i, line in enumerate(lines) if line.startswith("ROTY"))
+        tokens = lines[i].split()
+        tokens[1] = repr(float(tokens[1]) + 1.0)
+        lines[i] = " ".join(tokens)
+        return log, "\n".join(lines), picture
+
+    monkeypatch.setattr(cli.mux_expander, "expand_file", shifted)
+    assert main(["verify", "--nb", "1", "--probe-bits", "2"]) == 1
+    rows = capsys.readouterr().out.splitlines()[:-1]
+    assert len(rows) == 12
+    for row in rows:
+        assert ("FAIL" if row.startswith("mux expansion") else "PASS") in row, row
+
+
 @pytest.mark.parametrize("argv,message", [
     (["--probe-bits", "0"], "probe_bits must be >= 1, got 0"),
     (["--nb", "0"], "nb must be in 1..6, got 0"),

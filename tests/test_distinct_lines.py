@@ -3,8 +3,8 @@
 Each memoized conversion is checked against its per-line path on bodies
 drawn from a small pool, so that lines repeat: equal but distinct objects,
 angles of 0.0 and -0.0, nested loops and multiplexors with plain controls.
-The one-pass `expand_file` is checked against parse -> `expand_circuit` ->
-count and write.
+The one-pass `expand_file` is checked against parse -> a placement by
+placement ladder walk (`helpers.ladders_expanded`) -> count and write.
 """
 import math
 from dataclasses import replace
@@ -15,9 +15,9 @@ import pytest
 from qsagen.ir import (Circuit, Control, Instruction, Loop, MuxControl, Opcode,
                        _english_line, _picture_line, count_elementary_ops, mp_y,
                        parse_english, render, rotn, roty, write_english, write_picture)
-from qsagen.mux_expander import expand_circuit, expand_file, expand_mux
+from qsagen.mux_expander import expand_file, expand_mux
 
-from helpers import flat_lines, manual_unroll, random_gate, spliced
+from helpers import flat_lines, ladders_expanded, manual_unroll, random_gate, spliced
 
 N = 4
 SEEDS = range(25)
@@ -100,9 +100,11 @@ def test_parser_equals_per_line_parsing(seed):
 @pytest.mark.parametrize("seed", SEEDS)
 def test_expander_equals_per_line_expansion(seed):
     circuit = repeating_circuit(seed)
-    expected = [gate for ins in flat_lines(circuit.body) for gate in (
+    eng = write_english(circuit)
+    expected = [gate for ins in flat_lines(parse_english(eng, num_qubits=N).body) for gate in (
         expand_mux(ins) if isinstance(ins, Instruction) and ins.opcode is Opcode.MP_Y else [ins])]
-    assert signed(flat_lines(expand_circuit(circuit).body)) == signed(expected)
+    _, expanded, _ = expand_file(eng, write_picture(circuit))
+    assert signed(flat_lines(parse_english(expanded, num_qubits=N).body)) == signed(expected)
 
 
 def expansion_case(seed: int) -> tuple[Circuit, str]:
@@ -130,7 +132,7 @@ def expansion_case(seed: int) -> tuple[Circuit, str]:
 @pytest.mark.parametrize("seed", range(30))
 def test_expand_file_equals_expanded_circuit(seed):
     circuit, eng = expansion_case(seed)
-    expanded = expand_circuit(parse_english(eng))
+    expanded = ladders_expanded(parse_english(eng))
     log = ("Compilation Mode: Exact SEO\n"
            f"Number of Elementary Operations: {count_elementary_ops(expanded)}\n")
     assert expand_file(eng, write_picture(circuit)) == (

@@ -12,9 +12,9 @@ from qsagen.annealer import GeneratorConfig, PEParams, emit_full
 from qsagen.ir import (Circuit, Control, Loop, Opcode, ParseError, Seq, count_elementary_ops,
                        dagger, had2, parse_english, render, sigx, with_control, write_english)
 from qsagen.markov import AnnealingSchedule, default_problem
-from qsagen.mux_expander import expand_circuit, expand_mux
+from qsagen.mux_expander import expand_file, expand_mux
 
-from helpers import per_line_parse_english, random_circuit, spliced
+from helpers import ladders_expanded, per_line_parse_english, random_circuit, spliced
 
 # Every line separator of str.splitlines.
 SEPARATORS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028",
@@ -189,7 +189,7 @@ def test_walkers_on_seqs_equal_the_spliced_circuit(seed):
     assert spliced(dagger(circuit.body)) == dagger(flat.body)
     control = Control(n, seed % 2 == 0)
     assert spliced(with_control(circuit.body, control)) == with_control(flat.body, control)
-    assert spliced(expand_circuit(circuit)) == expand_circuit(flat)
+    assert render(circuit, ladders) == render(ladders_expanded(flat))
     rng = np.random.default_rng(seed)
     state = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
     np.testing.assert_allclose(sim.apply(circuit, state), sim.apply(flat, state),
@@ -215,7 +215,8 @@ def test_parser_shares_one_seq_per_distinct_span():
     """The expanded file of the `deep` flow: 15 distinct spans of gate lines
     between LOOP/NEXT lines, one Seq each, and one simulator segment each."""
     config = GeneratorConfig(default_problem(2), PEParams(2, 1, 4), AnnealingSchedule(0.5, 2))
-    text = write_english(expand_circuit(emit_full(config, prep=True)))
+    _, english, picture = render(emit_full(config, prep=True))
+    text = expand_file(english, picture)[1]
     assert len(text.splitlines()) == 70242
     spans, span = set(), []
     for line in text.splitlines() + ["NEXT"]:

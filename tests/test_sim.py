@@ -503,6 +503,18 @@ def gate_by_gate(circuit, amp):
     return amp
 
 
+def test_apply_equals_gate_by_gate_on_the_deep_flow():
+    """The multiplexor-level file of the `deep` bench flow, (2,2,1,4) with
+    state preparation and 19,042 executed ops, against every gate of its
+    unrolled body."""
+    config = GeneratorConfig(default_problem(2), PEParams(2, 1, 4), AnnealingSchedule(0.5, 2))
+    circuit = parse_english(write_english(emit_full(config, prep=True)))
+    assert len(circuit) == 13922
+    state = sim.basis_state(circuit.num_qubits)
+    np.testing.assert_allclose(sim.apply(circuit, state), gate_by_gate(circuit, state)[:, 0],
+                               rtol=0, atol=1e-12)
+
+
 def count_operators(monkeypatch):
     """The steps of every segment operator built from now on."""
     built, operator = [], sim._operator
