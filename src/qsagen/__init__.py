@@ -10,7 +10,7 @@ from .ir import (Circuit, Control, Instruction, Loop, MuxControl, Opcode, ParseE
                  write_english, write_picture)
 from .markov import (AnnealingSchedule, ProblemSpec, SpectralData, boltzmann,
                      default_problem, metropolis, spectral, symmetrized)
-from .qembed import MuxAngleTable, qembed_angles, qembed_circuit
+from .qembed import qembed_angles, qembed_circuit
 from .szegedy import WalkLayout, emit_reflection, emit_U, emit_W, walk_state
 from .annealer import (GeneratorConfig, PEParams, emit_full, emit_R_tilde,
                        emit_U_grover, emit_V, inverse_qft)
@@ -21,7 +21,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AnnealingSchedule", "Circuit", "Control", "GeneratorConfig", "Instruction",
-    "Loop", "MuxAngleTable", "MuxControl", "Opcode", "PEParams", "ParseError",
+    "Loop", "MuxControl", "Opcode", "PEParams", "ParseError",
     "ProblemSpec", "Seq", "SpectralData", "WalkLayout", "apply", "basis_state",
     "boltzmann", "count_elementary_ops", "dagger", "default_problem",
     "eig_unitary", "emit_R_tilde", "emit_U", "emit_U_grover", "emit_V",

@@ -80,13 +80,11 @@ class ParseError(ValueError):
 
 
 def format_number(x: float) -> str:
-    """Shortest decimal that round-trips a 64-bit float, never bare-integer."""
+    """Shortest decimal that round-trips a finite 64-bit float: its repr,
+    which always holds a "." or an "e", so is never a bare integer."""
     if x == 0.0:
         return "0.0"
-    s = repr(float(x))
-    if "." not in s and "e" not in s and "E" not in s:
-        s += ".0"
-    return s
+    return repr(float(x))
 
 
 @dataclass(frozen=True, slots=True)

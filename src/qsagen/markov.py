@@ -13,6 +13,8 @@ from typing import Callable
 import numpy as np
 
 MAX_STATE_BITS = 6
+BALANCE_TOL = 1e-10  # spectral: the largest detailed-balance defect
+GAP_TOL = 1e-12  # spectral: a gap at or below this counts as zero
 
 
 @dataclass(frozen=True)
@@ -123,14 +125,13 @@ class SpectralData:
     vectors: np.ndarray
 
 
-def spectral(m: np.ndarray, pi: np.ndarray,
-             balance_tol: float = 1e-10, gap_tol: float = 1e-12) -> SpectralData:
+def spectral(m: np.ndarray, pi: np.ndarray) -> SpectralData:
     """Diagonalize the symmetrized chain; reject broken balance or zero gap."""
     m = np.asarray(m, dtype=float)
     pi = np.asarray(pi, dtype=float)
     flow = m * pi[np.newaxis, :]
     worst = float(np.abs(flow - flow.T).max())
-    if worst > balance_tol:
+    if worst > BALANCE_TOL:
         raise ValueError(f"pi is not a detailed balance of m (defect {worst:.3e})")
     msym = symmetrized(m)
     w, v = np.linalg.eigh(msym)
@@ -142,7 +143,7 @@ def spectral(m: np.ndarray, pi: np.ndarray,
     values = w[order]
     vectors = v[:, order]
     gap = 1.0 - abs(values[1])
-    if gap <= gap_tol:
+    if gap <= GAP_TOL:
         raise ValueError("zero gap: chain has no spectral gap")
     if vectors[:, 0].sum() < 0:
         vectors = vectors.copy()

@@ -14,34 +14,22 @@ Stage angles are conditional-marginal splits: with the low bits of the
 sample already pinned to a prefix, cos^2(theta) is the probability that the
 next sample bit is 0 given the prefix and the input x.  A prefix of total
 probability zero gets angle 0 (the branch is unreachable, any angle works).
+`qembed_angles` returns one tuple of radians per stage, its sums taken by
+one reshape of q and one contiguous sum per stage; `qembed_circuit` writes
+each stage as one MP_Y line, its angles converted by `file_angle_deg`.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .ir import Circuit, Instruction, MuxControl, mp_y
+from .ir import Circuit, MuxControl, mp_y
+
+STOCHASTIC_TOL = 1e-9  # validate_stochastic: the most negative entry and column-sum defect
 
 
-@dataclass(frozen=True)
-class MuxAngleTable:
-    """Rotation angles of one multiplexor: entry w is used when the control
-    bits (control_bits[j] supplies bit j of w) spell the word w."""
-
-    target: int
-    control_bits: tuple[int, ...]
-    angles_rad: tuple[float, ...]
-
-    def __post_init__(self):
-        if len(self.angles_rad) != 1 << len(self.control_bits):
-            raise ValueError(
-                f"{len(self.control_bits)} controls need "
-                f"{1 << len(self.control_bits)} angles, got {len(self.angles_rad)}")
-
-
-def validate_stochastic(q: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+def validate_stochastic(q: np.ndarray) -> np.ndarray:
     """Check q is square, 2**nb dimensional, and column-stochastic."""
     q = np.asarray(q, dtype=float)
     if q.ndim != 2 or q.shape[0] != q.shape[1]:
@@ -49,32 +37,30 @@ def validate_stochastic(q: np.ndarray, tol: float = 1e-9) -> np.ndarray:
     ns = q.shape[0]
     if ns < 2 or ns & (ns - 1):
         raise ValueError(f"dimension must be a power of two >= 2, got {ns}")
-    if q.min() < -tol:
+    if q.min() < -STOCHASTIC_TOL:
         raise ValueError(f"negative entry {q.min()} in probability matrix")
     defect = np.abs(q.sum(axis=0) - 1.0).max()
-    if defect > tol:
+    if defect > STOCHASTIC_TOL:
         raise ValueError(f"columns do not sum to 1 (defect {defect:.3e})")
     return q
 
 
-def qembed_angles(q: np.ndarray) -> list[MuxAngleTable]:
-    """Multiplexor angle tables (radians), one per sample bit, in time order."""
+def qembed_angles(q: np.ndarray) -> list[tuple[float, ...]]:
+    """Rotation angles (radians), one tuple per stage, in time order.  Entry
+    w of stage s is the angle for the word w of bits 0..nb+s-1 (bit j gives
+    bit j of w): the input x = w mod 2**nb and the sample prefix w >> nb."""
     q = validate_stochastic(q)
     ns = q.shape[0]
-    nb = ns.bit_length() - 1
-    tables = []
-    for s in range(nb):
-        k = nb + s
-        angles = []
-        for word in range(1 << k):
-            x = word & (ns - 1)
-            prefix = word >> nb
-            step = 1 << (s + 1)
-            stay = max(q[prefix::step, x].sum(), 0.0)
-            flip = max(q[prefix | (1 << s)::step, x].sum(), 0.0)
-            angles.append(math.atan2(math.sqrt(flip), math.sqrt(stay)))
-        tables.append(MuxAngleTable(nb + s, tuple(range(k)), tuple(angles)))
-    return tables
+    stages = []
+    for s in range(ns.bit_length() - 1):
+        # Row y of q splits into (high bits, bit s, low s bits).  The high
+        # bits go last and contiguous, so numpy adds them pairwise, bit for
+        # bit as it adds a strided column slice; (prefix, x) flattens to w.
+        split = np.moveaxis(q.reshape(ns >> (s + 1), 2, 1 << s, ns), 0, -1)
+        stay, flip = np.ascontiguousarray(split).sum(-1).reshape(2, -1).tolist()
+        stages.append(tuple(math.atan2(math.sqrt(max(f, 0.0)), math.sqrt(max(t, 0.0)))
+                            for t, f in zip(stay, flip)))
+    return stages
 
 
 def file_angle_deg(theta_rad: float) -> float:
@@ -83,17 +69,15 @@ def file_angle_deg(theta_rad: float) -> float:
     return -math.degrees(theta_rad)
 
 
-def mux_from_table(table: MuxAngleTable) -> Instruction:
-    controls = [MuxControl(bit, name) for name, bit in enumerate(table.control_bits)]
-    return mp_y(table.target, controls, [file_angle_deg(t) for t in table.angles_rad])
-
-
 def qembed_circuit(q: np.ndarray, num_qubits: int | None = None) -> Circuit:
     """The embedding cascade as a circuit: nb multiplexor lines, smallest first."""
-    tables = qembed_angles(q)
-    nb = q.shape[0].bit_length() - 1
+    stages = qembed_angles(q)
+    nb = len(stages)
     if num_qubits is None:
         num_qubits = 2 * nb
     if num_qubits < 2 * nb:
         raise ValueError(f"need at least {2 * nb} qubits, got {num_qubits}")
-    return Circuit(num_qubits, tuple(mux_from_table(t) for t in tables))
+    return Circuit(num_qubits, tuple(
+        mp_y(nb + s, [MuxControl(bit, bit) for bit in range(nb + s)],
+             [file_angle_deg(t) for t in angles])
+        for s, angles in enumerate(stages)))

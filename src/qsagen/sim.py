@@ -105,6 +105,7 @@ from .ir import Circuit, Instruction, Loop, Opcode, Seq
 
 MAX_STATE_QUBITS = 16   # apply: 2^n amplitudes
 MAX_MATRIX_QUBITS = 12  # to_matrix: 4^n amplitudes
+UNITARY_TOL = 1e-8  # eig_unitary: the largest unitarity defect
 _PIN = (slice(0, 1), slice(1, 2))  # size-1 slices keep every axis for broadcasting
 # The segment-operator cost rule (see the module docstring): seconds per step
 # and per amplitude, per matvec and per operator entry and column, and the
@@ -270,8 +271,9 @@ def _closed_form(run: list[Instruction], masks: list, values: list, on: int,
 
 
 class _Run:
-    """A maximal run of 2x2 gates on one target, one object per distinct run;
-    `executions` counts its occurrences, each weighted by its loops' reps."""
+    """A maximal run of 2x2 gates on one target (two or more, or a lone
+    MP_Y), one object per distinct run; `executions` counts its
+    occurrences, each weighted by its loops' reps."""
 
     __slots__ = ("gates", "executions", "table")
 
@@ -292,8 +294,8 @@ class _Segment:
 
 def _steps(gates: tuple, runs: dict) -> list:
     """A run of gates cut into steps: each maximal run of two or more gates
-    on one target is its _Run, shared through `runs` and keyed on its
-    gates' identities; any other gate is a step by itself."""
+    on one target, and each lone MP_Y, is its _Run, shared through `runs`
+    and keyed on its gates' identities; any other gate is a step by itself."""
     steps: list = []
     i, count = 0, len(gates)
     while i < count:
@@ -303,7 +305,7 @@ def _steps(gates: tuple, runs: dict) -> list:
         if len(targets) == 1:
             while i < count and gates[i].targets == targets:
                 i += 1
-        if i - start == 1:
+        if i - start == 1 and not gate.mux_controls:
             steps.append(gate)
             continue
         run_gates = gates[start:i]
@@ -356,25 +358,14 @@ def _run_segment(pieces: list, runs: dict, spans: dict, weight: int) -> _Segment
 
 def _plan(body: tuple) -> tuple[list, dict, dict]:
     """The loop tree of segments, with the distinct runs and the distinct
-    segments, each knowing how often it executes.  A lone MP_Y becomes a
-    one-gate run only from its third execution, when a table pays for the
-    word tensor and cos/sin gather that the kernel rebuilds at every one."""
+    segments, each knowing how often it executes."""
     runs: dict = {}
     segments: dict = {}
     plan = _walk(body, runs, segments, 1)
-    lone: dict = {}
     for segment in segments.values():
         for step in segment.steps:
             if type(step) is _Run:
                 step.executions += segment.executions
-            elif step.mux_controls:
-                lone.setdefault(id(step), [step, 0])[1] += segment.executions
-    tabled = {key: _Run([gate], executions)
-              for key, (gate, executions) in lone.items() if executions > 2}
-    if tabled:
-        runs.update(tabled)
-        for segment in segments.values():
-            segment.steps = [tabled.get(id(step), step) for step in segment.steps]
     return plan, runs, segments
 
 
@@ -431,7 +422,9 @@ def _evolve(circuit: Circuit, amp: np.ndarray) -> None:
     axis = tuple(n - psi.ndim - 1 - b for b in range(n))  # bit b, from the right
     plan, runs, segments = _plan(circuit.body)
     for run in runs.values():
-        if run.executions > 1:
+        # A lone MP_Y's table pays from its third execution: the kernel
+        # rebuilds its word tensor and cos/sin gather at every one.
+        if run.executions > (2 if len(run.gates) == 1 else 1):
             run.table = _table(run.gates, axis, psi.ndim)
     worth = [s for s in segments.values() if _saving(s, dim, cols) > 0]
     worth.sort(key=lambda s: _saving(s, dim, cols), reverse=True)
@@ -475,14 +468,14 @@ def unitarity_defect(op: np.ndarray) -> float:
     return float(np.abs(op @ op.conj().T - np.eye(op.shape[0])).max())
 
 
-def eig_unitary(op: np.ndarray, tol: float = 1e-8) -> np.ndarray:
+def eig_unitary(op: np.ndarray) -> np.ndarray:
     """Eigenphases of a unitary matrix, sorted ascending in (-pi, pi]."""
     op = np.asarray(op, dtype=complex)
     if op.ndim != 2 or op.shape[0] != op.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {op.shape}")
     defect = unitarity_defect(op)
-    if defect > tol:
-        raise ValueError(f"matrix is not unitary (defect {defect:.3e} > {tol:.1e})")
+    if defect > UNITARY_TOL:
+        raise ValueError(f"matrix is not unitary (defect {defect:.3e} > {UNITARY_TOL:.1e})")
     return np.sort(np.angle(np.linalg.eigvals(op)))
 
 

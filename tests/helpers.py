@@ -274,6 +274,25 @@ def random_stochastic(rng: np.random.Generator, ns: int) -> np.ndarray:
     return rng.dirichlet(np.ones(ns), size=ns).T
 
 
+def per_word_qembed_angles(q: np.ndarray) -> list[tuple[float, ...]]:
+    """The embedding's stage angles one control word at a time, each sum a
+    strided slice of one column: the oracle of `qembed_angles`."""
+    ns = q.shape[0]
+    nb = ns.bit_length() - 1
+    stages = []
+    for s in range(nb):
+        angles = []
+        for word in range(1 << (nb + s)):
+            x = word & (ns - 1)
+            prefix = word >> nb
+            step = 1 << (s + 1)
+            stay = max(q[prefix::step, x].sum(), 0.0)
+            flip = max(q[prefix | (1 << s)::step, x].sum(), 0.0)
+            angles.append(math.atan2(math.sqrt(flip), math.sqrt(stay)))
+        stages.append(tuple(angles))
+    return stages
+
+
 # --- kron-built dense oracle (independent of qsagen.sim) -------------------------
 
 _I2 = np.eye(2, dtype=complex)

@@ -186,6 +186,25 @@ def test_generate_and_expand_files_are_byte_golden(workdir, capsys):
     assert got == GOLDEN_SHA256
 
 
+# nb 6: embedding stages sum up to 32 entries of a column, where numpy adds
+# in pairwise blocks of 8 (the g4 stage sums have at most 8 terms).
+GOLDEN_NB6_FLAGS = ["--nb", "6", "--probe-bits", "2", "--pe-steps", "1", "--grover-depth", "1",
+                    "--num-betas", "3", "--delta-beta", "0.5", "--prep"]
+GOLDEN_NB6_SHA256 = {
+    "g6_qsann_log.txt": "d68f1fa8d624e598c8cf61c95e8bd53562a3a441320cdc57759c06f16dc10a2c",
+    "g6_qsann_eng.txt": "9c4ae76907643789a5ef672badcb2f0da788b228cec41c7caf4b5ecb36dd3f20",
+    "g6_qsann_pic.txt": "93de88621098da1e4cefab98809b124e0106122080be0b327a3fabfe61a3850e",
+}
+
+
+def test_generate_nb6_files_are_byte_golden(workdir, capsys):
+    assert main(["generate", "--prefix", "g6"] + GOLDEN_NB6_FLAGS) == 0
+    capsys.readouterr()
+    got = {name: hashlib.sha256((workdir / name).read_bytes()).hexdigest()
+           for name in GOLDEN_NB6_SHA256}
+    assert got == GOLDEN_NB6_SHA256
+
+
 def test_expand_rejects_oracular_mode(workdir, capsys):
     assert main(["expand", "--in-prefix", "x", "--out-prefix", "y",
                  "--mode", "oracular"]) == 2

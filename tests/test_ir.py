@@ -509,3 +509,11 @@ def test_format_number():
     assert format_number(-0.0) == "0.0"
     assert format_number(1 / 3) == "0.3333333333333333"
     assert float(format_number(0.1 + 0.2)) == 0.1 + 0.2
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.floats(allow_nan=False, allow_infinity=False))
+def test_format_number_round_trips_and_is_never_a_bare_integer(x):
+    text = format_number(x)
+    assert float(text) == x
+    assert "." in text or "e" in text

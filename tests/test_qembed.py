@@ -1,16 +1,15 @@
-"""Multiplexor-cascade embedding: angle tables and amplitude exactness."""
+"""Multiplexor-cascade embedding: stage angles and amplitude exactness."""
 import math
 
 import numpy as np
 import pytest
 
 from qsagen import sim
-from qsagen.ir import Circuit, Opcode, roty, write_english
+from qsagen.ir import Circuit, MuxControl, Opcode, roty, write_english
 from qsagen.markov import default_problem, metropolis
-from qsagen.qembed import (MuxAngleTable, file_angle_deg, qembed_angles,
-                           qembed_circuit, validate_stochastic)
+from qsagen.qembed import file_angle_deg, qembed_angles, qembed_circuit, validate_stochastic
 
-from helpers import random_stochastic
+from helpers import per_word_qembed_angles, random_stochastic
 
 
 def amplitude_defect(q, unitary, nb):
@@ -27,34 +26,65 @@ def amplitude_defect(q, unitary, nb):
 
 
 def test_angles_identity_matrix():
-    (table,) = qembed_angles(np.eye(2))
-    assert table.target == 1 and table.control_bits == (0,)
-    np.testing.assert_allclose(table.angles_rad, [0.0, math.pi / 2], atol=1e-15)
+    (angles,) = qembed_angles(np.eye(2))
+    np.testing.assert_allclose(angles, [0.0, math.pi / 2], atol=1e-15)
 
 
 def test_angles_uniform_matrix():
-    (table,) = qembed_angles(np.full((2, 2), 0.5))
-    np.testing.assert_allclose(table.angles_rad, [math.pi / 4] * 2, atol=1e-15)
+    (angles,) = qembed_angles(np.full((2, 2), 0.5))
+    np.testing.assert_allclose(angles, [math.pi / 4] * 2, atol=1e-15)
 
 
 def test_angles_stay_in_first_quadrant():
     rng = np.random.default_rng(0)
     for nb in (1, 2):
         for _ in range(10):
-            for table in qembed_angles(random_stochastic(rng, 1 << nb)):
-                assert all(0 <= t <= math.pi / 2 for t in table.angles_rad)
+            for angles in qembed_angles(random_stochastic(rng, 1 << nb)):
+                assert all(0 <= t <= math.pi / 2 for t in angles)
 
 
 def test_angle_table_shapes_nb2():
-    first, second = qembed_angles(random_stochastic(np.random.default_rng(1), 4))
-    assert (first.target, len(first.angles_rad)) == (2, 4)
-    assert (second.target, len(second.angles_rad)) == (3, 8)
-    assert second.control_bits == (0, 1, 2)
+    q = random_stochastic(np.random.default_rng(1), 4)
+    assert [len(angles) for angles in qembed_angles(q)] == [4, 8]
+    first, second = qembed_circuit(q).body
+    assert (first.targets, second.targets) == ((2,), (3,))
+    assert set(first.mux_controls) == {MuxControl(b, b) for b in range(2)}
+    assert set(second.mux_controls) == {MuxControl(b, b) for b in range(3)}
+
+
+def zero_prefix_stochastic(rng, ns):
+    """A random column-stochastic matrix in which every odd sample y has
+    probability zero in the even columns, and y = 1 in every column, so
+    some prefixes of every stage are unreachable."""
+    q = rng.dirichlet(np.full(ns, 0.3), size=ns).T
+    q[1::2, ::2] = 0.0
+    q[1] = 0.0
+    return q / q.sum(axis=0)
+
+
+# Stage s sums up to 2**(nb-s-1) entries of a column, in an order that numpy
+# picks from the memory layout; the angles must stay bit for bit those of
+# the per-word sums, which is what the files print.
+@pytest.mark.parametrize("nb", range(1, 7))
+def test_angles_equal_the_per_word_sums_exactly(nb):
+    rng = np.random.default_rng(200 + nb)
+    problem = default_problem(nb)
+    matrices = [metropolis(problem, beta) for beta in (0.0, 0.5, 1.0, 2.0, 3.7)]
+    matrices += [random_stochastic(rng, 1 << nb) for _ in range(20)]
+    matrices += [rng.dirichlet(np.full(1 << nb, 0.05), size=1 << nb).T for _ in range(5)]
+    matrices.append(zero_prefix_stochastic(rng, 1 << nb))
+    for q in matrices:
+        assert qembed_angles(q) == per_word_qembed_angles(q)
 
 
 def test_circuit_identity_q_line():
     circuit = qembed_circuit(np.eye(2))
     assert write_english(circuit) == "MP_Y  AT  1 IF 0(0 BY 0.0 -90.0\n"
+
+
+def test_circuit_accepts_an_array_like():
+    assert write_english(qembed_circuit([[1.0, 0.0], [0.0, 1.0]])) == \
+        write_english(qembed_circuit(np.eye(2)))
 
 
 def test_circuit_nb2_is_two_multiplexors():
@@ -106,7 +136,8 @@ def test_zero_probability_branch_gets_zero_angle():
     stage0, stage1 = qembed_angles(q)
     # column 0 sends everything to y=0; the y-bit-1 stage conditioned on an
     # unreachable prefix (bit0 of y = 1) must fall back to angle 0
-    assert stage1.angles_rad[(1 << 2) | 0] == 0.0
+    assert stage1[(1 << 2) | 0] == 0.0
+    assert qembed_angles(q) == per_word_qembed_angles(q)
     u = sim.to_matrix(qembed_circuit(q))
     assert amplitude_defect(q, u, 2) < 1e-10
 
@@ -148,5 +179,3 @@ def test_validate_stochastic_rejects():
         validate_stochastic(np.full((2, 2), 0.4))
     with pytest.raises(ValueError, match="negative"):
         validate_stochastic(np.array([[1.2, 0.5], [-0.2, 0.5]]))
-    with pytest.raises(ValueError):
-        MuxAngleTable(1, (0,), (0.0,))
