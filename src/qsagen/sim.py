@@ -72,20 +72,36 @@ more than once, a lone MP_Y from its third execution (the kernel rebuilds a
 multiplexor's word tensor and cos/sin gather every time); any other gate
 goes to the kernel by itself.
 
-Segment operators.  A segment's operator is its dense 2^n x 2^n matrix,
-built by running its steps (gates and tables, so the tables come first) on
-the identity, whose column axis leads for `apply`; every execution is then
-one matvec on the state, viewed as a (2^n, columns) matrix.  One fixed cost
-rule decides, with constants measured by timeit (numpy 2.4.6, Python 3.11,
-2 vCPUs, one BLAS thread): a step costs 10 us + 5 ns per amplitude it runs
-on, a matvec 2 us + 0.5 ns per operator entry and column.  A segment of s
-steps that executes e times gets an operator when e * s * (step on the
-state) exceeds s * (step on 4^n amplitudes), the build, plus e * (matvec).
-At 6 qubits a segment of 26 steps pays from its third execution and one of
-2 steps from its fourth; at 10 qubits the build alone costs as much as 347
-executions step by step.  The operators of one call hold at most 16 MiB
-(16 * 4^n bytes each), the most saving first: 256 at 6 qubits, one at 10,
-none from 11.
+Segment operators.  A segment that executes more than once gets its
+support, the qubits its steps act on: a tabled run's operand bits come with
+its table, any other step's from its gates.  Its operator is a dense
+2^k x 2^k matrix on k qubits, its support or the whole register, built by
+running its steps (gates and tables, so the tables come first) on the
+identity of that size, viewed with an axis of size 1 for every other bit so
+that the kernel and the tables index it as they index the state; its column
+axis leads for `apply`.  An execution keeps a view of the state transposed
+so that the operator's qubits lead, reshapes it to 2^k rows, multiplies and
+writes the product back; on the whole register the transpose is the
+identity and the reshape a view, so this is one product with the state as a
+(2^n, columns) matrix.  One fixed cost rule decides, with constants
+measured by timeit (numpy 2.4.6, Python 3.11, 2 vCPUs, one BLAS thread): a
+step costs 10 us + 5 ns per amplitude it runs on; a product 2 us + 0.5 ns
+per operator row, state amplitude and column, or 0.2 ns for the 2^n
+columns of `to_matrix` (a matrix product ran at 0.13 ns on the whole
+register at 10 qubits and 0.14-0.20 ns on all or all but one of 6 to 9,
+more on fewer); the transpose, below n qubits, one step.  A segment of s
+steps that executes e times saves e * s * (step on the state), less
+s * (step on 4^k amplitudes), the build, and e * (product + transpose).  It
+takes the k, its support or n, that saves more, and gets an operator when
+that saving is positive.  At 6 qubits a segment of 26 steps on all of them
+pays from its third execution and one of 2 steps from its fourth; one of
+26 steps on 5 of them pays from its second, on those 5 up to its 42nd
+execution and on all 6 from its 43rd, when the transposes outweigh the
+larger build.  At 10 qubits a controlled power of W in phase estimation,
+18 steps on 5 qubits, pays from its second execution, while a build on the
+whole register costs as much as 347 executions step by step.  The
+operators of one call hold at most 16 MiB (16 * 4^k bytes each), the most
+saving first: 256 on 6 qubits, one on 10, none on 11.
 
 Tables and operators change the order of the floating-point operations,
 so results differ from gate-by-gate evaluation by rounding that grows with
@@ -108,10 +124,11 @@ MAX_MATRIX_QUBITS = 12  # to_matrix: 4^n amplitudes
 UNITARY_TOL = 1e-8  # eig_unitary: the largest unitarity defect
 _PIN = (slice(0, 1), slice(1, 2))  # size-1 slices keep every axis for broadcasting
 # The segment-operator cost rule (see the module docstring): seconds per step
-# and per amplitude, per matvec and per operator entry and column, and the
+# and per amplitude, per product and per operator entry and column, for one
+# column (a matvec) and for the 2^n of `to_matrix` (a matrix product), and the
 # bytes that the operators of one call may hold.
 _STEP_S, _AMPLITUDE_S = 10e-6, 5e-9
-_MATVEC_S, _ENTRY_S = 2e-6, 0.5e-9
+_PRODUCT_S, _MATVEC_ENTRY_S, _GEMM_ENTRY_S = 2e-6, 0.5e-9, 0.2e-9
 _OPERATOR_BYTES = 16 << 20
 
 _SIGX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -193,12 +210,12 @@ def _mix(a0: np.ndarray, a1: np.ndarray, u00, u01, u10, u11) -> None:
     a0[...] = new0
 
 
-def _table(run: list[Instruction], axis, ndim: int) -> tuple:
+def _table(run: list[Instruction], axis, ndim: int) -> tuple[int, tuple]:
     """A run of 2x2 gates on one target as one uniformly controlled 2x2: the
-    two target-half indices of a state tensor (bit b on `axis[b]` of its last
-    `ndim` axes), which pin the controls every gate shares, and the four
-    entries U_w[i, j], each shaped to broadcast over the state's axes of the
-    other control bits."""
+    mask of its operand bits, and its table: the two target-half indices of a
+    state tensor (bit b on `axis[b]` of its last `ndim` axes), which pin the
+    controls every gate shares, and the four entries U_w[i, j], each shaped
+    to broadcast over the state's axes of the other control bits."""
     target = run[0].targets[0]
     masks, values, used = [], [], 0  # per gate: its plain control bits, those that are on
     for ins in run:
@@ -236,7 +253,8 @@ def _table(run: list[Instruction], axis, ndim: int) -> tuple:
     index[axis[target]] = _PIN[0]
     index0 = (Ellipsis, *index)
     index[axis[target]] = _PIN[1]
-    return (index0, (Ellipsis, *index), *(entry.reshape(shape) for entry in entries))
+    table = (index0, (Ellipsis, *index), *(entry.reshape(shape) for entry in entries))
+    return used | 1 << target, table
 
 
 def _closed_form(run: list[Instruction], masks: list, values: list, on: int,
@@ -273,23 +291,26 @@ def _closed_form(run: list[Instruction], masks: list, values: list, on: int,
 class _Run:
     """A maximal run of 2x2 gates on one target (two or more, or a lone
     MP_Y), one object per distinct run; `executions` counts its
-    occurrences, each weighted by its loops' reps."""
+    occurrences, each weighted by its loops' reps.  Once its table is built
+    it also knows the mask of its operand bits."""
 
-    __slots__ = ("gates", "executions", "table")
+    __slots__ = ("gates", "executions", "table", "bits")
 
     def __init__(self, gates: list[Instruction], executions: int = 0):
-        self.gates, self.executions, self.table = gates, executions, None
+        self.gates, self.executions, self.table, self.bits = gates, executions, None, 0
 
 
 class _Segment:
     """A maximal run of gates between Loops, one object per distinct segment:
     its steps (gates and _Runs), its executions counted like a _Run's, and
-    its dense operator once one is built."""
+    its dense operator once one is built, with, if that operator acts on
+    fewer qubits than the state has, a view of the state tensor transposed
+    so that their axes lead."""
 
-    __slots__ = ("steps", "executions", "operator")
+    __slots__ = ("steps", "executions", "operator", "view")
 
     def __init__(self, steps: list):
-        self.steps, self.executions, self.operator = steps, 0, None
+        self.steps, self.executions, self.operator, self.view = steps, 0, None, None
 
 
 def _steps(gates: tuple, runs: dict) -> list:
@@ -369,15 +390,38 @@ def _plan(body: tuple) -> tuple[list, dict, dict]:
     return plan, runs, segments
 
 
-def _saving(segment: _Segment, dim: int, cols: int) -> float:
-    """Seconds saved by building a segment's operator: its steps on the
-    identity plus one matvec per execution, against its steps on the state
+def _support(steps: list, n: int) -> list[int]:
+    """The bits that a segment's steps act on, descending: a tabled run's
+    from its table, any other step's from its gates."""
+    mask = 0
+    for step in steps:
+        if type(step) is Instruction:
+            gates = (step,)
+        elif step.table is None:
+            gates = step.gates
+        else:
+            mask |= step.bits
+            continue
+        for ins in gates:
+            for b in ins.operand_bits:
+                mask |= 1 << b
+    return [b for b in reversed(range(n)) if mask >> b & 1]
+
+
+def _saving(segment: _Segment, qubits: int, n: int, cols: int) -> float:
+    """Seconds saved by building a segment's operator on `qubits` of the n:
+    its steps on the identity of that size plus, per execution, one product
+    and, below n, one transpose of the state, against its steps on the state
     at every execution."""
     steps, executions = len(segment.steps), segment.executions
-    by_steps = executions * steps * (_STEP_S + _AMPLITUDE_S * dim * cols)
-    dense = (steps * (_STEP_S + _AMPLITUDE_S * dim * dim)
-             + executions * (_MATVEC_S + _ENTRY_S * dim * dim * cols))
-    return by_steps - dense
+    amplitudes = (1 << n) * cols
+    step = _STEP_S + _AMPLITUDE_S * amplitudes
+    entry = _MATVEC_ENTRY_S if cols == 1 else _GEMM_ENTRY_S
+    product = _PRODUCT_S + entry * (1 << qubits) * amplitudes
+    if qubits < n:
+        product += step
+    build = steps * (_STEP_S + _AMPLITUDE_S * (1 << 2 * qubits))
+    return executions * (steps * step - product) - build
 
 
 def _run_steps(psi: np.ndarray, steps: list, axis) -> None:
@@ -392,12 +436,18 @@ def _run_steps(psi: np.ndarray, steps: list, axis) -> None:
             _mix(psi[index0], psi[index1], *entries)
 
 
-def _operator(steps: list, axis, dim: int) -> np.ndarray:
-    """The dense matrix of a segment: its steps run on the identity, whose
-    column axis is last, like the state's, or first if the state has none
-    and so neither has its tables (axis[0] is then -1)."""
+def _operator(steps: list, axis, qubits: list[int]) -> np.ndarray:
+    """The dense matrix of a segment on `qubits` (descending): its steps run
+    on the identity, viewed with an axis of size 1 for every other bit, so
+    the gates and tables index it as they index the state.  Its column axis
+    is last, like the state's, or first if the state has none and so
+    neither has its tables (axis[0] is then -1)."""
+    dim = 1 << len(qubits)
     op = np.eye(dim, dtype=complex)
-    psi = op.reshape((2,) * len(axis) + (dim,))
+    shape = [1] * len(axis)
+    for b in qubits:
+        shape[len(axis) - 1 - b] = 2
+    psi = op.reshape((*shape, dim))
     _run_steps(psi if axis[0] == -2 else np.moveaxis(psi, -1, 0), steps, axis)
     return op
 
@@ -409,14 +459,17 @@ def _execute(amp: np.ndarray, psi: np.ndarray, plan: list, axis) -> None:
                 _execute(amp, psi, node.body, axis)
         elif node.operator is None:
             _run_steps(psi, node.steps, axis)
-        else:
+        elif node.view is None:  # the whole register: no transpose, no reshape
             amp[...] = node.operator @ amp
+        else:
+            view = node.view
+            view[...] = (node.operator @ view.reshape(len(node.operator), -1)).reshape(view.shape)
 
 
 def _evolve(circuit: Circuit, amp: np.ndarray) -> None:
     """Apply every gate in place to `amp`, of shape (2^n, columns)."""
     n = circuit.num_qubits
-    dim, cols = amp.shape
+    cols = amp.shape[1]
     # A single column gets no axis; more get the last, which numpy runs fastest.
     psi = amp.reshape((2,) * n + ((cols,) if cols > 1 else ()))
     axis = tuple(n - psi.ndim - 1 - b for b in range(n))  # bit b, from the right
@@ -425,11 +478,23 @@ def _evolve(circuit: Circuit, amp: np.ndarray) -> None:
         # A lone MP_Y's table pays from its third execution: the kernel
         # rebuilds its word tensor and cos/sin gather at every one.
         if run.executions > (2 if len(run.gates) == 1 else 1):
-            run.table = _table(run.gates, axis, psi.ndim)
-    worth = [s for s in segments.values() if _saving(s, dim, cols) > 0]
-    worth.sort(key=lambda s: _saving(s, dim, cols), reverse=True)
-    for segment in worth[:_OPERATOR_BYTES // (16 * dim * dim)]:
-        segment.operator = _operator(segment.steps, axis, dim)
+            run.bits, run.table = _table(run.gates, axis, psi.ndim)
+    register = list(reversed(range(n)))
+    offers = []  # (seconds saved, segment, its operator's qubits)
+    for segment in segments.values():
+        if segment.executions > 1:
+            offers.append(max(((_saving(segment, len(qubits), n, cols), segment, qubits)
+                               for qubits in (_support(segment.steps, n), register)),
+                              key=operator.itemgetter(0)))
+    offers.sort(key=operator.itemgetter(0), reverse=True)
+    budget = _OPERATOR_BYTES
+    for saving, segment, qubits in offers:
+        if saving > 0 and 16 << 2 * len(qubits) <= budget:
+            budget -= 16 << 2 * len(qubits)
+            segment.operator = _operator(segment.steps, axis, qubits)
+            if len(qubits) < n:
+                front = [n - 1 - b for b in qubits]
+                segment.view = psi.transpose(*front, *(a for a in range(psi.ndim) if a not in front))
     _execute(amp, psi, plan, axis)
 
 

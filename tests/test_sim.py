@@ -17,8 +17,8 @@ from qsagen.ir import (Circuit, Control, Loop, MuxControl, had2, mp_y, p0ph, p1p
 from qsagen.markov import AnnealingSchedule, default_problem
 from qsagen.mux_expander import expand_mux
 
-from helpers import (manual_unroll, oracle_matrix, random_body, random_circuit,
-                     random_run_circuit)
+from helpers import (manual_unroll, oracle_matrix, random_body, random_circuit, random_gate,
+                     random_run_body, random_run_circuit)
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -316,10 +316,11 @@ def kernel_table(run):
 
 def assert_table_matches_kernel(run, n):
     """`_table` for an n-qubit state vector pins the controls that every gate
-    shares, gives each other operand bit a table axis, and matches the kernel's
-    table at the pinned values."""
+    shares, gives each other operand bit a table axis, matches the kernel's
+    table at the pinned values, and reports the run's operand bits."""
     axis = tuple(-1 - b for b in range(n))
-    index0, index1, *entries = sim._table(run, axis, n)
+    bits, (index0, index1, *entries) = sim._table(run, axis, n)
+    assert bits == sum({1 << b for ins in run for b in ins.operand_bits})
     target = run[0].targets[0]
     shared = set.intersection(*(set(ins.controls) for ins in run))
     assert index0[axis[target]] == slice(0, 1) and index1[axis[target]] == slice(1, 2)
@@ -398,7 +399,7 @@ def test_shared_control_is_pinned_and_mixed_control_is_not():
     gate and off in another: a table axis."""
     run = [roty(40.0, 0, (Control(3), Control(2))), sigx(0, (Control(3), Control(1))),
            roty(-75.0, 0, (Control(3), Control(2, False)))]
-    index0, index1, *entries = sim._table(run, (-1, -2, -3, -4), 4)
+    index0, index1, *entries = sim._table(run, (-1, -2, -3, -4), 4)[1]
     assert index0[-4] == index1[-4] == slice(1, 2)
     assert index0[-3] == index0[-2] == slice(None)
     assert all(entry.shape == (1, 2, 2, 1) for entry in entries)
@@ -419,7 +420,8 @@ def test_closed_form_reduces_angles_by_whole_periods():
                 roty(-101.5 - 720.0 * turns, 0)]
 
     axis = (-1, -2, -3)
-    for got, want in zip(sim._table(run(periods), axis, 3)[2:], sim._table(run(0), axis, 3)[2:]):
+    for got, want in zip(sim._table(run(periods), axis, 3)[1][2:],
+                         sim._table(run(0), axis, 3)[1][2:]):
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
@@ -577,15 +579,138 @@ def test_segment_repeated_in_loops_and_in_the_text_gets_one_operator(monkeypatch
     np.testing.assert_allclose(got, oracle_matrix(circuit) @ state, rtol=0, atol=1e-12)
 
 
-@pytest.mark.parametrize("flow", [(4, 3, 1, 1), (2, 3, 2, 1)], ids=["n11", "n10"])
-def test_wide_generated_circuits_get_no_operator(flow, monkeypatch):
+def operator_qubits(monkeypatch):
+    """The qubits (descending) of every segment operator built from now on."""
+    built, operator = [], sim._operator
+    monkeypatch.setattr(sim, "_operator", lambda steps, axis, qubits:
+                        built.append(qubits) or operator(steps, axis, qubits))
+    return built
+
+
+def generated(flow, prep=True):
     nb, a, c, d = flow
     circuit = emit_full(GeneratorConfig(default_problem(nb), PEParams(a, c, d),
-                                        AnnealingSchedule(0.5, 2)), prep=True)
+                                        AnnealingSchedule(0.5, 2)), prep=prep)
     assert circuit.num_qubits == 2 * nb + a * c
-    built = count_operators(monkeypatch)
+    return circuit
+
+
+def test_wide_circuit_gets_no_operator_above_three_qubits(monkeypatch):
+    """At 11 qubits an operator on more than 3 qubits costs more to build
+    than its products save."""
+    circuit = generated((4, 3, 1, 1))
+    built = operator_qubits(monkeypatch)
     sim.apply(circuit, sim.basis_state(circuit.num_qubits))
-    assert built == []
+    sim.apply(parse_english(write_english(circuit)), sim.basis_state(circuit.num_qubits))
+    assert built == [[10, 9, 8]]   # the parsed file's; the emitted tree has none
+
+
+def test_phase_estimation_loops_get_operators_on_their_supports(monkeypatch):
+    """At (nb, a, c) = (2, 3, 2) each controlled power W^(2^j), j > 0, of
+    phase estimation is a loop over a segment on the 2nb walk bits and its
+    probe bit, one in V and one in V-dagger for each of the three betas: a
+    32x32 operator each, and none on the whole register."""
+    nb, a, c = 2, 3, 2
+    circuit = generated((nb, a, c, 1))
+    built = operator_qubits(monkeypatch)
+    sim.apply(circuit, sim.basis_state(circuit.num_qubits))
+    walk = list(reversed(range(2 * nb)))
+    probes = [2 * nb + a * k + j for k in range(c) for j in range(1, a)]
+    assert sorted(built) == sorted([probe, *walk] for probe in probes for _ in range(6))
+
+
+def test_deep_flow_keeps_its_whole_register_operators(monkeypatch):
+    """At 6 qubits a product with the whole register is cheaper than the
+    transpose that an operator on 5 of them would need."""
+    circuit = parse_english(write_english(generated((2, 2, 1, 4))))
+    built = operator_qubits(monkeypatch)
+    sim.apply(circuit, sim.basis_state(circuit.num_qubits))
+    assert built == [list(range(5, -1, -1))] * 12
+
+
+def test_to_matrix_prices_its_products_as_matrix_products(monkeypatch):
+    """A product over the 2^n columns of `to_matrix` costs about 0.2 ns per
+    operator entry and column, not a matvec's 0.5 ns: a segment of 8 steps
+    on all 7 qubits that executes 6 times gets an operator there (2.7 against
+    3.7 ms step by step, on 2 vCPUs with one BLAS thread), and none in `apply`."""
+    circuit = Circuit(7, (Loop(6, (*[had2(b) for b in range(7)], rotx(40.0, 0))),))
+    built = operator_qubits(monkeypatch)
+    np.testing.assert_allclose(sim.to_matrix(circuit), oracle_matrix(circuit), rtol=0, atol=1e-12)
+    assert built == [list(range(6, -1, -1))]
+    sim.apply(circuit, sim.basis_state(7))
+    assert len(built) == 1
+
+
+def on_bits(body, bits):
+    """A body on len(bits) qubits moved onto `bits`: qubit i becomes bits[i]."""
+    def move(node):
+        if type(node) is Loop:
+            return Loop(node.reps, tuple(map(move, node.body)))
+        return replace(node, targets=tuple(bits[t] for t in node.targets),
+                       controls=tuple(Control(bits[c.bit], c.on) for c in node.controls),
+                       mux_controls=tuple(MuxControl(bits[m.bit], m.name)
+                                          for m in node.mux_controls))
+    return list(map(move, body))
+
+
+def random_support_circuit(seed):
+    """A circuit on 6 or 7 qubits whose repeated segments act on a strict,
+    non-contiguous subset of them that holds the top and the bottom bit, with
+    a repeated segment of uncontrolled PHAS gates, which acts on none."""
+    rng = np.random.default_rng(8000 + seed)
+    n = int(rng.integers(6, 8))
+    middle = rng.permutation(range(1, n - 1))[:rng.integers(0, n - 3)]
+    bits = [0, *sorted(int(b) for b in middle), n - 1]
+    body = random_run_body(rng, len(bits), max_parts=4) if seed % 2 else random_body(
+        rng, len(bits), max_items=4) + [random_gate(rng, len(bits)) for _ in range(3)]
+    body = on_bits(body, bits)
+    phases = tuple(phas(float(rng.uniform(-180.0, 180.0))) for _ in range(4))
+    return Circuit(n, (*[had2(b) for b in range(n)], Loop(int(rng.integers(2, 5)), body),
+                       had2(int(middle[0]) if len(middle) else 1), Loop(3, phases),
+                       Loop(2, body))), bits, rng
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_support_operators_match_gate_by_gate_and_oracle(seed, monkeypatch):
+    circuit, bits, rng = random_support_circuit(seed)
+    n = circuit.num_qubits
+    dim = 1 << n
+    want = oracle_matrix(circuit)
+    built = operator_qubits(monkeypatch)
+    got = sim.to_matrix(circuit)
+    np.testing.assert_allclose(got, gate_by_gate(circuit, np.eye(dim)), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+    for state in rng.normal(size=(2, dim)) + 1j * rng.normal(size=(2, dim)):
+        got = sim.apply(circuit, state)
+        np.testing.assert_allclose(got, gate_by_gate(circuit, state)[:, 0], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(got, want @ state, rtol=0, atol=1e-12)
+    # Each operator acts on the qubits its segment touches, or on them all.
+    assert [] in built
+    assert all(set(qubits) <= set(bits) or len(qubits) == n for qubits in built)
+
+
+@pytest.mark.parametrize("run", [lambda c: sim.apply(c, sim.basis_state(c.num_qubits)),
+                                 sim.to_matrix], ids=["apply", "to_matrix"])
+def test_random_support_circuits_build_support_operators(run, monkeypatch):
+    built = operator_qubits(monkeypatch)
+    counts = []
+    for seed in range(20):
+        before = len(built)
+        circuit = random_support_circuit(seed)[0]
+        run(circuit)
+        counts.append(sum(0 < len(qubits) < circuit.num_qubits for qubits in built[before:]))
+    assert sum(count > 0 for count in counts) >= 17
+
+
+def test_apply_equals_gate_by_gate_on_the_verify_flow():
+    """The multiplexor-level file of the `verify` bench flow, (2,3,2,1) with
+    state preparation, on 10 qubits, against every gate of its unrolled body:
+    its phase-estimation loops run as operators on 5 of the 10 qubits."""
+    circuit = parse_english(write_english(generated((2, 3, 2, 1))))
+    assert len(circuit) == 1078
+    state = sim.basis_state(circuit.num_qubits)
+    np.testing.assert_allclose(sim.apply(circuit, state), gate_by_gate(circuit, state)[:, 0],
+                               rtol=0, atol=1e-12)
 
 
 def test_apply_with_operators_is_pure_and_repeatable(monkeypatch):
