@@ -73,35 +73,31 @@ multiplexor's word tensor and cos/sin gather every time); any other gate
 goes to the kernel by itself.
 
 Segment operators.  A segment that executes more than once gets its
-support, the qubits its steps act on: a tabled run's operand bits come with
-its table, any other step's from its gates.  Its operator is a dense
-2^k x 2^k matrix on k qubits, its support or the whole register, built by
-running its steps (gates and tables, so the tables come first) on the
-identity of that size, viewed with an axis of size 1 for every other bit so
-that the kernel and the tables index it as they index the state; its column
-axis leads for `apply`.  An execution keeps a view of the state transposed
-so that the operator's qubits lead, reshapes it to 2^k rows, multiplies and
-writes the product back; on the whole register the transpose is the
-identity and the reshape a view, so this is one product with the state as a
-(2^n, columns) matrix.  One fixed cost rule decides, with constants
+support, the qubits its steps act on (a tabled run's operand bits come with
+its table).  Its operator is a dense 2^k x 2^k matrix on k qubits, its
+support or the whole register: its steps (gates and tables, so the tables
+come first) run on the identity of that size, viewed with an axis of size 1
+for every other bit so that they index it as they index the state; the
+column axis leads for `apply`.  A whole-register operator is one product
+with the state as a (2^n, columns) matrix; any other multiplies a view of
+the state transposed so that its qubits lead, reshaped to 2^k rows, and
+writes the product back.  One fixed cost rule decides, with constants
 measured by timeit (numpy 2.4.6, Python 3.11, 2 vCPUs, one BLAS thread): a
 step costs 10 us + 5 ns per amplitude it runs on; a product 2 us + 0.5 ns
-per operator row, state amplitude and column, or 0.2 ns for the 2^n
-columns of `to_matrix` (a matrix product ran at 0.13 ns on the whole
-register at 10 qubits and 0.14-0.20 ns on all or all but one of 6 to 9,
-more on fewer); the transpose, below n qubits, one step.  A segment of s
-steps that executes e times saves e * s * (step on the state), less
-s * (step on 4^k amplitudes), the build, and e * (product + transpose).  It
-takes the k, its support or n, that saves more, and gets an operator when
-that saving is positive.  At 6 qubits a segment of 26 steps on all of them
-pays from its third execution and one of 2 steps from its fourth; one of
-26 steps on 5 of them pays from its second, on those 5 up to its 42nd
-execution and on all 6 from its 43rd, when the transposes outweigh the
-larger build.  At 10 qubits a controlled power of W in phase estimation,
-18 steps on 5 qubits, pays from its second execution, while a build on the
-whole register costs as much as 347 executions step by step.  The
-operators of one call hold at most 16 MiB (16 * 4^k bytes each), the most
-saving first: 256 on 6 qubits, one on 10, none on 11.
+per operator row, state amplitude and column, or 0.2 ns over the 2^n
+columns of `to_matrix` (measured: 0.13 ns on 10 qubits, 0.14-0.20 ns on all
+or all but one of 6 to 9, more on fewer); a transpose one step.  A segment
+of s steps that executes e times saves e * s * (step on the state), less
+s * (step on 4^k amplitudes), the build, and e products and transposes.  It
+takes the k, support or n, that saves more, and gets an operator when that
+is positive.  At 6 qubits a segment of 26 steps on all of them pays from
+its third execution and one of 2 steps from its fourth; one of 26 steps on
+5 of them pays from its second, on the whole register from its 43rd.  At
+10 qubits a controlled power of W in phase estimation, 18 steps on 5
+qubits, pays from its second execution; a build on the whole register
+costs as much as 347 executions step by step.  The operators of one call
+hold at most 16 MiB (16 * 4^k bytes each), the most saving first: 256 on 6
+qubits, one on 10, none on 11.
 
 Tables and operators change the order of the floating-point operations,
 so results differ from gate-by-gate evaluation by rounding that grows with
@@ -395,14 +391,10 @@ def _support(steps: list, n: int) -> list[int]:
     from its table, any other step's from its gates."""
     mask = 0
     for step in steps:
-        if type(step) is Instruction:
-            gates = (step,)
-        elif step.table is None:
-            gates = step.gates
-        else:
+        if type(step) is _Run and step.table is not None:
             mask |= step.bits
             continue
-        for ins in gates:
+        for ins in (step,) if type(step) is Instruction else step.gates:
             for b in ins.operand_bits:
                 mask |= 1 << b
     return [b for b in reversed(range(n)) if mask >> b & 1]
@@ -444,9 +436,7 @@ def _operator(steps: list, axis, qubits: list[int]) -> np.ndarray:
     neither has its tables (axis[0] is then -1)."""
     dim = 1 << len(qubits)
     op = np.eye(dim, dtype=complex)
-    shape = [1] * len(axis)
-    for b in qubits:
-        shape[len(axis) - 1 - b] = 2
+    shape = [2 if b in qubits else 1 for b in reversed(range(len(axis)))]
     psi = op.reshape((*shape, dim))
     _run_steps(psi if axis[0] == -2 else np.moveaxis(psi, -1, 0), steps, axis)
     return op

@@ -587,10 +587,11 @@ def operator_qubits(monkeypatch):
     return built
 
 
-def generated(flow, prep=True):
+def generated(flow):
+    """The circuit that `generate --prep` writes for (nb, a, c, d) and 3 betas."""
     nb, a, c, d = flow
     circuit = emit_full(GeneratorConfig(default_problem(nb), PEParams(a, c, d),
-                                        AnnealingSchedule(0.5, 2)), prep=prep)
+                                        AnnealingSchedule(0.5, 2)), prep=True)
     assert circuit.num_qubits == 2 * nb + a * c
     return circuit
 
@@ -666,8 +667,7 @@ def random_support_circuit(seed):
     body = on_bits(body, bits)
     phases = tuple(phas(float(rng.uniform(-180.0, 180.0))) for _ in range(4))
     return Circuit(n, (*[had2(b) for b in range(n)], Loop(int(rng.integers(2, 5)), body),
-                       had2(int(middle[0]) if len(middle) else 1), Loop(3, phases),
-                       Loop(2, body))), bits, rng
+                       Loop(3, phases), Loop(2, body))), bits, rng
 
 
 @pytest.mark.parametrize("seed", range(20))
