@@ -3,31 +3,24 @@
 Builds gate sequences (textual "english"/"picture" files) that realize a
 Szegedy walk for a Metropolis chain, phase estimation against it, and a
 pi/3 fixed-point annealing schedule; ships an exact multiplexor expander
-and a dense simulator used to verify everything numerically.
+and a dense simulator used to verify everything numerically.  The names
+below are the ones the README documents; everything else lives in the
+submodules.
 """
-from .ir import (Circuit, Control, Instruction, Loop, MuxControl, Opcode, ParseError, Seq,
-                 count_elementary_ops, dagger, parse_english, with_control,
-                 write_english, write_picture)
-from .markov import (AnnealingSchedule, ProblemSpec, SpectralData, boltzmann,
-                     default_problem, metropolis, spectral, symmetrized)
-from .qembed import qembed_angles, qembed_circuit
-from .szegedy import WalkLayout, emit_reflection, emit_U, emit_W, walk_state
-from .annealer import (GeneratorConfig, PEParams, emit_full, emit_R_tilde,
-                       emit_U_grover, emit_V, inverse_qft)
+from .ir import Circuit, Instruction, Loop, Seq, dagger, with_control, write_english
+from .markov import AnnealingSchedule, boltzmann, default_problem, metropolis, spectral
+from .qembed import qembed_circuit
+from .szegedy import WalkLayout, emit_W, walk_state
+from .annealer import GeneratorConfig, PEParams, emit_full
 from .mux_expander import expand_file, expand_mux
-from .sim import apply, basis_state, eig_unitary, phases_match, to_matrix
+from .sim import to_matrix
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AnnealingSchedule", "Circuit", "Control", "GeneratorConfig", "Instruction",
-    "Loop", "MuxControl", "Opcode", "PEParams", "ParseError",
-    "ProblemSpec", "Seq", "SpectralData", "WalkLayout", "apply", "basis_state",
-    "boltzmann", "count_elementary_ops", "dagger", "default_problem",
-    "eig_unitary", "emit_R_tilde", "emit_U", "emit_U_grover", "emit_V",
-    "emit_W", "emit_full", "emit_reflection",
-    "expand_file", "expand_mux", "inverse_qft", "metropolis",
-    "parse_english", "phases_match", "qembed_angles", "qembed_circuit",
-    "spectral", "symmetrized", "to_matrix", "walk_state",
-    "with_control", "write_english", "write_picture",
+    "AnnealingSchedule", "Circuit", "GeneratorConfig", "Instruction", "Loop",
+    "PEParams", "Seq", "WalkLayout", "boltzmann", "dagger", "default_problem",
+    "emit_W", "emit_full", "expand_file", "expand_mux", "metropolis",
+    "qembed_circuit", "spectral", "to_matrix", "walk_state", "with_control",
+    "write_english",
 ]

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import mux_expander, sim
 from .annealer import GeneratorConfig, PEParams, emit_R_tilde, emit_full
-from .ir import Circuit, Instruction, Opcode, ParseError, Seq, format_number, parse_english, render
+from .ir import Circuit, Instruction, Opcode, ParseError, format_number, parse_english, render
 from .markov import (AnnealingSchedule, boltzmann, check_beta, default_problem,
                      metropolis, spectral)
 from .qembed import qembed_circuit
@@ -225,21 +225,14 @@ def _verify_checks(args: argparse.Namespace, config: GeneratorConfig):
 
 def _maybe_corrupt(circuit: Circuit, args: argparse.Namespace) -> Circuit:
     """The circuit with 5 degrees added to the first angle of its first
-    MP_Y outside Loops, if --corrupt-angle is given; only the Seqs around
-    that line are rebuilt."""
-    def corrupt(body: tuple) -> tuple | None:
+    MP_Y outside Loops, if --corrupt-angle is given."""
+    if args.corrupt_angle:
+        body = circuit.body
         for i, node in enumerate(body):
-            if type(node) is Seq:
-                inner = corrupt(node.body)
-                if inner is not None:
-                    return body[:i] + (Seq(inner),) + body[i + 1:]
-            elif type(node) is Instruction and node.opcode is Opcode.MP_Y:
+            if type(node) is Instruction and node.opcode is Opcode.MP_Y:
                 shifted = node.with_angles((node.angles_deg[0] + 5.0,) + node.angles_deg[1:])
-                return body[:i] + (shifted,) + body[i + 1:]
-        return None
-
-    body = corrupt(circuit.body) if args.corrupt_angle else None
-    return circuit if body is None else Circuit(circuit.num_qubits, body)
+                return Circuit(circuit.num_qubits, body[:i] + (shifted,) + body[i + 1:])
+    return circuit
 
 
 def cmd_verify(args: argparse.Namespace) -> int:

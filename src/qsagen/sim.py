@@ -46,17 +46,16 @@ ladder is one segment or one run, prepared once per call; each counts its
 executions, weighted by its loops' reps.  The plan is built by one walk
 over the placements of the nodes, O(executed ops) at most.
 
-Runs and tables.  Every gate but PHAS and SWAP is a 2x2 on one target.  A
-segment is cut into maximal runs of consecutive 2x2 gates on one target.  A
-run leaves its other operand bits, its controls, unchanged, so it is one
-uniformly controlled 2x2: a unitary U_w for each word w of the controls.
-A control that every gate of the run shares (same bit, same value) is
-pinned in the two target-half indices, as the kernel pins a gate's
-controls, and gets no table axis; each other control bit gets one.  The
-table's four entries U_w[i, j], broadcast over those axes of the state, mix
-the two target halves in one pass, like MP_Y.  A run of ROTY, SIGX and MP_Y
-gates (every expanded ladder, the uniformly controlled rotation of Mottonen
-et al., quant-ph/0404089, and every lone multiplexor) has a closed form:
+Runs and tables.  A segment is cut into maximal runs of consecutive ROTY,
+SIGX and MP_Y gates on one target: every expanded ladder, the uniformly
+controlled rotation of Mottonen et al., quant-ph/0404089, and every lone
+multiplexor.  A run leaves its other operand bits, its controls, unchanged,
+so it is one uniformly controlled 2x2: a unitary U_w for each word w of the
+controls.  A control that every gate of the run shares (same bit, same
+value) is pinned in the two target-half indices, as the kernel pins a
+gate's controls, and gets no table axis; each other control bit gets one.
+The table's four entries U_w[i, j], broadcast over those axes of the state,
+mix the two target halves in one pass, like MP_Y.  They have a closed form:
 U_w = X^p(w) R(A(w)), R(a) = [[cos a, sin a], [-sin a, cos a]], because
 X R(a) X = R(-a).  p(w) is the parity of the SIGX gates active at w; A(w)
 sums the angles of the active rotations (r/2 for ROTY, r_w for MP_Y), each
@@ -64,13 +63,11 @@ negated after an odd number of active SIGX.  It takes a few numpy calls per
 run: a (gates x words) bool activity mask, its running XOR along the gates,
 one signed sum and one cos/sin per word.  Each angle is reduced before its
 conversion to radians, by its period, 720 degrees for ROTY and 360 for MP_Y,
-so whole turns drop out exactly and the sum stays within gates * 2pi.  Any
-other run (the HAD2/P1PH runs of the inverse QFT) is built by the kernel on
-the identity, with a table axis for every operand bit, and sliced at the
-pinned values.  A run of two or more gates gets a table when it executes
-more than once, a lone MP_Y from its third execution (the kernel rebuilds a
-multiplexor's word tensor and cos/sin gather every time); any other gate
-goes to the kernel by itself.
+so whole turns drop out exactly and the sum stays within gates * 2pi.  A
+run of two or more gates gets a table when it executes more than once, a
+lone MP_Y from its third execution (the kernel rebuilds a multiplexor's
+word tensor and cos/sin gather every time); any other gate, HAD2 and P1PH
+included, goes to the kernel by itself.
 
 Segment operators.  A segment that executes more than once gets its
 support, the qubits its steps act on (a tabled run's operand bits come with
@@ -133,7 +130,7 @@ _SIGZ = np.array([[1, 0], [0, -1]], dtype=complex)
 _HAD = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
 _FIXED = {op: tuple(u.flat) for op, u in (
     (Opcode.SIGX, _SIGX), (Opcode.SIGY, _SIGY), (Opcode.SIGZ, _SIGZ), (Opcode.HAD2, _HAD))}
-_REAL = frozenset((Opcode.ROTY, Opcode.SIGX, Opcode.MP_Y))  # runs with a closed-form table
+_REAL = frozenset((Opcode.ROTY, Opcode.SIGX, Opcode.MP_Y))  # the gates that form runs
 
 
 def _single_qubit_unitary(op: Opcode, angles_deg: tuple[float, ...]) -> tuple:
@@ -207,11 +204,15 @@ def _mix(a0: np.ndarray, a1: np.ndarray, u00, u01, u10, u11) -> None:
 
 
 def _table(run: list[Instruction], axis, ndim: int) -> tuple[int, tuple]:
-    """A run of 2x2 gates on one target as one uniformly controlled 2x2: the
-    mask of its operand bits, and its table: the two target-half indices of a
-    state tensor (bit b on `axis[b]` of its last `ndim` axes), which pin the
-    controls every gate shares, and the four entries U_w[i, j], each shaped
-    to broadcast over the state's axes of the other control bits."""
+    """A run of ROTY, SIGX and MP_Y gates on one target as one uniformly
+    controlled 2x2: the mask of its operand bits, and its table: the two
+    target-half indices of a state tensor (bit b on `axis[b]` of its last
+    `ndim` axes), which pin the controls every gate shares, and the four
+    entries U_w[i, j], each shaped to broadcast over the state's axes of the
+    other control bits.  U_w = X^p(w) R(A(w)), with R(a) = [[cos a, sin a],
+    [-sin a, cos a]], as X R(a) X = R(-a): p(w) is the parity of the SIGX
+    gates active at w, and A(w) sums the angles of the active rotations, each
+    negated after an odd number of active SIGX."""
     target = run[0].targets[0]
     masks, values, used = [], [], 0  # per gate: its plain control bits, those that are on
     for ins in run:
@@ -226,41 +227,8 @@ def _table(run: list[Instruction], axis, ndim: int) -> tuple[int, tuple]:
             used |= 1 << m.bit
     on = functools.reduce(operator.and_, values)
     pinned = on | functools.reduce(operator.and_, map(operator.xor, masks, values))
-    every = [b for b in reversed(range(len(axis))) if used >> b & 1]  # descending
-    bits = [b for b in every if not pinned >> b & 1]
-    if all(ins.opcode in _REAL for ins in run):
-        entries = _closed_form(run, masks, values, on, bits)
-    else:
-        u = np.zeros((2,) * len(every) + (2, 2), dtype=complex)
-        u[..., 0, 0] = u[..., 1, 1] = 1
-        table_axis = {b: i - len(every) - 2 for i, b in enumerate(every)}
-        table_axis[target] = -2
-        for ins in run:
-            _apply_gate(u, ins, table_axis)
-        u = u[tuple(on >> b & 1 if pinned >> b & 1 else slice(None) for b in every)]
-        entries = [u[..., i, j] for i in range(2) for j in range(2)]
-    shape = [1] * ndim
-    index = [slice(None)] * ndim
-    for b in bits:
-        shape[axis[b]] = 2
-    for b in range(len(axis)):
-        if pinned >> b & 1:
-            index[axis[b]] = _PIN[on >> b & 1]
-    index[axis[target]] = _PIN[0]
-    index0 = (Ellipsis, *index)
-    index[axis[target]] = _PIN[1]
-    table = (index0, (Ellipsis, *index), *(entry.reshape(shape) for entry in entries))
-    return used | 1 << target, table
-
-
-def _closed_form(run: list[Instruction], masks: list, values: list, on: int,
-                 bits: list) -> tuple:
-    """The entries U_w[i, j] of a run of ROTY, SIGX and MP_Y gates for each
-    word w of `bits` (descending: the first is the most significant bit of w),
-    where `on` holds the pinned bits that are 1.  U_w = X^p(w) R(A(w)), with
-    R(a) = [[cos a, sin a], [-sin a, cos a]], as X R(a) X = R(-a): p(w) is
-    the parity of the SIGX gates active at w, and A(w) sums the angles of the
-    active rotations, each negated after an odd number of active SIGX."""
+    # the table's bits, descending: the first is the most significant bit of w
+    bits = [b for b in reversed(range(len(axis))) if (used & ~pinned) >> b & 1]
     digits = np.arange(1 << len(bits)) >> np.arange(len(bits) - 1, -1, -1)[:, None] & 1
     word = on + np.array([1 << b for b in bits], dtype=np.int64) @ digits  # w on the qubits
     # (gates, words) bool: gate i is active at w when its controls match w
@@ -280,13 +248,25 @@ def _closed_form(run: list[Instruction], masks: list, values: list, on: int,
             mux = np.array([names.get(b, 0) for b in bits], dtype=np.int64) @ digits
             total += np.radians(np.fmod(ins.angles_deg, 360.0))[mux] * sign[i]
     c, s = np.cos(total), np.sin(total)
-    return (np.where(parity, -s, c), np.where(parity, c, s),
-            np.where(parity, c, -s), np.where(parity, s, c))
+    entries = (np.where(parity, -s, c), np.where(parity, c, s),
+               np.where(parity, c, -s), np.where(parity, s, c))
+    shape = [1] * ndim
+    index = [slice(None)] * ndim
+    for b in bits:
+        shape[axis[b]] = 2
+    for b in range(len(axis)):
+        if pinned >> b & 1:
+            index[axis[b]] = _PIN[on >> b & 1]
+    index[axis[target]] = _PIN[0]
+    index0 = (Ellipsis, *index)
+    index[axis[target]] = _PIN[1]
+    table = (index0, (Ellipsis, *index), *(entry.reshape(shape) for entry in entries))
+    return used | 1 << target, table
 
 
 class _Run:
-    """A maximal run of 2x2 gates on one target (two or more, or a lone
-    MP_Y), one object per distinct run; `executions` counts its
+    """A maximal run of ROTY, SIGX and MP_Y gates on one target (two or
+    more, or a lone MP_Y), one object per distinct run; `executions` counts its
     occurrences, each weighted by its loops' reps.  Once its table is built
     it also knows the mask of its operand bits."""
 
@@ -310,17 +290,18 @@ class _Segment:
 
 
 def _steps(gates: tuple, runs: dict) -> list:
-    """A run of gates cut into steps: each maximal run of two or more gates
-    on one target, and each lone MP_Y, is its _Run, shared through `runs`
-    and keyed on its gates' identities; any other gate is a step by itself."""
+    """A run of gates cut into steps: each maximal run of two or more ROTY,
+    SIGX and MP_Y gates on one target, and each lone MP_Y, is its _Run,
+    shared through `runs` and keyed on its gates' identities; any other gate
+    is a step by itself."""
     steps: list = []
     i, count = 0, len(gates)
     while i < count:
         gate = gates[i]
         start, targets = i, gate.targets
         i += 1
-        if len(targets) == 1:
-            while i < count and gates[i].targets == targets:
+        if gate.opcode in _REAL:
+            while i < count and gates[i].opcode in _REAL and gates[i].targets == targets:
                 i += 1
         if i - start == 1 and not gate.mux_controls:
             steps.append(gate)

@@ -70,10 +70,13 @@ def random_circuit(rng: np.random.Generator, num_qubits: int | None = None,
 RUN_GATE_MAKERS = "roty rotn p1ph had2 cnot mpy".split()
 
 
-def random_run_gate(rng: np.random.Generator, n: int, target: int) -> Instruction:
-    """One 2x2 gate on `target`, of the kinds that make up ladders."""
+def random_run_gate(rng: np.random.Generator, n: int, target: int,
+                    kind: str | None = None) -> Instruction:
+    """One 2x2 gate on `target`, of the given kind or a random one of those
+    in RUN_GATE_MAKERS."""
     others = [int(b) for b in rng.permutation(n) if b != target]
-    kind = RUN_GATE_MAKERS[rng.integers(len(RUN_GATE_MAKERS))]
+    if kind is None:
+        kind = RUN_GATE_MAKERS[rng.integers(len(RUN_GATE_MAKERS))]
 
     def controls(avail, limit):
         count = int(rng.integers(0, min(limit, len(avail)) + 1))
@@ -97,10 +100,12 @@ def random_run_gate(rng: np.random.Generator, n: int, target: int) -> Instructio
 
 def random_run_body(rng: np.random.Generator, n: int, max_parts: int = 6,
                     depth: int = 0) -> list[Instruction | Loop]:
-    """A ladder-heavy body: runs of 2x2 gates on one target, some repeated as
-    the same objects or as equal copies, some in loops, some split by a loop,
-    some whose controls cover every other qubit, and PHAS/SWAP lines between
-    them."""
+    """A ladder-heavy body: stretches of 2x2 gates on one target, some
+    repeated as the same objects or as equal copies, some in loops, some
+    split by a loop, some whose controls cover every other qubit, some
+    ladders of y-rotations, CNOTs and multiplexors only, some of mixed kinds
+    (whose HAD2, P1PH and ROTN gates split them into runs), and PHAS/SWAP
+    lines between them."""
     body: list[Instruction | Loop] = []
     runs: list[list[Instruction]] = []
     for _ in range(int(rng.integers(1, max_parts + 1))):
@@ -126,6 +131,13 @@ def random_run_body(rng: np.random.Generator, n: int, max_parts: int = 6,
             run.append(roty(float(rng.uniform(-180.0, 180.0)), target))
             runs.append(run)
             body.extend(run)
+        elif choice < 0.8:
+            # y-rotations between CNOTs, a multiplexor here and there, repeated
+            run = [random_run_gate(rng, n, target,
+                                   "mpy" if rng.random() < 0.2 else ("roty", "cnot")[i % 2])
+                   for i in range(int(rng.integers(2, 9)))]
+            runs.append(run)
+            body.append(Loop(2, run))
         else:
             run = [random_run_gate(rng, n, target) for _ in range(int(rng.integers(2, 7)))]
             runs.append(run)

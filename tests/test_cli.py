@@ -11,7 +11,7 @@ import pytest
 
 from qsagen import annealer, cli, sim
 from qsagen.cli import main
-from qsagen.ir import (Circuit, Loop, MuxControl, Seq, count_elementary_ops, had2, mp_y,
+from qsagen.ir import (Circuit, Loop, MuxControl, count_elementary_ops, had2, mp_y,
                        parse_english, write_english)
 
 GEN_ARGS = ["generate", "--prefix", "demo", "--nb", "1", "--probe-bits", "2",
@@ -373,16 +373,6 @@ def test_corrupt_angle_skips_loops_and_shifts_the_first_multiplexor():
     assert out == Circuit(2, (loop, had2(1), corrupted, mux))
     assert out.body[0] is loop and out.body[3] is mux
     assert cli._maybe_corrupt(circuit, argparse.Namespace(corrupt_angle=False)) is circuit
-
-
-def test_corrupt_angle_looks_inside_seqs():
-    mux = mp_y(1, (MuxControl(0, 0),), (10.0, 20.0))
-    span = Seq((had2(1), mux, mux))
-    circuit = Circuit(2, (Seq((had2(0),)), span, span))
-    out = cli._maybe_corrupt(circuit, argparse.Namespace(corrupt_angle=True))
-    corrupted = mp_y(1, (MuxControl(0, 0),), (15.0, 20.0))
-    assert out == Circuit(2, (Seq((had2(0),)), Seq((had2(1), corrupted, mux)), span))
-    assert out.body[0] is circuit.body[0] and out.body[2] is span
 
 
 def test_verify_fixed_point_fails_on_wrong_q_phase(workdir, capsys, monkeypatch):

@@ -9,7 +9,7 @@ import pytest
 from scipy.linalg import expm
 
 from qsagen import sim
-from qsagen.annealer import GeneratorConfig, PEParams, emit_full
+from qsagen.annealer import GeneratorConfig, PEParams, emit_full, inverse_qft
 from qsagen.cli import main
 from qsagen.ir import (Circuit, Control, Loop, MuxControl, had2, mp_y, p0ph, p1ph,
                        parse_english, phas, rotn, rotx, roty, rotz, sigx, sigy, sigz,
@@ -425,19 +425,31 @@ def test_closed_form_reduces_angles_by_whole_periods():
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
-@pytest.mark.parametrize("run,kernel", [
-    ([roty(25.0, 0, (Control(1),)), sigx(0, (Control(1),)), roty(-60.0, 0)], False),
-    ([mp_y(0, (MuxControl(1, 0),), (35.0, -120.0))], False),
-    ([roty(25.0, 0, (Control(1),)), had2(0), roty(-60.0, 0)], True),
-    ([p1ph(30.0, 0, (Control(1),)), had2(0, (Control(1),))], True),
-], ids=["ladder", "multiplexor", "with-had2", "qft"])
-def test_only_runs_of_roty_sigx_and_mp_y_skip_the_kernel(run, kernel, monkeypatch):
+@pytest.mark.parametrize("run", [
+    [roty(25.0, 0, (Control(1),)), sigx(0, (Control(1),)), roty(-60.0, 0)],
+    [mp_y(0, (MuxControl(1, 0),), (35.0, -120.0))],
+], ids=["ladder", "multiplexor"])
+def test_only_runs_of_roty_sigx_and_mp_y_skip_the_kernel(run, monkeypatch):
     calls, gate = [], sim._apply_gate
     monkeypatch.setattr(sim, "_apply_gate", lambda *args: calls.append(args) or gate(*args))
     sim._table(run, (-1, -2), 2)
-    assert len(calls) == (len(run) if kernel else 0)
+    assert not calls
     monkeypatch.undo()
     assert_table_matches_kernel(run, 2)
+
+
+def test_had2_and_p1ph_split_runs_and_stand_alone():
+    """Only ROTY, SIGX and MP_Y gates form runs: a HAD2 or P1PH on the same
+    target ends one, and is a step by itself, so the inverse QFT has none."""
+    a, b = roty(25.0, 0, (Control(1),)), sigx(0, (Control(1),))
+    h, p = had2(0, (Control(1),)), p1ph(30.0, 0, (Control(1),))
+    steps = sim._steps((a, b, h, a, p, b, a, h, h), {})
+    assert [type(step).__name__ for step in steps] == [
+        "_Run", "Instruction", "Instruction", "Instruction", "_Run", "Instruction", "Instruction"]
+    assert steps[0].gates == (a, b) and steps[4].gates == (b, a)
+    assert steps[1] is h and steps[2] is a and steps[3] is p and steps[5] is steps[6] is h
+    _, runs, _ = sim._plan(Circuit(3, (Loop(3, inverse_qft(range(3))),)).body)
+    assert not runs
 
 
 def test_runs_stop_at_loop_markers():
@@ -708,6 +720,18 @@ def test_apply_equals_gate_by_gate_on_the_verify_flow():
     its phase-estimation loops run as operators on 5 of the 10 qubits."""
     circuit = parse_english(write_english(generated((2, 3, 2, 1))))
     assert len(circuit) == 1078
+    state = sim.basis_state(circuit.num_qubits)
+    np.testing.assert_allclose(sim.apply(circuit, state), gate_by_gate(circuit, state)[:, 0],
+                               rtol=0, atol=1e-12)
+
+
+def test_apply_equals_gate_by_gate_on_the_wide_flow():
+    """The multiplexor-level file of the `wide` bench flow, (4,3,1,1) with
+    state preparation, on 11 qubits, against every gate of its unrolled
+    body: its segments that execute once run step by step on the state, with
+    each of their HAD2 and P1PH gates a kernel step by itself."""
+    circuit = parse_english(write_english(generated((4, 3, 1, 1))))
+    assert len(circuit) == 928
     state = sim.basis_state(circuit.num_qubits)
     np.testing.assert_allclose(sim.apply(circuit, state), gate_by_gate(circuit, state)[:, 0],
                                rtol=0, atol=1e-12)
