@@ -24,7 +24,7 @@ The kernel views the 2^n amplitudes, without copying, as a tensor of shape
 identity, with one trailing column axis.  A plain control pins its axis to 0
 or 1 and the target axis splits into a 0-half and a 1-half, all by basic
 slicing, so every gate reads and writes views.  The 2x2 unitary mixes the two
-halves; SWAP exchanges the 10- and 01-views; PHAS scales the control view.
+halves; PHAS scales the control view; SWAP permutes its axes (below).
 MP_Y is a single pass: the mux word of every amplitude pair is broadcast from
 one arange(2) << name term per mux axis and gathers that pair's cos/sin.
 Axes are addressed from the right, so the same code runs on any number of
@@ -69,6 +69,22 @@ lone MP_Y from its third execution (the kernel rebuilds a multiplexor's
 word tensor and cos/sin gather every time); any other gate, HAD2 and P1PH
 included, goes to the kernel by itself.
 
+A maximal run of SWAPs with identical controls, a lone SWAP included, is
+one step, shared and counted like a run: its exchanges compose to one
+permutation of the axes of the control view, written back in one
+assignment, `view[...] = view.transpose(order)`, which numpy buffers as
+source and destination overlap; it only moves amplitudes, so it is exact.
+In a segment that gets no operator (below), consecutive tabled runs may
+form a block.  Its runs write T, the set of their targets, pin the
+controls that all their gates share and only read C, the rest of their
+operand bits.  It is built once, by running the runs on a batch of 2^|T|
+identities, one on T for each value of the pinned and read bits, and kept
+at the pinned values as a (2^|C|, 2^|T|, 2^|T|) array; it executes as one
+batched matmul with the pinned view of the state transposed to (C, T,
+rest).  Each distinct stretch of consecutive tabled runs is cut into
+blocks once, by the cost rule below, with its executions summed over its
+places.
+
 Segment operators.  A segment that executes more than once gets its
 support, the qubits its steps act on (a tabled run's operand bits come with
 its table).  Its operator is a dense 2^k x 2^k matrix on k qubits, its
@@ -83,7 +99,9 @@ measured by timeit (numpy 2.4.6, Python 3.11, 2 vCPUs, one BLAS thread): a
 step costs 10 us + 5 ns per amplitude it runs on; a product 2 us + 0.5 ns
 per operator row, state amplitude and column, or 0.2 ns over the 2^n
 columns of `to_matrix` (measured: 0.13 ns on 10 qubits, 0.14-0.20 ns on all
-or all but one of 6 to 9, more on fewer); a transpose one step.  A segment
+or all but one of 6 to 9, more on fewer), and 0.4 us per further matrix of
+a stack (measured: 0.4-0.5 us beyond its entries, stacks of 16 to 256
+matrices of 4 or 16 rows against 4 columns); a transpose one step.  A segment
 of s steps that executes e times saves e * s * (step on the state), less
 s * (step on 4^k amplitudes), the build, and e products and transposes.  It
 takes the k, support or n, that saves more, and gets an operator when that
@@ -94,7 +112,18 @@ its third execution and one of 2 steps from its fourth; one of 26 steps on
 qubits, pays from its second execution; a build on the whole register
 costs as much as 347 executions step by step.  The operators of one call
 hold at most 16 MiB (16 * 4^k bytes each), the most saving first: 256 on 6
-qubits, one on 10, none on 11.
+qubits, one on 10, none on 11.  A block of s runs with p pinned bits saves
+e * s steps on the state, less e products of 2^|C| matrices of 2^|T| rows
+over the 2^(n-p) amplitudes of its view, e transposes, and a build of s
+steps on 2^(p + |C| + 2|T|) amplitudes.  From each run of a stretch on,
+the block of two or more runs that saves most is taken when that is
+positive and its 16 * 2^|C| * 4^|T| bytes fit what the operators left of
+the budget; it grows no further than where one more step at its present
+widths would save nothing.  An embedding cascade of W at 11 qubits, 4 lone
+multiplexors with |T| = |C| = 4 and one pinned probe bit, saves 44 us per
+execution against a build of 0.2 ms (about 0.25 ms measured), and forms
+one block of all 4 from its ninth execution; below that a block of its
+first 3, which pays from its third, saves more.
 
 Tables and operators change the order of the floating-point operations,
 so results differ from gate-by-gate evaluation by rounding that grows with
@@ -116,12 +145,13 @@ MAX_STATE_QUBITS = 16   # apply: 2^n amplitudes
 MAX_MATRIX_QUBITS = 12  # to_matrix: 4^n amplitudes
 UNITARY_TOL = 1e-8  # eig_unitary: the largest unitarity defect
 _PIN = (slice(0, 1), slice(1, 2))  # size-1 slices keep every axis for broadcasting
-# The segment-operator cost rule (see the module docstring): seconds per step
-# and per amplitude, per product and per operator entry and column, for one
-# column (a matvec) and for the 2^n of `to_matrix` (a matrix product), and the
-# bytes that the operators of one call may hold.
+# The cost rule of segment operators and blocks (see the module docstring):
+# seconds per step and per amplitude, per product, per operator entry and
+# column, for one column (a matvec) and for the 2^n of `to_matrix` (a matrix
+# product), and per further matrix of a stack; and the bytes that the
+# operators and blocks of one call may hold.
 _STEP_S, _AMPLITUDE_S = 10e-6, 5e-9
-_PRODUCT_S, _MATVEC_ENTRY_S, _GEMM_ENTRY_S = 2e-6, 0.5e-9, 0.2e-9
+_PRODUCT_S, _MATVEC_ENTRY_S, _GEMM_ENTRY_S, _BATCH_S = 2e-6, 0.5e-9, 0.2e-9, 0.4e-6
 _OPERATOR_BYTES = 16 << 20
 
 _SIGX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -163,20 +193,15 @@ def _single_qubit_unitary(op: Opcode, angles_deg: tuple[float, ...]) -> tuple:
 def _apply_gate(psi: np.ndarray, ins: Instruction, axis) -> None:
     """Apply one gate in place; `axis[b]` is the tensor axis of bit b, counted
     from the right."""
+    op = ins.opcode
+    if op is Opcode.SWAP:
+        _permute(psi, _exchange((ins,), axis, psi.ndim))
+        return
     index = [slice(None)] * psi.ndim
     for c in ins.controls:
         index[axis[c.bit]] = _PIN[c.on]
-    op = ins.opcode
     if op is Opcode.PHAS:
         psi[tuple(index)] *= np.exp(1j * math.radians(ins.angles_deg[0]))
-        return
-    if op is Opcode.SWAP:
-        hi, lo = (axis[t] for t in ins.targets)
-        index[hi], index[lo] = _PIN[1], _PIN[0]
-        v10 = psi[tuple(index)]
-        index[hi], index[lo] = _PIN[0], _PIN[1]
-        v01 = psi[tuple(index)]
-        v10[...], v01[...] = v01.copy(), v10.copy()
         return
     target = axis[ins.targets[0]]
     index[target] = _PIN[0]
@@ -201,6 +226,32 @@ def _mix(a0: np.ndarray, a1: np.ndarray, u00, u01, u10, u11) -> None:
     new0 = u00 * a0 + u01 * a1
     a1[...] = u10 * a0 + u11 * a1
     a0[...] = new0
+
+
+def _exchange(swaps, axis, ndim: int) -> tuple[tuple, tuple]:
+    """SWAPs with identical controls as one axis permutation: the index of
+    the view of a tensor of `ndim` axes that their controls select, and the
+    order of that view's axes after each pair of target lines is exchanged
+    in turn."""
+    index = [slice(None)] * ndim
+    for c in swaps[0].controls:
+        index[axis[c.bit]] = _PIN[c.on]
+    order = list(range(ndim))
+    for ins in swaps:
+        hi, lo = (axis[t] for t in ins.targets)
+        order[hi], order[lo] = order[lo], order[hi]
+    return (Ellipsis, *index), tuple(order)
+
+
+def _permute(psi: np.ndarray, exchange: tuple) -> None:
+    """Apply `_exchange`'s permutation in one assignment, which numpy buffers
+    as source and destination overlap; an operator's build has one more
+    axis, its leading column axis."""
+    index, order = exchange
+    view = psi[index]
+    if view.ndim > len(order):
+        order = (0, *(a + 1 for a in order))
+    view[...] = view.transpose(order)
 
 
 def _table(run: list[Instruction], axis, ndim: int) -> tuple[int, tuple]:
@@ -276,12 +327,35 @@ class _Run:
         self.gates, self.executions, self.table, self.bits = gates, executions, None, 0
 
 
+class _Swaps:
+    """A maximal run of SWAPs with identical controls, one object per
+    distinct run, counted like a _Run; once prepared, its `_exchange`."""
+
+    __slots__ = ("gates", "executions", "exchange")
+
+    def __init__(self, gates: list[Instruction]):
+        self.gates, self.executions, self.exchange = gates, 0, None
+
+
+class _Block:
+    """Consecutive tabled runs as one batched product: a matrix on their
+    targets T for each word of the bits C that they only read, shaped
+    (2^|C|, 2^|T|, 2^|T|), and the view of the state it multiplies: the
+    controls that all their gates share pinned, its axes transposed to
+    (C, T, the rest)."""
+
+    __slots__ = ("matrices", "view")
+
+    def __init__(self, matrices: np.ndarray, view: np.ndarray):
+        self.matrices, self.view = matrices, view
+
+
 class _Segment:
     """A maximal run of gates between Loops, one object per distinct segment:
-    its steps (gates and _Runs), its executions counted like a _Run's, and
-    its dense operator once one is built, with, if that operator acts on
-    fewer qubits than the state has, a view of the state tensor transposed
-    so that their axes lead."""
+    its steps (gates, _Runs, _Swaps and, once cut, _Blocks), its executions
+    counted like a _Run's, and its dense operator once one is built, with,
+    if that operator acts on fewer qubits than the state has, a view of the
+    state tensor transposed so that their axes lead."""
 
     __slots__ = ("steps", "executions", "operator", "view")
 
@@ -291,26 +365,33 @@ class _Segment:
 
 def _steps(gates: tuple, runs: dict) -> list:
     """A run of gates cut into steps: each maximal run of two or more ROTY,
-    SIGX and MP_Y gates on one target, and each lone MP_Y, is its _Run,
-    shared through `runs` and keyed on its gates' identities; any other gate
-    is a step by itself."""
+    SIGX and MP_Y gates on one target, and each lone MP_Y, is its _Run, each
+    maximal run of SWAPs with identical controls its _Swaps, both shared
+    through `runs` and keyed on their gates' identities; any other gate is
+    a step by itself."""
     steps: list = []
     i, count = 0, len(gates)
     while i < count:
         gate = gates[i]
-        start, targets = i, gate.targets
+        start, op, kind = i, gate.opcode, None
         i += 1
-        if gate.opcode in _REAL:
-            while i < count and gates[i].opcode in _REAL and gates[i].targets == targets:
+        if op is Opcode.SWAP:
+            kind = _Swaps
+            while i < count and gates[i].opcode is op and gates[i].controls == gate.controls:
                 i += 1
-        if i - start == 1 and not gate.mux_controls:
+        elif op in _REAL:
+            while i < count and gates[i].opcode in _REAL and gates[i].targets == gate.targets:
+                i += 1
+            if i - start > 1 or gate.mux_controls:
+                kind = _Run
+        if kind is None:
             steps.append(gate)
             continue
         run_gates = gates[start:i]
         key = tuple(map(id, run_gates))
         run = runs.get(key)
         if run is None:
-            run = runs[key] = _Run(run_gates)
+            run = runs[key] = kind(run_gates)
         steps.append(run)
     return steps
 
@@ -356,15 +437,15 @@ def _run_segment(pieces: list, runs: dict, spans: dict, weight: int) -> _Segment
 
 def _plan(body: tuple) -> tuple[list, dict, dict]:
     """The loop tree of segments, with the distinct runs and the distinct
-    segments, each knowing how often it executes."""
+    segments, each knowing how often it executes, as does each _Swaps."""
     runs: dict = {}
     segments: dict = {}
     plan = _walk(body, runs, segments, 1)
     for segment in segments.values():
         for step in segment.steps:
-            if type(step) is _Run:
+            if type(step) is not Instruction:
                 step.executions += segment.executions
-    return plan, runs, segments
+    return plan, {key: run for key, run in runs.items() if type(run) is _Run}, segments
 
 
 def _support(steps: list, n: int) -> list[int]:
@@ -381,26 +462,35 @@ def _support(steps: list, n: int) -> list[int]:
     return [b for b in reversed(range(n)) if mask >> b & 1]
 
 
-def _saving(segment: _Segment, qubits: int, n: int, cols: int) -> float:
-    """Seconds saved by building a segment's operator on `qubits` of the n:
-    its steps on the identity of that size plus, per execution, one product
-    and, below n, one transpose of the state, against its steps on the state
-    at every execution."""
-    steps, executions = len(segment.steps), segment.executions
+def _saving(steps: int, executions: int, n: int, cols: int, rows: int,
+            reads: int = 0, pins: int = 0) -> float:
+    """Seconds saved by a product in place of `steps` steps on the state at
+    each execution: a stack of 2^reads matrices of 2^rows rows, over the
+    amplitudes that `pins` pinned bits select, with a transpose of the state
+    unless its rows span the register, and a build of the steps on 2^(pins
+    + reads + 2 rows) amplitudes.  A segment operator on k qubits has rows
+    k, reads 0 and pins 0."""
     amplitudes = (1 << n) * cols
     step = _STEP_S + _AMPLITUDE_S * amplitudes
     entry = _MATVEC_ENTRY_S if cols == 1 else _GEMM_ENTRY_S
-    product = _PRODUCT_S + entry * (1 << qubits) * amplitudes
-    if qubits < n:
+    product = (_PRODUCT_S + _BATCH_S * ((1 << reads) - 1)
+               + entry * (1 << rows) * (amplitudes >> pins))
+    if rows < n:
         product += step
-    build = steps * (_STEP_S + _AMPLITUDE_S * (1 << 2 * qubits))
+    build = steps * (_STEP_S + _AMPLITUDE_S * (1 << pins + reads + 2 * rows))
     return executions * (steps * step - product) - build
 
 
 def _run_steps(psi: np.ndarray, steps: list, axis) -> None:
     for step in steps:
-        if type(step) is Instruction:
+        kind = type(step)
+        if kind is Instruction:
             _apply_gate(psi, step, axis)
+        elif kind is _Swaps:
+            _permute(psi, step.exchange)
+        elif kind is _Block:
+            view, matrices = step.view, step.matrices
+            view[...] = (matrices @ view.reshape(*matrices.shape[:2], -1)).reshape(view.shape)
         elif step.table is None:
             for ins in step.gates:
                 _apply_gate(psi, ins, axis)
@@ -421,6 +511,107 @@ def _operator(steps: list, axis, qubits: list[int]) -> np.ndarray:
     psi = op.reshape((*shape, dim))
     _run_steps(psi if axis[0] == -2 else np.moveaxis(psi, -1, 0), steps, axis)
     return op
+
+
+def _block(runs: list, psi: np.ndarray, axis, masks: tuple) -> _Block:
+    """The _Block of consecutive tabled runs, from the masks of the bits
+    they pin, of those of them that are on, of the bits C they only read and
+    of their targets T.  Its matrices are the runs on a batch of 2^|T|
+    identities, one on T for each value of the bits they pin and read, laid
+    out as for `_operator`, then taken at the pinned values."""
+    pinned, on, reads, targets = masks
+    n = len(axis)
+    dim = 1 << targets.bit_count()
+    bits = range(n - 1, -1, -1)  # descending, so bit b is on axis n - 1 - b
+    eye = np.eye(dim, dtype=complex).reshape(*(2 if targets >> b & 1 else 1 for b in bits), dim)
+    batch = np.array(np.broadcast_to(eye, (*(2 if (pinned | reads | targets) >> b & 1 else 1
+                                             for b in bits), dim)))
+    _run_steps(batch if axis[0] == -2 else np.moveaxis(batch, -1, 0), runs, axis)
+    order = [n - 1 - b for mask in (pinned, reads, targets) for b in bits if mask >> b & 1]
+    at = tuple(on >> b & 1 for b in bits if pinned >> b & 1)
+    matrices = batch.transpose(*order, *(a for a in range(n + 1) if a not in order))[at]
+    front = order[len(at):]
+    view = psi[tuple(_PIN[on >> b & 1] if pinned >> b & 1 else slice(None) for b in bits)]
+    return _Block(matrices.reshape(-1, dim, dim),
+                  view.transpose(*front, *(a for a in range(psi.ndim) if a not in front)))
+
+
+def _pins(run: _Run, axis) -> tuple[int, int]:
+    """The masks of the controls that every gate of a tabled run shares,
+    of those on and of those off, read back from its table's first index,
+    which pins them."""
+    index0, target = run.table[0], run.gates[0].targets[0]
+    on = off = 0
+    for b, a in enumerate(axis):
+        if index0[a] is _PIN[1]:
+            on |= 1 << b
+        elif index0[a] is _PIN[0] and b != target:
+            off |= 1 << b
+    return on, off
+
+
+def _cut(runs: list, executions: int, psi: np.ndarray, axis, cols: int,
+         budget: int) -> tuple[list, int]:
+    """A stretch of tabled runs cut into _Blocks and runs: from each run on,
+    the block of two or more runs that saves most by `_saving`, if one
+    saves and fits the budget; it stops growing where one more step of its
+    present widths would save nothing.  Returns the steps and the budget
+    left."""
+    n = len(axis)
+    pins = [_pins(run, axis) for run in runs]
+    steps, i = [], 0
+    while i < len(runs):
+        best, end, targets, reads, on, off = 0.0, i + 1, 0, 0, -1, -1
+        for j in range(i, len(runs)):
+            targets |= 1 << runs[j].gates[0].targets[0]
+            reads |= runs[j].bits
+            on &= pins[j][0]
+            off &= pins[j][1]
+            if j == i:
+                continue
+            pinned = on | off
+            only = reads & ~targets & ~pinned
+            widths = (targets.bit_count(), only.bit_count(), pinned.bit_count())
+            if 16 << widths[1] + 2 * widths[0] > budget:
+                break
+            saving = _saving(j + 1 - i, executions, n, cols, *widths)
+            if saving > best:
+                best, end, masks = saving, j + 1, (pinned, on, only, targets)
+            if _saving(j + 2 - i, executions, n, cols, *widths) <= saving:
+                break
+        if end - i > 1:
+            block = _block(runs[i:end], psi, axis, masks)
+            budget -= block.matrices.nbytes
+            steps.append(block)
+        else:
+            steps.append(runs[i])
+        i = end
+    return steps, budget
+
+
+def _blocks(segments: dict, psi: np.ndarray, axis, cols: int, budget: int) -> None:
+    """Cut each stretch of two or more consecutive tabled runs, in the
+    segments that get no operator, by `_cut`: each distinct stretch, by its
+    runs' identities, once, with its executions summed over its places."""
+    stretches: dict = {}  # run identities -> [runs, executions]
+    places = []  # (segment, start, end, key), in order
+    for segment in segments.values():
+        if segment.operator is not None:
+            continue
+        steps, start = segment.steps, 0
+        for end in range(len(steps) + 1):
+            if end < len(steps) and type(steps[end]) is _Run and steps[end].table is not None:
+                continue
+            if end - start > 1:
+                key = tuple(map(id, steps[start:end]))
+                stretches.setdefault(key, [steps[start:end], 0])[1] += segment.executions
+                places.append((segment, start, end, key))
+            start = end + 1
+    cuts = {}
+    for key, (runs, executions) in stretches.items():
+        cuts[key], budget = _cut(runs, executions, psi, axis, cols, budget)
+    for segment, start, end, key in reversed(places):  # later places first: indices hold
+        segment.steps[start:end] = cuts[key]
 
 
 def _execute(amp: np.ndarray, psi: np.ndarray, plan: list, axis) -> None:
@@ -450,11 +641,16 @@ def _evolve(circuit: Circuit, amp: np.ndarray) -> None:
         # rebuilds its word tensor and cos/sin gather at every one.
         if run.executions > (2 if len(run.gates) == 1 else 1):
             run.bits, run.table = _table(run.gates, axis, psi.ndim)
+    for segment in segments.values():
+        for step in segment.steps:
+            if type(step) is _Swaps and step.exchange is None:
+                step.exchange = _exchange(step.gates, axis, psi.ndim)
     register = list(reversed(range(n)))
     offers = []  # (seconds saved, segment, its operator's qubits)
     for segment in segments.values():
         if segment.executions > 1:
-            offers.append(max(((_saving(segment, len(qubits), n, cols), segment, qubits)
+            offers.append(max(((_saving(len(segment.steps), segment.executions, n, cols,
+                                        len(qubits)), segment, qubits)
                                for qubits in (_support(segment.steps, n), register)),
                               key=operator.itemgetter(0)))
     offers.sort(key=operator.itemgetter(0), reverse=True)
@@ -466,6 +662,7 @@ def _evolve(circuit: Circuit, amp: np.ndarray) -> None:
             if len(qubits) < n:
                 front = [n - 1 - b for b in qubits]
                 segment.view = psi.transpose(*front, *(a for a in range(psi.ndim) if a not in front))
+    _blocks(segments, psi, axis, cols, budget)
     _execute(amp, psi, plan, axis)
 
 

@@ -11,8 +11,10 @@ import pytest
 
 from qsagen import annealer, cli, sim
 from qsagen.cli import main
-from qsagen.ir import (Circuit, Loop, MuxControl, count_elementary_ops, had2, mp_y,
+from qsagen.ir import (Circuit, Loop, MuxControl, Opcode, count_elementary_ops, had2, mp_y,
                        parse_english, write_english)
+from qsagen.markov import default_problem, metropolis
+from qsagen.qembed import qembed_circuit
 
 GEN_ARGS = ["generate", "--prefix", "demo", "--nb", "1", "--probe-bits", "2",
             "--pe-steps", "1", "--grover-depth", "1", "--num-betas", "3",
@@ -373,6 +375,19 @@ def test_corrupt_angle_skips_loops_and_shifts_the_first_multiplexor():
     assert out == Circuit(2, (loop, had2(1), corrupted, mux))
     assert out.body[0] is loop and out.body[3] is mux
     assert cli._maybe_corrupt(circuit, argparse.Namespace(corrupt_angle=False)) is circuit
+
+
+def test_corrupt_angle_shifts_a_multiplexor_at_index_zero():
+    """The embedding cascade that `verify` corrupts starts with a
+    multiplexor: that first gate is the one shifted, and only it."""
+    circuit = qembed_circuit(metropolis(default_problem(2), 0.5))
+    first = circuit.body[0]
+    assert first.opcode is Opcode.MP_Y
+    out = cli._maybe_corrupt(circuit, argparse.Namespace(corrupt_angle=True))
+    assert out.body[0] == first.with_angles((first.angles_deg[0] + 5.0,) + first.angles_deg[1:])
+    assert out.body[0] != first
+    assert len(out.body) == len(circuit.body)
+    assert all(a is b for a, b in zip(out.body[1:], circuit.body[1:]))
 
 
 def test_verify_fixed_point_fails_on_wrong_q_phase(workdir, capsys, monkeypatch):

@@ -81,10 +81,11 @@ def test_distinct_nodes_do_not_grow_with_depth():
 
 def segment_shapes(body) -> Counter:
     """The simulator's segments of a body: the gates of each step, by
-    identity, and how often the segment executes."""
+    identity, and how often the segment executes.  A run of SWAPs is a new
+    object in each plan, like a run, so both are read by their gates."""
     _, _, segments = sim._plan(body)
-    return Counter((tuple(tuple(map(id, step.gates)) if type(step) is sim._Run else id(step)
-                          for step in segment.steps), segment.executions)
+    return Counter((tuple(tuple(map(id, step.gates)) if type(step) in (sim._Run, sim._Swaps)
+                          else id(step) for step in segment.steps), segment.executions)
                    for segment in segments.values())
 
 

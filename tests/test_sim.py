@@ -1,7 +1,9 @@
 """Simulator gate semantics against hand matrices, scipy's expm and the
 kron-built oracle, gate by gate and through the run tables and segment
 operators."""
+import functools
 import math
+import operator
 from dataclasses import replace
 
 import numpy as np
@@ -749,3 +751,163 @@ def test_apply_with_operators_is_pure_and_repeatable(monkeypatch):
     second = sim.apply(circuit, state)
     assert built and len(built) % 2 == 0  # each call builds its own operators
     assert np.array_equal(first, second)
+
+
+# --- SWAP runs and blocks --------------------------------------------------------
+
+def test_swaps_with_identical_controls_form_one_step():
+    """Consecutive SWAPs with equal controls are one _Swaps, shared by its
+    gates' identities and counted like a run; a SWAP with other controls
+    starts another, and a lone SWAP is one too, so no SWAP is a kernel step."""
+    a, b = swap(0, 1, (Control(3),)), swap(1, 2, (Control(3),))
+    c, h = swap(0, 2, (Control(3, False),)), had2(0)
+    steps = sim._steps((a, b, c, a, h, a, b), {})
+    assert [type(step).__name__ for step in steps] == [
+        "_Swaps", "_Swaps", "_Swaps", "Instruction", "_Swaps"]
+    assert steps[0].gates == (a, b) and steps[1].gates == (c,) and steps[2].gates == (a,)
+    assert steps[3] is h and steps[4] is steps[0]
+    _, runs, segments = sim._plan(Circuit(4, (Loop(3, (a, b, h)), a, b)).body)
+    assert not runs
+    shared, = {id(step): step for segment in segments.values() for step in segment.steps
+               if type(step) is sim._Swaps}.values()
+    assert tuple(shared.gates) == (a, b) and shared.executions == 4
+
+
+def random_swap_circuit(seed):
+    """Runs of SWAPs under shared controls, with chained pairs (a b, then
+    b c), between rotations that mix the state, inside Loops and out."""
+    rng = np.random.default_rng(9500 + seed)
+    n = int(rng.integers(3, 7))
+    body = [rotx(float(rng.uniform(-180.0, 180.0)), b) for b in range(n)]
+    for _ in range(int(rng.integers(1, 4))):
+        bits = [int(b) for b in rng.permutation(n)]
+        controls = [Control(b, bool(rng.integers(2)))
+                    for b in bits[:rng.integers(0, min(2, n - 3) + 1)]]
+        free = bits[len(controls):]
+        run = []
+        for _ in range(int(rng.integers(1, 6))):
+            if run and rng.random() < 0.5:  # chained: shares a line with the last one
+                lo = run[-1].targets[int(rng.integers(2))]
+                hi = int(rng.choice([b for b in free if b != lo]))
+            else:
+                hi, lo = (int(b) for b in rng.choice(free, size=2, replace=False))
+            run.append(swap(hi, lo, controls))
+        gates = [*run, rotn(*rng.uniform(-180.0, 180.0, size=3), int(rng.integers(n)))]
+        body.append(Loop(int(rng.integers(1, 4)), gates) if rng.random() < 0.6 else gates[0])
+        body.extend(run)
+    return Circuit(n, tuple(body)), rng
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_swap_runs_match_gate_by_gate_and_oracle(seed):
+    circuit, rng = random_swap_circuit(seed)
+    _, _, segments = sim._plan(circuit.body)
+    assert any(type(step) is sim._Swaps for s in segments.values() for step in s.steps)
+    dim = 1 << circuit.num_qubits
+    want = oracle_matrix(circuit)
+    got = sim.to_matrix(circuit)
+    np.testing.assert_allclose(got, gate_by_gate(circuit, np.eye(dim)), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+    for state in rng.normal(size=(2, dim)) + 1j * rng.normal(size=(2, dim)):
+        got = sim.apply(circuit, state)
+        np.testing.assert_allclose(got, gate_by_gate(circuit, state)[:, 0], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(got, want @ state, rtol=0, atol=1e-12)
+
+
+def count_blocks(monkeypatch):
+    """The (runs, masks) of every block built from now on."""
+    built, block = [], sim._block
+    monkeypatch.setattr(sim, "_block", lambda runs, psi, axis, masks:
+                        built.append((runs, masks)) or block(runs, psi, axis, masks))
+    return built
+
+
+def random_block_body(rng, n):
+    """Consecutive ladders and multiplexors on 2 to 4 targets drawn at random
+    from n bits, so that the bits they only read fall between them and the
+    sets are not contiguous, often with a control that every gate shares."""
+    bits = [int(b) for b in rng.permutation(n)]
+    shared = [Control(bits.pop(), bool(rng.integers(2)))] if rng.random() < 0.7 else []
+    targets = bits[:rng.integers(2, min(4, len(bits) - 1) + 1)]
+    angle = lambda: float(rng.uniform(-180.0, 180.0))
+    body = []
+    for target in [*targets, *rng.permutation(targets)[:rng.integers(0, 3)]]:
+        others = [b for b in bits if b != target]
+        if rng.random() < 0.5:  # a multiplexor, at times under a control of its own
+            k = int(rng.integers(1, min(3, len(others) - 1) + 1))
+            read = [int(b) for b in rng.permutation(others)]
+            mux = [MuxControl(b, name) for name, b in enumerate(read[:k])]
+            plain = [Control(b, bool(rng.integers(2))) for b in read[k:k + rng.integers(2)]]
+            body.append(mp_y(int(target), mux, [angle() for _ in range(1 << k)], shared + plain))
+        else:
+            for i in range(int(rng.integers(2, 7))):  # y-rotations between CNOTs
+                plain = [Control(int(b), bool(rng.integers(2))) for b in
+                         rng.choice(others, size=int(rng.integers(i % 2, 3)), replace=False)]
+                body.append(sigx(int(target), shared + plain) if i % 2 else
+                            roty(angle(), int(target), shared + plain))
+    return body
+
+
+def random_block_circuit(seed):
+    """Two random block bodies on 4 to 6 qubits, each written in several
+    segments that execute once, in a Loop and in a Loop nested in another:
+    a stretch of runs executes as often as all its places together."""
+    rng = np.random.default_rng(9700 + seed)
+    n = int(rng.integers(4, 7))
+    first, second = (random_block_body(rng, n) for _ in range(2))
+    mark = Loop(1, (p1ph(30.0, 0),))
+    return Circuit(n, (*[had2(b) for b in range(n)], *first, mark, *second, had2(0), *first,
+                       swap(0, n - 1), *second, Loop(2, first),
+                       Loop(1, (Loop(2, (*second, had2(0))),)), mark, *first)), rng
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_blocks_match_gate_by_gate_and_oracle(seed, monkeypatch):
+    circuit, rng = random_block_circuit(seed)
+    built = count_blocks(monkeypatch)
+    dim = 1 << circuit.num_qubits
+    want = oracle_matrix(circuit)
+    got = sim.to_matrix(circuit)
+    np.testing.assert_allclose(got, gate_by_gate(circuit, np.eye(dim)), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+    for state in rng.normal(size=(2, dim)) + 1j * rng.normal(size=(2, dim)):
+        got = sim.apply(circuit, state)
+        np.testing.assert_allclose(got, gate_by_gate(circuit, state)[:, 0], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(got, want @ state, rtol=0, atol=1e-12)
+    # Each block writes its runs' targets, and pins or reads the rest of their bits.
+    for runs, (pinned, on, reads, targets) in built:
+        assert targets == sum({1 << run.gates[0].targets[0] for run in runs})
+        assert pinned | reads | targets == functools.reduce(operator.or_, (r.bits for r in runs))
+        assert not (pinned & reads) and not (pinned & targets) and on & ~pinned == 0
+
+
+@pytest.mark.parametrize("run", [lambda c: sim.apply(c, sim.basis_state(c.num_qubits)),
+                                 sim.to_matrix], ids=["apply", "to_matrix"])
+def test_random_block_circuits_build_blocks(run, monkeypatch):
+    built = count_blocks(monkeypatch)
+    counts = []
+    for seed in range(30):
+        before = len(built)
+        run(random_block_circuit(seed)[0])
+        counts.append(len(built) - before)
+    assert sum(count > 0 for count in counts) >= 24
+    assert sum(masks[0] != 0 for _, masks in built) >= 20  # a shared control pinned
+    assert {masks[3].bit_count() for _, masks in built} == {2, 3, 4}
+
+
+def test_wide_flow_builds_a_block_per_embedding_cascade(monkeypatch):
+    """The `wide` multiplexor-level file writes each embedding cascade of W
+    as four lone multiplexors on bits 4 to 7 that read bits 0 to 3, all
+    under one probe control: 18 distinct cascades, each one block on 3 or 4
+    of its multiplexors, with the probe bit pinned."""
+    circuit = parse_english(write_english(generated((4, 3, 1, 1))))
+    built = count_blocks(monkeypatch)
+    state = sim.basis_state(circuit.num_qubits)
+    np.testing.assert_allclose(sim.apply(circuit, state), gate_by_gate(circuit, state)[:, 0],
+                               rtol=0, atol=1e-12)
+    assert len(built) == 18
+    assert len({tuple(map(id, runs)) for runs, _ in built}) == 18
+    for runs, (pinned, on, reads, targets) in built:
+        assert all(len(run.gates) == 1 for run in runs) and len(runs) in (3, 4)
+        assert pinned == on and pinned in (1 << 8, 1 << 9, 1 << 10)
+        assert reads == 0b1111 and targets & ~0b11110000 == 0
