@@ -135,6 +135,8 @@ def cmd_expand(args: argparse.Namespace) -> int:
 # --- simulate -------------------------------------------------------------------
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    if not np.isfinite(args.cutoff):
+        return _fail(f"cutoff must be finite, got {args.cutoff}")
     text = _read(f"{args.in_prefix}_eng.txt")
     try:
         circuit = parse_english(text, num_qubits=args.qubits)

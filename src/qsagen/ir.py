@@ -152,10 +152,8 @@ class Instruction:
 
     def with_angles(self, angles_deg: Iterable[float]) -> Instruction:
         """This instruction with new angles; only their count and finiteness
-        are checked, and the operand fields are shared.  (Reading ``__dict__``
-        gives an instance a dict of its own: only this fast copy does.)"""
-        derived = object.__new__(Instruction)
-        derived.__dict__.update(self.__dict__, angles_deg=tuple(map(float, angles_deg)))
+        are checked, and the operand fields are shared."""
+        derived = self._derived(self.controls, tuple(map(float, angles_deg)), self.operand_bits)
         _check_angles(derived)
         return derived
 
@@ -168,15 +166,20 @@ class Instruction:
                 f"control bit {control.bit} collides with {self.opcode.value} operands")
         at = sum(c.bit > control.bit for c in self.controls)
         split = len(self.targets) + at
+        return self._derived(self.controls[:at] + (control,) + self.controls[at:], self.angles_deg,
+                             self.operand_bits[:split] + (control.bit,) + self.operand_bits[split:])
+
+    def _derived(self, controls: tuple, angles_deg: tuple, operand_bits: tuple) -> Instruction:
+        """An unchecked copy with these three fields and the other three
+        shared, each set in the constructor's order."""
         derived = object.__new__(Instruction)
         set_field = object.__setattr__
         set_field(derived, "opcode", self.opcode)
         set_field(derived, "targets", self.targets)
-        set_field(derived, "controls", self.controls[:at] + (control,) + self.controls[at:])
+        set_field(derived, "controls", controls)
         set_field(derived, "mux_controls", self.mux_controls)
-        set_field(derived, "angles_deg", self.angles_deg)
-        set_field(derived, "operand_bits",
-                  self.operand_bits[:split] + (control.bit,) + self.operand_bits[split:])
+        set_field(derived, "angles_deg", angles_deg)
+        set_field(derived, "operand_bits", operand_bits)
         return derived
 
 
@@ -346,7 +349,16 @@ class Circuit:
                     continue
                 seen = nodes.get(id(node))
                 if seen is None or depth + seen[1] > _MAX_LOOP_DEPTH:
-                    if type(node) is Seq:
+                    if type(node) is Seq and not node.nests:  # gates only: no per-line walk
+                        gates = dict(zip(map(id, node.body), node.body))
+                        fresh = gates.keys() - checked
+                        checked.update(fresh)
+                        if not bad and any(b >= n for i in fresh for b in gates[i].operand_bits):
+                            bad.append(next((line + at, b) for at, gate in enumerate(node.body)
+                                            if id(gate) in fresh
+                                            for b in gate.operand_bits if b >= n))
+                        seen = len(node.body), 0, len(node.body)
+                    elif type(node) is Seq:
                         end, inner, inner_ops = walk(node.body, line, depth)
                         seen = end - line, inner, inner_ops
                     elif depth == _MAX_LOOP_DEPTH:
@@ -677,7 +689,10 @@ def parse_english(text: str, num_qubits: int | None = None) -> Circuit:
     The text is cut at its LOOP/NEXT lines, and each span of gate lines
     between them becomes a Seq, so a body alternates Seqs and Loops.  Equal
     spans share one Seq, split and parsed once; equal gate lines share one
-    Instruction.
+    Instruction.  Gate lines that differ only in their angles share one
+    operand frame (the opcode and every token but the angles), checked once:
+    a later line with a known frame parses only its angles, and its
+    Instruction shares the first one's operand fields.
     """
     if not _newlines_only(text):
         text = "\n".join(text.splitlines()) + "\n"
@@ -686,6 +701,7 @@ def parse_english(text: str, num_qubits: int | None = None) -> Circuit:
     body: list[Seq | Loop] = []  # the innermost open block
     spans: dict[str, Seq] = {}  # span text -> its Seq
     gates: dict[str, Instruction] = {}  # gate line text -> its parsed instruction
+    frames: dict[tuple, Instruction] = {}  # operand frame -> its first instruction
     open_loops: list[tuple[int, int, Loop, list]] = []  # (label, line number, Loop, outer body)
     index, pos = 0, 1  # the 0-based index and the offset of the first line not yet read
     breaks = _marker_breaks(text, lines_end)
@@ -700,7 +716,7 @@ def parse_english(text: str, num_qubits: int | None = None) -> Circuit:
                 for line_no, raw in enumerate(span.split("\n"), index + 1):
                     ins = gates.get(raw)
                     if ins is None:
-                        ins = gates[raw] = _parse_gate_line(raw, line_no, num_qubits)
+                        ins = gates[raw] = _parse_gate_line(raw, line_no, num_qubits, frames)
                     parsed.append(ins)
                 seq = spans[span] = Seq(parsed)
             body.append(seq)
@@ -751,7 +767,11 @@ def parse_english(text: str, num_qubits: int | None = None) -> Circuit:
         raise ParseError(str(err)) from None
 
 
-def _parse_gate_line(raw: str, line_no: int, num_qubits: int | None) -> Instruction:
+def _parse_gate_line(raw: str, line_no: int, num_qubits: int | None,
+                     frames: dict[tuple, Instruction]) -> Instruction:
+    """The gate on one line.  If ``frames`` holds its operand frame with as
+    many angles, it is that instruction with this line's angles; else it is
+    parsed in full and its frame is added."""
     tokens = raw.split()
     if not tokens:
         raise ParseError("blank line", line_no)
@@ -759,7 +779,14 @@ def _parse_gate_line(raw: str, line_no: int, num_qubits: int | None) -> Instruct
         op = Opcode(tokens[0])
     except ValueError:
         raise ParseError("unknown opcode", line_no, tokens[0]) from None
+    start, stop = 1, 1 + _ANGLE_COUNT.get(op, 0)  # the angle tokens; an MP_Y's follow BY
+    if op is Opcode.MP_Y and "BY" in tokens:
+        start, stop = tokens.index("BY") + 1, len(tokens)
+    frame, angles = (*tokens[:start], *tokens[stop:]), tokens[start:stop]
+    template = frames.get(frame)
     try:
+        if template is not None and len(angles) == len(template.angles_deg):
+            return template.with_angles([_float_token(tok, line_no) for tok in angles])
         ins = _parse_gate(op, tokens, line_no)
     except ParseError:
         raise
@@ -769,6 +796,7 @@ def _parse_gate_line(raw: str, line_no: int, num_qubits: int | None) -> Instruct
         for bit in ins.operand_bits:
             if bit >= num_qubits:
                 raise ParseError(f"bit {bit} out of range for {num_qubits} qubit(s)", line_no)
+    frames[frame] = ins
     return ins
 
 

@@ -247,6 +247,10 @@ NOT_UTF8 = "'utf-8' codec can't decode byte 0xff in position 0: invalid start by
      f"cannot read binary_eng.txt: {NOT_UTF8}"),
     (["simulate", "--in-prefix", "binary"], f"cannot read binary_eng.txt: {NOT_UTF8}"),
     (["simulate", "--in-prefix", "nope"], "cannot read nope_eng.txt: No such file or directory"),
+    # rejected before the file is read
+    (["simulate", "--in-prefix", "nope", "--cutoff", "nan"], "cutoff must be finite, got nan"),
+    (["simulate", "--in-prefix", "demo_qsann", "--cutoff", "inf"], "cutoff must be finite, got inf"),
+    (["simulate", "--in-prefix", "demo_qsann", "--cutoff=-inf"], "cutoff must be finite, got -inf"),
 ])
 def test_file_errors_end_in_message(workdir, capsys, argv, message):
     assert main(GEN_ARGS) == 0

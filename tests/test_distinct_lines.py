@@ -3,6 +3,8 @@
 Each memoized conversion is checked against its per-line path on bodies
 drawn from a small pool, so that lines repeat: equal but distinct objects,
 angles of 0.0 and -0.0, nested loops and multiplexors with plain controls.
+The parser's operand frames (lines that differ only in their angles) are
+checked against the per-line parser, errors included.
 The one-pass `expand_file` is checked against parse -> a placement by
 placement ladder walk (`helpers.ladders_expanded`) -> count and write.
 """
@@ -12,12 +14,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from qsagen.ir import (Circuit, Control, Instruction, Loop, MuxControl, Opcode,
+from qsagen.ir import (Circuit, Control, Instruction, Loop, MuxControl, Opcode, ParseError,
                        _english_line, _picture_line, count_elementary_ops, mp_y,
                        parse_english, render, rotn, roty, write_english, write_picture)
 from qsagen.mux_expander import expand_file, expand_mux
 
-from helpers import flat_lines, ladders_expanded, manual_unroll, random_gate, spliced
+from helpers import (flat_lines, ladders_expanded, manual_unroll, per_line_parse_english,
+                     random_gate, spliced)
 
 N = 4
 SEEDS = range(25)
@@ -137,3 +140,81 @@ def test_expand_file_equals_expanded_circuit(seed):
            f"Number of Elementary Operations: {count_elementary_ops(expanded)}\n")
     assert expand_file(eng, write_picture(circuit)) == (
         log, write_english(expanded), write_picture(expanded))
+
+
+# One operand frame per entry; each "{}" is an angle.
+FRAMES = ("ROTX  {}  AT  0", "ROTY  {}  AT  1  IF  0T  2F", "ROTZ  {}  AT  3  IF  1T",
+          "PHAS {}", "PHAS {} IF  0T  1F", "P0PH {} AT  2", "P1PH {} AT  0 IF 3T",
+          "ROTN  {} {} {}  AT  2  IF  3F", "MP_Y  AT  3 IF 1(1 0(0 BY {} {} {} {}",
+          "MP_Y  AT  0 IF 2(0 BY {} {}", "MP_Y  AT  0 IF 2(0 3T 1F BY {} {}")
+ANGLES = ("0.0", "-0.0", "9e1", "+90.", "1e-300", "1e308")
+
+
+def frame_lines(rng: np.random.Generator, count: int) -> list[str]:
+    """Lines drawn from FRAMES (and two angle-free gates), with angles from
+    ANGLES; some are spaced wider."""
+    frames, lines = FRAMES + ("SIGX  AT  1  IF  0T", "SWAP  3  2"), []
+    for _ in range(count):
+        frame = frames[rng.integers(len(frames))]
+        line = frame.format(*(ANGLES[i] for i in rng.integers(len(ANGLES), size=frame.count("{}"))))
+        if rng.random() < 0.3:
+            line = " " + line.replace(" ", "   ") + "  "
+        lines.append(line)
+    return lines
+
+
+def parse_error(parse, text: str, num_qubits: int | None = None) -> tuple:
+    with pytest.raises(ParseError) as info:
+        parse(text, num_qubits)
+    return str(info.value), info.value.line, info.value.token
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_frame_memo_equals_per_line_parsing(seed):
+    rng = np.random.default_rng(seed)
+    head, inner, tail = frame_lines(rng, 40), frame_lines(rng, 15), frame_lines(rng, 40)
+    text = "\n".join(head + [f"LOOP {len(head)} REPS: 2"] + inner + [f"NEXT {len(head)}"]
+                     + tail + head[:10]) + "\n"
+    for n in (N, None):
+        parsed = flat_lines(parse_english(text, n).body)
+        assert signed(parsed) == signed(flat_lines(per_line_parse_english(text, n).body))
+    first: dict[tuple, Instruction] = {}
+    for ins in parsed:
+        if isinstance(ins, Instruction):
+            template = first.setdefault((ins.opcode, ins.targets, ins.controls,
+                                         ins.mux_controls), ins)
+            assert all(getattr(ins, f) is getattr(template, f)
+                       for f in ("targets", "controls", "operand_bits"))
+    assert len(first) == len(FRAMES) + 2
+
+
+def bad_frame_lines():
+    """(line, the same frame with a bad angle or angle count) pairs."""
+    for frame in FRAMES:
+        count = frame.count("{}")
+        for bad in ("abc", "nan", "inf", "1e999"):
+            for slot in range(count):
+                yield frame.format(*["1.0"] * count), frame.format(
+                    *(bad if i == slot else "-2.5" for i in range(count)))
+    yield "PHAS 1.0", "PHAS"
+    yield "PHAS 1.0 IF  0T  1F", "PHAS IF  0T  1F"
+    yield "ROTN  1.0 2.0 3.0  AT  2  IF  3F", "ROTN  1.0 2.0  AT  2  IF  3F"
+    yield "MP_Y  AT  0 IF 2(0 BY 1.0 2.0", "MP_Y  AT  0 IF 2(0 BY 1.0"
+    yield "MP_Y  AT  0 IF 2(0 BY 1.0 2.0", "MP_Y  AT  0 IF 2(0 BY 1.0 2.0 3.0"
+    yield "MP_Y  AT  0 IF 2(0 BY 1.0 2.0", "MP_Y  AT  0 IF 2(0 BY"
+
+
+@pytest.mark.parametrize("good,bad", list(bad_frame_lines()))
+def test_bad_angles_on_a_known_frame_raise_the_per_line_error(good, bad):
+    """A line whose frame is known, in the same span or after a loop, fails
+    as it does when parsed alone."""
+    for text in (f"{good}\n{bad}\n", f"{good}\nLOOP 1 REPS: 2\n{good}\nNEXT 1\n{bad}\n"):
+        assert parse_error(parse_english, text) == parse_error(per_line_parse_english, text)
+
+
+def test_out_of_range_frame_is_reported_at_its_first_line():
+    text = ("ROTY  1.0  AT  0\nLOOP 1 REPS: 2\nROTY  2.0  AT  0  IF  3T\nNEXT 1\n"
+            "ROTY  -0.0  AT  0  IF  3T\nROTY  5.0  AT  0  IF  3T\n")
+    for parse in (parse_english, per_line_parse_english):
+        assert parse_error(parse, text, 3) == (
+            "line 3: bit 3 out of range for 3 qubit(s)", 3, None)

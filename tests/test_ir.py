@@ -356,6 +356,12 @@ def test_dagger_equals_a_replace_based_inversion():
     (sigx(0), (1.0,), "SIGX needs 0 angle(s), got 1"),
     (mp_y(0, (MuxControl(1, 0), MuxControl(2, 1)), (1.0, 2.0, 3.0, 4.0)), (1.0, 2.0),
      "MP_Y with 2 controls needs 4 angles, got 2"),
+    (rotx(1.0, 0), (float("nan"),), "ROTX angles must be finite"),
+    (rotz(1.0, 1), (), "ROTZ needs 1 angle(s), got 0"),
+    (p1ph(1.0, 0, (Control(2, False),)), (float("inf"),), "P1PH angles must be finite"),
+    (phas(1.0, (Control(1),)), (1.0, 2.0), "PHAS needs 1 angle(s), got 2"),
+    (rotn(1.0, 2.0, 3.0, 0, (Control(1),)), (1.0, 2.0, float("-inf")),
+     "ROTN angles must be finite"),
 ], ids=lambda v: v if isinstance(v, str) else None)
 def test_derived_instruction_checks_its_angles(template, angles, message):
     """The same messages as the full constructor, which the derived
@@ -363,6 +369,19 @@ def test_derived_instruction_checks_its_angles(template, angles, message):
     for build in (template.with_angles, lambda a: replace(template, angles_deg=a)):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             build(angles)
+
+
+@pytest.mark.parametrize("template", [
+    rotx(1.0, 0), roty(1.0, 2, (Control(0),)), rotz(1.0, 1), phas(1.0), phas(1.0, (Control(1),)),
+    p0ph(1.0, 2), p1ph(1.0, 0, (Control(2, False),)), rotn(1.0, 2.0, 3.0, 0, (Control(1),)),
+    mp_y(0, (MuxControl(2, 0),), (1.0, 2.0), (Control(1, False),)), sigx(1),
+], ids=lambda ins: ins.opcode.value)
+def test_derived_instruction_of_every_opcode_equals_the_full_constructor(template):
+    count = len(template.angles_deg)
+    for angles in ((-0.0,) * count, (1e-300,) * count, tuple(range(count))):
+        derived, full = template.with_angles(angles), replace(template, angles_deg=angles)
+        assert derived == full and hash(derived) == hash(full)
+        assert repr(vars(derived)) == repr(vars(full))
 
 
 def test_derived_instruction_equals_the_full_constructor():

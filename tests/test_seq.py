@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from qsagen import ir, sim
 from qsagen.annealer import GeneratorConfig, PEParams, emit_full
 from qsagen.ir import (Circuit, Control, Loop, Opcode, ParseError, Seq, count_elementary_ops,
-                       dagger, had2, parse_english, render, sigx, with_control, write_english)
+                       dagger, had2, parse_english, render, roty, sigx, with_control,
+                       write_english)
 from qsagen.markov import AnnealingSchedule, default_problem
 from qsagen.mux_expander import expand_file, expand_mux
 
@@ -234,3 +235,38 @@ def test_parser_shares_one_seq_per_distinct_span():
     _, _, segments = sim._plan(circuit.body)
     assert len(segments) == 15
     assert write_english(circuit) == text
+
+
+def range_error(num_qubits: int, body) -> str:
+    with pytest.raises(ValueError) as info:
+        Circuit(num_qubits, body)
+    return str(info.value)
+
+
+def test_gate_only_seqs_name_the_first_bad_line():
+    """A Seq of gates only is checked through the ids of its gates not seen
+    before; a bad bit in it is named at the line the per-gate walk of the
+    spliced body names."""
+    g, h, bad = had2(0), roty(5.0, 1), sigx(3, (Control(0),))
+    shared = Seq((g, h))
+    config = GeneratorConfig(default_problem(1), PEParams(1, 1, 2), AnnealingSchedule(0.5, 2))
+    emitted = emit_full(config).body  # 3 qubits, gate-only Seqs nested in Seqs
+    cases = [
+        # a parsed span, after a loop
+        (3, parse_english("HAD2  AT  0\nHAD2  AT  1\nLOOP 2 REPS: 2\nHAD2  AT  0\n"
+                          "SIGX  AT  3  IF  0T\nNEXT 2\nSIGX  AT  3  IF  0T\n").body, 4),
+        # a parsed span placed after a loop and reused, one of its gates seen before
+        (3, parse_english("HAD2  AT  0\nLOOP 1 REPS: 2\nHAD2  AT  1\nNEXT 1\n"
+                          "HAD2  AT  0\nSIGX  AT  3\nLOOP 6 REPS: 2\nHAD2  AT  0\n"
+                          "SIGX  AT  3\nNEXT 6\n").body, 5),
+        (3, (shared, Loop(2, (shared, g)), shared, Seq((h, g, bad, bad))), 11),
+        (3, (Loop(2, (Seq((g, bad)),)), g, Seq((g, bad))), 2),
+        # a gate-only Seq nested in an emitted tree
+        (3, (Seq((emitted[0], Seq((h, bad)))), emitted[1]), len(Circuit(3, emitted[:1])) + 1),
+        (2, emitted, None),
+    ]
+    for num_qubits, body, line in cases:
+        message = range_error(num_qubits, body)
+        assert message == range_error(num_qubits, spliced(body))
+        if line is not None:
+            assert message == f"line {line}: bit 3 out of range for {num_qubits} qubit(s)"
