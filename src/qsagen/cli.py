@@ -137,6 +137,8 @@ def cmd_expand(args: argparse.Namespace) -> int:
 def cmd_simulate(args: argparse.Namespace) -> int:
     if not np.isfinite(args.cutoff):
         return _fail(f"cutoff must be finite, got {args.cutoff}")
+    if args.qubits is not None and args.qubits < 1:
+        return _fail(f"qubits must be >= 1, got {args.qubits}")
     text = _read(f"{args.in_prefix}_eng.txt")
     try:
         circuit = parse_english(text, num_qubits=args.qubits)

@@ -38,13 +38,16 @@ of gates and Loops would be; a Seq of gates only (what the parser builds,
 one per span between LOOP/NEXT lines) is one piece of a run.  Each
 distinct sequence of pieces is one segment, cut into steps once: runs
 (below) are told apart by the identities of their instructions, segments
-by those of their pieces.  The parser gives every distinct span of gate
-lines one Seq and every distinct line one Instruction, and the emitters
-share one object per distinct gate, so every repetition of a loop body,
-every repeat of a block in the text and every repeat of a multiplexor's
-ladder is one segment or one run, prepared once per call; each counts its
-executions, weighted by its loops' reps.  The plan is built by one walk
-over the placements of the nodes, O(executed ops) at most.
+by those of their pieces.  A run is also found by its first gate: where
+the gates of the last run that began with that object recur (one C-level
+identity comparison), they are not scanned again, and the run is taken
+unless the next gate extends it.  The parser gives every distinct span of
+gate lines one Seq and every distinct line one Instruction, and the
+emitters share one object per distinct gate, so every repetition of a
+loop body, every repeat of a block in the text and every repeat of a
+multiplexor's ladder is one segment or one run, prepared once per call;
+each counts its executions, weighted by its loops' reps.  The plan is one
+walk over the placements of the nodes, O(executed ops) at most.
 
 Runs and tables.  A segment is cut into maximal runs of consecutive ROTY,
 SIGX and MP_Y gates on one target: every expanded ladder, the uniformly
@@ -363,18 +366,26 @@ class _Segment:
         self.steps, self.executions, self.operator, self.view = steps, 0, None, None
 
 
-def _steps(gates: tuple, runs: dict) -> list:
+def _steps(gates: tuple, runs: dict, firsts: dict | None = None) -> list:
     """A run of gates cut into steps: each maximal run of two or more ROTY,
     SIGX and MP_Y gates on one target, and each lone MP_Y, is its _Run, each
     maximal run of SWAPs with identical controls its _Swaps, both shared
     through `runs` and keyed on their gates' identities; any other gate is
-    a step by itself."""
+    a step by itself.  `firsts` maps the id of a run's first gate to the
+    last run that started with it: where that run's gates recur, by
+    identity, the scan resumes after them (module docstring, Segments)."""
+    firsts = {} if firsts is None else firsts
     steps: list = []
     i, count = 0, len(gates)
     while i < count:
         gate = gates[i]
         start, op, kind = i, gate.opcode, None
-        i += 1
+        run, end = firsts.get(id(gate)), start + 1
+        if run is not None:
+            end = start + len(run.gates)
+            if end > count or not all(map(operator.is_, gates[start:end], run.gates)):
+                run, end = None, start + 1
+        i = end
         if op is Opcode.SWAP:
             kind = _Swaps
             while i < count and gates[i].opcode is op and gates[i].controls == gate.controls:
@@ -387,16 +398,18 @@ def _steps(gates: tuple, runs: dict) -> list:
         if kind is None:
             steps.append(gate)
             continue
-        run_gates = gates[start:i]
-        key = tuple(map(id, run_gates))
-        run = runs.get(key)
-        if run is None:
-            run = runs[key] = kind(run_gates)
+        if run is None or i > end:  # not found again, or the next gate extends it
+            run_gates = gates[start:i]
+            key = tuple(map(id, run_gates))
+            run = runs.get(key)
+            if run is None:
+                run = runs[key] = kind(run_gates)
+            firsts[id(gate)] = run
         steps.append(run)
     return steps
 
 
-def _walk(nodes: tuple, runs: dict, spans: dict, weight: int) -> list:
+def _walk(nodes: tuple, runs: dict, firsts: dict, spans: dict, weight: int) -> list:
     """The loop tree with each maximal run of gates between Loops replaced
     by its _Segment.  A Seq of gates only is one piece of a run, and a Seq
     that nests is read through, so a body is cut where its flat tuple of
@@ -409,9 +422,10 @@ def _walk(nodes: tuple, runs: dict, spans: dict, weight: int) -> list:
         for node in readers[-1]:
             if type(node) is Loop:
                 if pieces:
-                    plan.append(_run_segment(pieces, runs, spans, weight))
+                    plan.append(_run_segment(pieces, runs, firsts, spans, weight))
                     pieces = []
-                plan.append(Loop(node.reps, _walk(node.body, runs, spans, weight * node.reps)))
+                plan.append(Loop(node.reps,
+                                 _walk(node.body, runs, firsts, spans, weight * node.reps)))
             elif type(node) is Seq and node.nests:
                 readers.append(iter(node.body))
                 break  # read it, then go on with this body
@@ -420,17 +434,18 @@ def _walk(nodes: tuple, runs: dict, spans: dict, weight: int) -> list:
         else:
             readers.pop()
     if pieces:
-        plan.append(_run_segment(pieces, runs, spans, weight))
+        plan.append(_run_segment(pieces, runs, firsts, spans, weight))
     return plan
 
 
-def _run_segment(pieces: list, runs: dict, spans: dict, weight: int) -> _Segment:
+def _run_segment(pieces: list, runs: dict, firsts: dict, spans: dict, weight: int) -> _Segment:
     """The _Segment of a run of pieces, which executes `weight` more times."""
     key = id(pieces[0]) if len(pieces) == 1 else tuple(map(id, pieces))
     segment = spans.get(key)
     if segment is None:
-        gates = [g for piece in pieces for g in (piece.body if type(piece) is Seq else (piece,))]
-        segment = spans[key] = _Segment(_steps(gates, runs))
+        gates = pieces[0].body if len(pieces) == 1 and type(pieces[0]) is Seq else [
+            g for piece in pieces for g in (piece.body if type(piece) is Seq else (piece,))]
+        segment = spans[key] = _Segment(_steps(gates, runs, firsts))
     segment.executions += weight
     return segment
 
@@ -440,7 +455,7 @@ def _plan(body: tuple) -> tuple[list, dict, dict]:
     segments, each knowing how often it executes, as does each _Swaps."""
     runs: dict = {}
     segments: dict = {}
-    plan = _walk(body, runs, segments, 1)
+    plan = _walk(body, runs, {}, segments, 1)
     for segment in segments.values():
         for step in segment.steps:
             if type(step) is not Instruction:

@@ -11,6 +11,7 @@ from qsagen.ir import (Circuit, Control, Instruction, Loop, MuxControl, Opcode, 
                        _int_token, _parse_gate, _parse_loop, had2, mp_y, p0ph, p1ph, phas,
                        rotn, rotx, roty, rotz, sigx, sigy, sigz, swap)
 from qsagen.mux_expander import expand_mux
+from qsagen.sim import _REAL, _Run, _Swaps
 
 GATE_MAKERS = "sig had rot rotn phas pph swap mpy".split()
 
@@ -279,6 +280,36 @@ def per_line_parse_english(text: str, num_qubits: int | None = None) -> Circuit:
         return Circuit(num_qubits, body)
     except ValueError as err:
         raise ParseError(str(err)) from None
+
+
+def scan_steps(gates: tuple, runs: dict) -> list:
+    """`sim._steps` with no first-gate memo: every run is scanned gate by
+    gate and looked up by its gates' identities.  The reference of the memo."""
+    steps: list = []
+    i, count = 0, len(gates)
+    while i < count:
+        gate = gates[i]
+        start, op, kind = i, gate.opcode, None
+        i += 1
+        if op is Opcode.SWAP:
+            kind = _Swaps
+            while i < count and gates[i].opcode is op and gates[i].controls == gate.controls:
+                i += 1
+        elif op in _REAL:
+            while i < count and gates[i].opcode in _REAL and gates[i].targets == gate.targets:
+                i += 1
+            if i - start > 1 or gate.mux_controls:
+                kind = _Run
+        if kind is None:
+            steps.append(gate)
+            continue
+        run_gates = gates[start:i]
+        key = tuple(map(id, run_gates))
+        run = runs.get(key)
+        if run is None:
+            run = runs[key] = kind(run_gates)
+        steps.append(run)
+    return steps
 
 
 def random_stochastic(rng: np.random.Generator, ns: int) -> np.ndarray:

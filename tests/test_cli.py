@@ -251,6 +251,8 @@ NOT_UTF8 = "'utf-8' codec can't decode byte 0xff in position 0: invalid start by
     (["simulate", "--in-prefix", "nope", "--cutoff", "nan"], "cutoff must be finite, got nan"),
     (["simulate", "--in-prefix", "demo_qsann", "--cutoff", "inf"], "cutoff must be finite, got inf"),
     (["simulate", "--in-prefix", "demo_qsann", "--cutoff=-inf"], "cutoff must be finite, got -inf"),
+    (["simulate", "--in-prefix", "nope", "--qubits", "0"], "qubits must be >= 1, got 0"),
+    (["simulate", "--in-prefix", "nope", "--qubits=-3"], "qubits must be >= 1, got -3"),
 ])
 def test_file_errors_end_in_message(workdir, capsys, argv, message):
     assert main(GEN_ARGS) == 0

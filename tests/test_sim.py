@@ -13,14 +13,14 @@ from scipy.linalg import expm
 from qsagen import sim
 from qsagen.annealer import GeneratorConfig, PEParams, emit_full, inverse_qft
 from qsagen.cli import main
-from qsagen.ir import (Circuit, Control, Loop, MuxControl, had2, mp_y, p0ph, p1ph,
-                       parse_english, phas, rotn, rotx, roty, rotz, sigx, sigy, sigz,
-                       swap, write_english)
+from qsagen.ir import (Circuit, Control, Instruction, Loop, MuxControl, Seq, had2, mp_y, p0ph,
+                       p1ph, parse_english, phas, rotn, rotx, roty, rotz, sigx, sigy, sigz,
+                       swap, write_english, write_picture)
 from qsagen.markov import AnnealingSchedule, default_problem
-from qsagen.mux_expander import expand_mux
+from qsagen.mux_expander import expand_file, expand_mux
 
 from helpers import (manual_unroll, oracle_matrix, random_body, random_circuit, random_gate,
-                     random_run_body, random_run_circuit)
+                     random_run_body, random_run_circuit, scan_steps)
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -911,3 +911,150 @@ def test_wide_flow_builds_a_block_per_embedding_cascade(monkeypatch):
         assert all(len(run.gates) == 1 for run in runs) and len(runs) in (3, 4)
         assert pinned == on and pinned in (1 << 8, 1 << 9, 1 << 10)
         assert reads == 0b1111 and targets & ~0b11110000 == 0
+
+
+# --- the first-gate memo ---------------------------------------------------------
+
+def assert_same_steps(got, want, pairs):
+    """`_steps` agrees with the scan: the same gate where the scan has a gate,
+    and where it has a run, one of the same kind on the same gate objects,
+    paired one to one with it over every call that shares `pairs`
+    (id of a run -> (run, reference run))."""
+    assert [type(step) for step in got] == [type(step) for step in want]
+    for step, ref in zip(got, want):
+        if type(ref) is Instruction:
+            assert step is ref
+        else:
+            assert pairs.setdefault(id(step), (step, ref))[1] is ref
+            assert len(step.gates) == len(ref.gates)
+            assert all(map(operator.is_, step.gates, ref.gates))
+    assert len({id(ref) for _, ref in pairs.values()}) == len(pairs)
+
+
+def assert_same_plan(body):
+    """`_plan` with the memo against `_plan` with every run scanned: the
+    same segments and distinct runs, steps and executions."""
+    _, runs, segments = sim._plan(body)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sim, "_steps", lambda gates, runs, firsts: scan_steps(gates, runs))
+        _, want_runs, want_segments = sim._plan(body)
+    assert list(runs) == list(want_runs) and list(segments) == list(want_segments)
+    pairs = {}
+    for segment, want in zip(segments.values(), want_segments.values()):
+        assert segment.executions == want.executions
+        assert_same_steps(segment.steps, want.steps, pairs)
+    assert all(step.executions == ref.executions for step, ref in pairs.values())
+    return runs, segments
+
+
+def test_memo_takes_a_run_only_where_the_scan_would_find_it():
+    c = Control(1)
+    r1, x1, r2, h = roty(30.0, 0, (c,)), sigx(0, (c,)), roty(-75.0, 0), had2(0)
+    m = mp_y(0, (MuxControl(1, 0),), (20.0, -40.0))
+    s01, s12, s12_off = swap(0, 1, (Control(3),)), swap(1, 2, (Control(3),)), swap(1, 2)
+    zero, negative_zero = roty(0.0, 0), roty(-0.0, 0)
+    assert zero == negative_zero and zero is not negative_zero
+    cases = [
+        # a repeat cut off by the segment's end
+        ([(r1, x1, r2, h), (h, r1, x1)], [[3, 1], [1, 2]]),
+        # a repeat that the next gate extends; one first gate, runs of 2 and 3
+        ([(r1, x1, h), (r1, x1, r2), (r1, x1, h), (r1, x1)], [[2, 1], [3], [2, 1], [2]]),
+        # SWAP runs under equal controls (one of them a copy) and under others
+        ([(s01, s12, h, s01, s12_off, s01, replace(s12))], [[2, 1, 1, 1, 2]]),
+        # a lone MP_Y, then the same MP_Y followed by a rung on its target
+        ([(m, h, m, r1, h, m)], [[1, 1, 2, 1, 1]]),
+        # value-equal but distinct gates, as first gates and as rungs
+        ([(zero, x1, h, negative_zero, x1, h, replace(zero), x1, h, zero, x1),
+          (zero, replace(x1), h, zero, x1)], [[2, 1, 2, 1, 2, 1, 2], [2, 1, 2]]),
+    ]
+    for segments, lengths in cases:
+        runs, firsts, want_runs, pairs = {}, {}, {}, {}
+        for gates, expected in zip(segments, lengths):
+            steps = sim._steps(gates, runs, firsts)
+            assert_same_steps(steps, scan_steps(gates, want_runs), pairs)
+            assert [1 if type(step) is Instruction else len(step.gates)
+                    for step in steps] == expected
+        assert list(runs) == list(want_runs)
+    steps = sim._steps((zero, x1, h, negative_zero, x1, h, zero, x1, h, zero, replace(x1)), {})
+    assert steps[0] is steps[4] and steps[0] is not steps[2] and steps[0] is not steps[6]
+
+
+def memo_pool():
+    """Shared gates on 4 qubits: starts and rungs of runs of either kind,
+    copies and value-equal gates, and gates that end runs."""
+    on1, off2 = Control(1), Control(2, False)
+    first, rung = roty(30.0, 0, (on1,)), sigx(0, (on1,))
+    return [first, replace(first), roty(0.0, 0), roty(-0.0, 0), rung, replace(rung),
+            sigx(0, (off2,)), roty(-75.0, 0, (off2,)),
+            mp_y(0, (MuxControl(1, 0),), (20.0, -40.0)),
+            mp_y(0, (MuxControl(1, 0), MuxControl(2, 1)), (5.0, 7.5, -12.0, 90.0)),
+            roty(45.0, 1, (Control(0),)), sigx(1, (Control(3),)),
+            swap(0, 1), swap(2, 3), swap(1, 2, (Control(3),)), swap(0, 2, (Control(3),)),
+            swap(0, 1, (Control(3, False),)), had2(0), p1ph(60.0, 0), rotx(15.0, 1)]
+
+
+def random_memo_segments(rng):
+    """Gate tuples drawn from one pool, each often reusing a stretch of an
+    earlier one, so that runs recur with new neighbours."""
+    pool, segments = memo_pool(), []
+    for _ in range(int(rng.integers(3, 9))):
+        gates: list = []
+        size = int(rng.integers(1, 13))
+        while len(gates) < size:
+            if segments and rng.random() < 0.3:
+                source = segments[int(rng.integers(len(segments)))]
+                start = int(rng.integers(len(source)))
+                gates.extend(source[start:int(rng.integers(start, len(source))) + 1])
+            else:
+                gates.append(pool[int(rng.integers(len(pool)))])
+        segments.append(tuple(gates))
+    return segments
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_memo_steps_match_the_scan(seed):
+    segments = random_memo_segments(np.random.default_rng(9700 + seed))
+    runs, firsts, want_runs, pairs = {}, {}, {}, {}
+    for gates in segments:
+        assert_same_steps(sim._steps(gates, runs, firsts), scan_steps(gates, want_runs), pairs)
+    assert list(runs) == list(want_runs)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_memo_plans_inside_loops_match_the_scan_gate_by_gate_and_oracle(seed):
+    """The pool's gate tuples as Seqs, lone gates and Loops, nested: segments
+    of one Seq, of several pieces, and repeated in the text and in loops."""
+    rng = np.random.default_rng(9800 + seed)
+    segments = random_memo_segments(rng)
+    body: list = []
+    for gates in segments:
+        choice = rng.random()
+        if choice < 0.3:
+            body.append(Seq(gates))
+        elif choice < 0.45:
+            body.extend(gates)
+        elif choice < 0.8:
+            body.append(Loop(int(rng.integers(1, 4)), (Seq(gates),)))
+        else:
+            inner = Loop(int(rng.integers(1, 3)), (Seq(gates), segments[0][0]))
+            body.append(Loop(int(rng.integers(1, 3)), (Seq(gates), inner, Seq(segments[0]))))
+    circuit = Circuit(4, tuple(body))
+    assert_same_plan(circuit.body)
+    want = oracle_matrix(circuit)
+    got = sim.to_matrix(circuit)
+    np.testing.assert_allclose(got, gate_by_gate(circuit, np.eye(16)), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+    for state in rng.normal(size=(2, 16)) + 1j * rng.normal(size=(2, 16)):
+        got = sim.apply(circuit, state)
+        np.testing.assert_allclose(got, gate_by_gate(circuit, state)[:, 0], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(got, want @ state, rtol=0, atol=1e-12)
+
+
+def test_expanded_wide_flow_plans_as_the_scan():
+    """The expanded file of the `wide` bench flow: its 18 distinct spans of
+    gate lines hold 48 distinct runs, repeated ladders, in 481 steps."""
+    circuit = generated((4, 3, 1, 1))
+    _, english, _ = expand_file(write_english(circuit), write_picture(circuit))
+    runs, segments = assert_same_plan(parse_english(english).body)
+    assert len(segments) == 18 and len(runs) == 48
+    assert sum(len(segment.steps) for segment in segments.values()) == 481
