@@ -456,14 +456,16 @@ class _Fragment:
 
 
 def render(circuit: Circuit,
-           convert: Callable[[Instruction], Sequence[Instruction]] | None = None,
+           write: Callable[..., tuple[str, str, int] | None] | None = None,
            ) -> tuple[int, str, str]:
     """(op count, english text, picture text) of a circuit.
 
-    ``convert`` maps one gate to the gates it is written as (by default the
-    gate itself); the op count weights the written gates by their loops'
-    repetitions.  A LOOP label is the output line index of its LOOP line,
-    which its NEXT repeats.
+    ``write`` maps a gate and render's frame lookup (a gate's english text
+    before and after its angles, and its picture line, built once per
+    operand set) to the chunk (english, picture, lines) it is written as, or
+    to None for the gate itself; the op count weights the written lines by
+    their loops' repetitions.  A LOOP label is the output line index of its
+    LOOP line, which its NEXT repeats.
 
     Each Seq and Loop is rendered once per object, into a _Fragment whose
     labels are line offsets.  A run of gates in a node is joined into one
@@ -471,12 +473,9 @@ def render(circuit: Circuit,
     of 8 bytes per chunk and placement: the emitters' blocks, written
     thousands of times, are joined, and a parsed span written a few times
     is spliced in chunk by chunk.  Writing a fragment at a line then only
-    formats its LOOP/NEXT lines.  Each gate is converted and rendered once
-    per object and once per value: equal instructions differ at most in the
-    sign of a zero angle, which format_number does not print.  In a chunk, a
-    repeated gate object is written once, and the text around the angles and
-    the picture (which has none) once per operand set, shared by a ladder's
-    rotations.
+    formats its LOOP/NEXT lines.  Each gate is written once per object and
+    once per value: equal instructions differ at most in the sign of a zero
+    angle, which format_number does not print.
     """
     n = circuit.num_qubits
     by_id: dict[int, tuple[str, str, int]] = {}  # id(gate) -> (english, picture, lines)
@@ -484,20 +483,19 @@ def render(circuit: Circuit,
     frames: dict[tuple, tuple[str, str, str]] = {}  # operands -> english head, tail; picture
     fragments: dict[int, _Fragment] = {}  # id(Seq or Loop) -> its fragment, children first
 
-    def chunk_of(gates: Sequence[Instruction]) -> tuple[str, str, int]:
-        texts = {id(g): g for g in gates}  # each gate object once, then its (english, picture)
-        for i, g in texts.items():
-            key = (g.opcode, g.targets, g.controls, g.mux_controls)
-            head, tail, pic = frames.get(key) or frames.setdefault(
-                key, (*_english_frame(g), _picture_line(g, n)))
-            texts[i] = head + " ".join(map(format_number, g.angles_deg)) + tail, pic
-        english, pictures = zip(*[texts[id(g)] for g in gates])
-        return "\n".join(english) + "\n", "\n".join(pictures) + "\n", len(gates)
+    def frame(g: Instruction) -> tuple[str, str, str]:
+        key = (g.opcode, g.targets, g.controls, g.mux_controls)
+        return frames.get(key) or frames.setdefault(key, (*_english_frame(g), _picture_line(g, n)))
 
     def first_chunk(gate: Instruction) -> tuple[str, str, int]:
         chunk = by_value.get(gate)
         if chunk is None:
-            chunk = by_value[gate] = chunk_of(convert(gate) if convert else (gate,))
+            chunk = write(gate, frame) if write else None
+            if chunk is None:
+                head, tail, picture = frame(gate)
+                chunk = (f"{head}{' '.join(map(format_number, gate.angles_deg))}{tail}\n",
+                         picture + "\n", 1)
+            by_value[gate] = chunk
         by_id[id(gate)] = chunk
         return chunk
 

@@ -8,8 +8,8 @@ import numpy as np
 from scipy.linalg import expm
 
 from qsagen.ir import (Circuit, Control, Instruction, Loop, MuxControl, Opcode, ParseError, Seq,
-                       _int_token, _parse_gate, _parse_loop, had2, mp_y, p0ph, p1ph, phas,
-                       rotn, rotx, roty, rotz, sigx, sigy, sigz, swap)
+                       _int_token, _parse_gate, _parse_loop, format_number, had2, mp_y, p0ph,
+                       p1ph, phas, render, rotn, rotx, roty, rotz, sigx, sigy, sigz, swap)
 from qsagen.mux_expander import expand_mux
 from qsagen.sim import _REAL, _Run, _Swaps
 
@@ -190,6 +190,39 @@ def ladders_expanded(tree):
         else:
             out.append(node)
     return tuple(out)
+
+
+def ladders(ins: Instruction):
+    """The gates an MP_Y is expanded to, and any other gate itself."""
+    return expand_mux(ins) if ins.opcode is Opcode.MP_Y else (ins,)
+
+
+def written_as(convert):
+    """A `render` hook that writes each gate as the gates ``convert`` maps it
+    to, line by line from render's frame lookup: what `render` writes for
+    the spliced-in gates, with no shortcut for a ladder."""
+    def write(gate: Instruction, frame):
+        gates = convert(gate)
+        english = picture = ""
+        for g in gates:
+            head, tail, pic = frame(g)
+            english += f"{head}{' '.join(map(format_number, g.angles_deg))}{tail}\n"
+            picture += pic + "\n"
+        return english, picture, len(gates)
+    return write
+
+
+def reference_expand_file(circuit: Circuit) -> tuple[str, str, str]:
+    """`expand_file` of a circuit's written files, rendered gate by gate from
+    `expand_mux`: the reference of the ladder text writer."""
+    ops, english, picture = render(circuit, written_as(ladders))
+    return (f"Compilation Mode: Exact SEO\nNumber of Elementary Operations: {ops}\n",
+            english, picture)
+
+
+# Two-word MP_Y angles whose ladder overflows: in the sum, in both sums, in the doubling.
+OVERFLOWING_LADDERS = {"sum-overflows": (1e308, -1e308), "both-overflow": (-1e308, -1e308),
+                       "doubling-overflows": (1e308, 0.0)}
 
 
 def manual_unroll(body) -> list[Instruction]:

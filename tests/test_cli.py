@@ -16,6 +16,8 @@ from qsagen.ir import (Circuit, Loop, MuxControl, Opcode, count_elementary_ops, 
 from qsagen.markov import default_problem, metropolis
 from qsagen.qembed import qembed_circuit
 
+from helpers import OVERFLOWING_LADDERS
+
 GEN_ARGS = ["generate", "--prefix", "demo", "--nb", "1", "--probe-bits", "2",
             "--pe-steps", "1", "--grover-depth", "1", "--num-betas", "3",
             "--delta-beta", "0.5"]
@@ -220,8 +222,9 @@ def test_expand_warns_about_bit_precision(workdir, capsys):
     assert "ignored in exact mode" in capsys.readouterr().err
 
 
-def test_expand_reports_a_multiplexor_whose_ladder_overflows(workdir, capsys):
-    (workdir / "huge_eng.txt").write_text("MP_Y  AT  0 IF 1(0 BY 1e308 -1e308\n")
+@pytest.mark.parametrize("angles", OVERFLOWING_LADDERS.values(), ids=OVERFLOWING_LADDERS.keys())
+def test_expand_reports_a_multiplexor_whose_ladder_overflows(workdir, capsys, angles):
+    (workdir / "huge_eng.txt").write_text(f"MP_Y  AT  0 IF 1(0 BY {angles[0]} {angles[1]}\n")
     (workdir / "huge_pic.txt").write_text("x\n")
     assert main(["expand", "--in-prefix", "huge", "--out-prefix", "huge_flat"]) == 1
     captured = capsys.readouterr()

@@ -14,7 +14,8 @@ from qsagen.ir import (Circuit, Control, Instruction, Loop, MuxControl, Opcode,
                        with_control, write_english, write_picture)
 from qsagen.mux_expander import expand_mux
 
-from helpers import flat_lines, manual_unroll, random_body, random_circuit, spliced
+from helpers import (flat_lines, manual_unroll, random_body, random_circuit, spliced,
+                     written_as)
 
 CONTROLS_3F_2T = (Control(3, False), Control(2, True))
 
@@ -488,7 +489,7 @@ def test_ladder_picture_on_a_wide_register():
     ins = mp_y(11, (MuxControl(9, 2), MuxControl(4, 1), MuxControl(0, 0)),
                (5.0, -10.0, 15.0, 20.0, -25.0, 30.0, 35.0, 40.0), (Control(6, False),))
     ladder = expand_mux(ins)
-    ops, english, picture = render(Circuit(12, (ins,)), expand_mux)
+    ops, english, picture = render(Circuit(12, (ins,)), written_as(expand_mux))
     assert ops == len(ladder) == 16
     assert picture == per_line_picture(ladder, 12)
     assert english == write_english(Circuit(12, tuple(ladder)))
@@ -506,7 +507,8 @@ def test_chunk_of_repeated_and_derived_gates_reads_like_single_lines():
                                mp_y(1, (MuxControl(2, 0),), (-0.0, 4.0), c), phas(-0.0, c)]
     for gates in (chunk, chunk[::-1]):
         ops, english, picture = render(Circuit(4, (had2(2), had2(1), had2(2))),
-                                       lambda ins: gates if ins.targets == (1,) else [ins])
+                                       written_as(lambda ins: gates if ins.targets == (1,)
+                                                  else [ins]))
         assert ops == len(gates) + 2
         assert english == "".join(per_line_english(g) for g in ([had2(2)], gates, [had2(2)]))
         assert picture == "".join(per_line_picture(g, 4) for g in ([had2(2)], gates, [had2(2)]))

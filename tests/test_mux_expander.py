@@ -1,4 +1,5 @@
 """Exactness of the multiplexor expansion and the file-level rewrite."""
+import hashlib
 import math
 
 import numpy as np
@@ -8,13 +9,14 @@ from hypothesis import strategies as st
 
 from qsagen import sim
 from qsagen.annealer import GeneratorConfig, PEParams, emit_full
-from qsagen.ir import (Circuit, Control, Instruction, MuxControl, Opcode,
-                       _english_line, _picture_line, count_elementary_ops, mp_y,
+from qsagen.ir import (Circuit, Control, Instruction, Loop, MuxControl, Opcode,
+                       _english_line, _picture_line, count_elementary_ops, had2, mp_y,
                        parse_english, roty, sigx, write_english, write_picture)
 from qsagen.markov import AnnealingSchedule, default_problem
 from qsagen.mux_expander import _line_count, expand_file, expand_mux, gray_code
 
-from helpers import flat_lines, manual_unroll, random_circuit, random_gate, spliced
+from helpers import (OVERFLOWING_LADDERS, flat_lines, manual_unroll, random_circuit,
+                     random_gate, reference_expand_file, spliced)
 
 
 def random_mux(rng, k, plain=0):
@@ -90,11 +92,17 @@ def test_expand_mux_rejects_other_opcodes():
         expand_mux(had2(0))
 
 
-@pytest.mark.parametrize("angles", [(1e308, -1e308), (-1e308, -1e308), (1e308, 0.0)],
-                         ids=["sum-overflows", "both-overflow", "doubling-overflows"])
+@pytest.mark.parametrize("angles", OVERFLOWING_LADDERS.values(), ids=OVERFLOWING_LADDERS.keys())
 def test_expand_mux_rejects_ladder_angles_that_overflow(angles):
     with pytest.raises(ValueError, match="^ROTY angles must be finite$"):
         expand_mux(mp_y(0, (MuxControl(1, 0),), angles))
+
+
+@pytest.mark.parametrize("angles", OVERFLOWING_LADDERS.values(), ids=OVERFLOWING_LADDERS.keys())
+def test_expand_file_rejects_ladder_angles_that_overflow(angles):
+    circuit = Circuit(2, (mp_y(0, (MuxControl(1, 0),), angles),))
+    with pytest.raises(ValueError, match="^ROTY angles must be finite$"):
+        expand_file(write_english(circuit), write_picture(circuit))
 
 
 def test_expansion_instruction_count():
@@ -311,3 +319,53 @@ def test_picture_line_count_keeps_splitlines(brk):
 def test_picture_line_count_on_mixed_breaks(pieces):
     text = "".join(pieces)
     assert _line_count(text) == len(text.splitlines())
+
+
+SPECIAL_ANGLES = (0.0, -0.0, 1e-300, 720.0, -720.0)
+
+
+def placed_mux(rng, k, plain, angles):
+    """An MP_Y with k named controls, in random order of bits, and `plain`
+    plain controls of both polarities, on bits of a register of up to 16."""
+    n = int(rng.integers(k + 1 + plain, 17))
+    bits = [int(b) for b in rng.permutation(n)[:k + 1 + plain]]
+    on = bool(rng.integers(2))
+    return n, mp_y(bits[0], [MuxControl(b, name) for name, b in enumerate(bits[1:1 + k])],
+                   angles, [Control(b, polarity) for b, polarity in zip(bits[1 + k:], (on, not on))])
+
+
+@pytest.mark.parametrize("k", range(1, 11))
+def test_expand_file_equals_the_gate_by_gate_reference(k):
+    """The ladder text writer against `render` writing each ladder gate by
+    gate: an MP_Y placed inside and outside a Loop, and a twin with the same
+    operands and other angles, whose ladder texts share their frames.  The
+    HAD2 on the top bit keeps the register that the parser infers."""
+    rng = np.random.default_rng(130 + k)
+    for plain in (0, 1, 2):
+        mixed = rng.uniform(-180.0, 180.0, size=1 << k)
+        special = rng.random(1 << k) < 0.5
+        mixed[special] = rng.choice(SPECIAL_ANGLES, size=int(special.sum()))
+        for angles in (mixed, rng.choice(SPECIAL_ANGLES, size=1 << k)):
+            n, mux = placed_mux(rng, k, plain, angles)
+            twin = mp_y(mux.targets[0], mux.mux_controls, angles[::-1], mux.controls)
+            circuit = Circuit(n, (mux, Loop(3, (had2(n - 1), mux, twin)), twin, mux))
+            assert (expand_file(write_english(circuit), write_picture(circuit))
+                    == reference_expand_file(circuit))
+
+
+# sha256 of expand_file's log, english and picture, joined by NULs, for one
+# seeded MP_Y with k named controls and a plain one: ladders past the 7
+# controls of the g4 flow.
+WIDE_LADDER_SHA256 = {
+    8: "9aa55624b52062c175ba481c20d572a4fb3893d90210c61e99a6c58edcbbe53c",
+    9: "bf0755840ceffba68a5b4f00ca2e4d71dc9b8cb772bab9ba5e01b5c74d387120",
+    10: "752438bfa7bca9317f69cc679dda7165d3074ad2f07c6d5dff54d32acbd1b8ec",
+    11: "c194e2f332d4e84aa513ae807a4eda14db6847e6837ddc5c0900a3039e251190",
+}
+
+
+@pytest.mark.parametrize("k", sorted(WIDE_LADDER_SHA256))
+def test_wide_ladder_files_are_byte_golden(k):
+    circuit = Circuit(k + 2, (random_mux(np.random.default_rng(110 + k), k, plain=1),))
+    out = expand_file(write_english(circuit), write_picture(circuit))
+    assert hashlib.sha256("\0".join(out).encode()).hexdigest() == WIDE_LADDER_SHA256[k]

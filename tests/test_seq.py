@@ -9,13 +9,14 @@ from hypothesis import strategies as st
 
 from qsagen import ir, sim
 from qsagen.annealer import GeneratorConfig, PEParams, emit_full
-from qsagen.ir import (Circuit, Control, Loop, Opcode, ParseError, Seq, count_elementary_ops,
+from qsagen.ir import (Circuit, Control, Loop, ParseError, Seq, count_elementary_ops,
                        dagger, had2, parse_english, render, roty, sigx, with_control,
                        write_english)
 from qsagen.markov import AnnealingSchedule, default_problem
-from qsagen.mux_expander import expand_file, expand_mux
+from qsagen.mux_expander import expand_file
 
-from helpers import ladders_expanded, per_line_parse_english, random_circuit, spliced
+from helpers import (ladders, ladders_expanded, per_line_parse_english, random_circuit, spliced,
+                     written_as)
 
 # Every line separator of str.splitlines.
 SEPARATORS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028",
@@ -174,23 +175,19 @@ def grouped_circuit(seed: int) -> Circuit:
     return Circuit(circuit.num_qubits, grouped_body(rng, circuit.body, []))
 
 
-def ladders(ins):
-    return expand_mux(ins) if ins.opcode is Opcode.MP_Y else (ins,)
-
-
 @pytest.mark.parametrize("seed", range(40))
 def test_walkers_on_seqs_equal_the_spliced_circuit(seed):
     circuit = grouped_circuit(seed)
     flat = spliced(circuit)
     n = circuit.num_qubits
     assert render(circuit) == render(flat)
-    assert render(circuit, ladders) == render(flat, ladders)
+    assert render(circuit, written_as(ladders)) == render(flat, written_as(ladders))
     assert len(circuit) == len(flat)
     assert count_elementary_ops(circuit) == count_elementary_ops(flat)
     assert spliced(dagger(circuit.body)) == dagger(flat.body)
     control = Control(n, seed % 2 == 0)
     assert spliced(with_control(circuit.body, control)) == with_control(flat.body, control)
-    assert render(circuit, ladders) == render(ladders_expanded(flat))
+    assert render(circuit, written_as(ladders)) == render(ladders_expanded(flat))
     rng = np.random.default_rng(seed)
     state = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
     np.testing.assert_allclose(sim.apply(circuit, state), sim.apply(flat, state),
