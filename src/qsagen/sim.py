@@ -19,14 +19,16 @@ A Loop runs its body `reps` times.  All operations are pure; inputs are never
 mutated.  `apply` takes up to MAX_STATE_QUBITS qubits (2^n amplitudes),
 `to_matrix` up to MAX_MATRIX_QUBITS (4^n).
 
-The kernel views the 2^n amplitudes, without copying, as a tensor of shape
-(2,)*n with bit b on axis n-1-b; `to_matrix` runs the same loop on the
-identity, with one trailing column axis.  A plain control pins its axis to 0
-or 1 and the target axis splits into a 0-half and a 1-half, all by basic
-slicing, so every gate reads and writes views.  The 2x2 unitary mixes the two
-halves; PHAS scales the control view; SWAP permutes its axes (below).
-MP_Y is a single pass: the mux word of every amplitude pair is broadcast from
-one arange(2) << name term per mux axis and gathers that pair's cos/sin.
+The kernel views the amplitudes, a (2^n, columns) array (one column for
+`apply`, the 2^n of the identity for `to_matrix`), without copying, as a
+tensor of shape (2,)*n + (columns,): bit b on axis n-1-b and the columns
+last, where numpy runs fastest.  Every dense build below has the same
+layout.  A plain control pins its axis to 0 or 1 and the target axis splits
+into a 0-half and a 1-half, all by basic slicing, so every gate reads and
+writes views.  The 2x2 unitary mixes the two halves; PHAS scales the
+control view; SWAP permutes its axes (below).  MP_Y is a single pass: the
+mux word of every amplitude pair is broadcast from one arange(2) << name
+term per mux axis and gathers that pair's cos/sin.
 Axes are addressed from the right, so the same code runs on any number of
 leading axes.
 
@@ -80,8 +82,9 @@ source and destination overlap; it only moves amplitudes, so it is exact.
 In a segment that gets no operator (below), consecutive tabled runs may
 form a block.  Its runs write T, the set of their targets, pin the
 controls that all their gates share and only read C, the rest of their
-operand bits.  It is built once, by running the runs on a batch of 2^|T|
-identities, one on T for each value of the pinned and read bits, and kept
+operand bits.  It is built once, by `_block`, the one builder of dense
+products: the runs run on a batch of 2^|T| identities, one on T for each
+value of the pinned and read bits, in the state's layout, and it is kept
 at the pinned values as a (2^|C|, 2^|T|, 2^|T|) array; it executes as one
 batched matmul with the pinned view of the state transposed to (C, T,
 rest).  Each distinct stretch of consecutive tabled runs is cut into
@@ -91,10 +94,11 @@ places.
 Segment operators.  A segment that executes more than once gets its
 support, the qubits its steps act on (a tabled run's operand bits come with
 its table).  Its operator is a dense 2^k x 2^k matrix on k qubits, its
-support or the whole register: its steps (gates and tables, so the tables
-come first) run on the identity of that size, viewed with an axis of size 1
-for every other bit so that they index it as they index the state; the
-column axis leads for `apply`.  A whole-register operator is one product
+support or the whole register, built by `_block` as a block that pins and
+reads nothing: its steps (gates and tables, so the tables come first) run
+on the identity of that size, with an axis of size 1 for every other bit
+and its columns last, so that they index it as they index the state, a
+SWAP run's permutation included.  A whole-register operator is one product
 with the state as a (2^n, columns) matrix; any other multiplies a view of
 the state transposed so that its qubits lead, reshaped to 2^k rows, and
 writes the product back.  One fixed cost rule decides, with constants
@@ -247,23 +251,20 @@ def _exchange(swaps, axis, ndim: int) -> tuple[tuple, tuple]:
 
 
 def _permute(psi: np.ndarray, exchange: tuple) -> None:
-    """Apply `_exchange`'s permutation in one assignment, which numpy buffers
-    as source and destination overlap; an operator's build has one more
-    axis, its leading column axis."""
+    """Apply `_exchange`'s permutation, to the state or a build of its layout,
+    in one assignment, which numpy buffers as source and destination overlap."""
     index, order = exchange
     view = psi[index]
-    if view.ndim > len(order):
-        order = (0, *(a + 1 for a in order))
     view[...] = view.transpose(order)
 
 
-def _table(run: list[Instruction], axis, ndim: int) -> tuple[int, tuple]:
+def _table(run: list[Instruction], axis, ndim: int) -> tuple[int, tuple, tuple]:
     """A run of ROTY, SIGX and MP_Y gates on one target as one uniformly
-    controlled 2x2: the mask of its operand bits, and its table: the two
-    target-half indices of a state tensor (bit b on `axis[b]` of its last
-    `ndim` axes), which pin the controls every gate shares, and the four
-    entries U_w[i, j], each shaped to broadcast over the state's axes of the
-    other control bits.  U_w = X^p(w) R(A(w)), with R(a) = [[cos a, sin a],
+    controlled 2x2: the masks of its operand bits and of the controls every
+    gate shares, (on, off), and its table: the two target-half indices of a
+    state tensor (bit b on `axis[b]` of its last `ndim` axes), which pin those
+    controls, and the four entries U_w[i, j], each shaped to broadcast over
+    the state's axes of the other control bits.  U_w = X^p(w) R(A(w)), with R(a) = [[cos a, sin a],
     [-sin a, cos a]], as X R(a) X = R(-a): p(w) is the parity of the SIGX
     gates active at w, and A(w) sums the angles of the active rotations, each
     negated after an odd number of active SIGX."""
@@ -315,19 +316,20 @@ def _table(run: list[Instruction], axis, ndim: int) -> tuple[int, tuple]:
     index0 = (Ellipsis, *index)
     index[axis[target]] = _PIN[1]
     table = (index0, (Ellipsis, *index), *(entry.reshape(shape) for entry in entries))
-    return used | 1 << target, table
+    return used | 1 << target, (on, pinned & ~on), table
 
 
 class _Run:
     """A maximal run of ROTY, SIGX and MP_Y gates on one target (two or
     more, or a lone MP_Y), one object per distinct run; `executions` counts its
     occurrences, each weighted by its loops' reps.  Once its table is built
-    it also knows the mask of its operand bits."""
+    it also knows `_table`'s masks: its operand bits and its pins, the
+    (on, off) controls that all its gates share."""
 
-    __slots__ = ("gates", "executions", "table", "bits")
+    __slots__ = ("gates", "executions", "table", "bits", "pins")
 
-    def __init__(self, gates: list[Instruction], executions: int = 0):
-        self.gates, self.executions, self.table, self.bits = gates, executions, None, 0
+    def __init__(self, gates: list[Instruction]):
+        self.gates, self.executions, self.table, self.bits, self.pins = gates, 0, None, 0, None
 
 
 class _Swaps:
@@ -356,9 +358,9 @@ class _Block:
 class _Segment:
     """A maximal run of gates between Loops, one object per distinct segment:
     its steps (gates, _Runs, _Swaps and, once cut, _Blocks), its executions
-    counted like a _Run's, and its dense operator once one is built, with,
-    if that operator acts on fewer qubits than the state has, a view of the
-    state tensor transposed so that their axes lead."""
+    counted like a _Run's, and its dense operator once one is built: the one
+    matrix of a `_block` of its steps, with, if that operator acts on fewer
+    qubits than the state has, the block's view of the state."""
 
     __slots__ = ("steps", "executions", "operator", "view")
 
@@ -463,8 +465,8 @@ def _plan(body: tuple) -> tuple[list, dict, dict]:
     return plan, {key: run for key, run in runs.items() if type(run) is _Run}, segments
 
 
-def _support(steps: list, n: int) -> list[int]:
-    """The bits that a segment's steps act on, descending: a tabled run's
+def _support(steps: list) -> int:
+    """The mask of the bits that a segment's steps act on: a tabled run's
     from its table, any other step's from its gates."""
     mask = 0
     for step in steps:
@@ -474,7 +476,7 @@ def _support(steps: list, n: int) -> list[int]:
         for ins in (step,) if type(step) is Instruction else step.gates:
             for b in ins.operand_bits:
                 mask |= 1 << b
-    return [b for b in reversed(range(n)) if mask >> b & 1]
+    return mask
 
 
 def _saving(steps: int, executions: int, n: int, cols: int, rows: int,
@@ -514,55 +516,28 @@ def _run_steps(psi: np.ndarray, steps: list, axis) -> None:
             _mix(psi[index0], psi[index1], *entries)
 
 
-def _operator(steps: list, axis, qubits: list[int]) -> np.ndarray:
-    """The dense matrix of a segment on `qubits` (descending): its steps run
-    on the identity, viewed with an axis of size 1 for every other bit, so
-    the gates and tables index it as they index the state.  Its column axis
-    is last, like the state's, or first if the state has none and so
-    neither has its tables (axis[0] is then -1)."""
-    dim = 1 << len(qubits)
-    op = np.eye(dim, dtype=complex)
-    shape = [2 if b in qubits else 1 for b in reversed(range(len(axis)))]
-    psi = op.reshape((*shape, dim))
-    _run_steps(psi if axis[0] == -2 else np.moveaxis(psi, -1, 0), steps, axis)
-    return op
-
-
-def _block(runs: list, psi: np.ndarray, axis, masks: tuple) -> _Block:
-    """The _Block of consecutive tabled runs, from the masks of the bits
-    they pin, of those of them that are on, of the bits C they only read and
-    of their targets T.  Its matrices are the runs on a batch of 2^|T|
-    identities, one on T for each value of the bits they pin and read, laid
-    out as for `_operator`, then taken at the pinned values."""
+def _block(steps: list, psi: np.ndarray, axis, masks: tuple) -> _Block:
+    """The _Block of steps, from the masks of the bits they pin, of those of
+    them that are on, of the bits C they only read and of their targets T; a
+    segment operator is one that pins and reads nothing.  Its matrices are
+    the steps on a batch of 2^|T| identities, one on T for each value of the
+    bits they pin and read, in the state's layout, taken at the pinned values."""
     pinned, on, reads, targets = masks
     n = len(axis)
     dim = 1 << targets.bit_count()
     bits = range(n - 1, -1, -1)  # descending, so bit b is on axis n - 1 - b
-    eye = np.eye(dim, dtype=complex).reshape(*(2 if targets >> b & 1 else 1 for b in bits), dim)
-    batch = np.array(np.broadcast_to(eye, (*(2 if (pinned | reads | targets) >> b & 1 else 1
-                                             for b in bits), dim)))
-    _run_steps(batch if axis[0] == -2 else np.moveaxis(batch, -1, 0), runs, axis)
+    batch = np.eye(dim, dtype=complex).reshape(*(2 if targets >> b & 1 else 1 for b in bits), dim)
+    if pinned | reads:
+        batch = np.array(np.broadcast_to(batch, (*(2 if (pinned | reads | targets) >> b & 1
+                                                   else 1 for b in bits), dim)))
+    _run_steps(batch, steps, axis)
     order = [n - 1 - b for mask in (pinned, reads, targets) for b in bits if mask >> b & 1]
     at = tuple(on >> b & 1 for b in bits if pinned >> b & 1)
     matrices = batch.transpose(*order, *(a for a in range(n + 1) if a not in order))[at]
     front = order[len(at):]
     view = psi[tuple(_PIN[on >> b & 1] if pinned >> b & 1 else slice(None) for b in bits)]
     return _Block(matrices.reshape(-1, dim, dim),
-                  view.transpose(*front, *(a for a in range(psi.ndim) if a not in front)))
-
-
-def _pins(run: _Run, axis) -> tuple[int, int]:
-    """The masks of the controls that every gate of a tabled run shares,
-    of those on and of those off, read back from its table's first index,
-    which pins them."""
-    index0, target = run.table[0], run.gates[0].targets[0]
-    on = off = 0
-    for b, a in enumerate(axis):
-        if index0[a] is _PIN[1]:
-            on |= 1 << b
-        elif index0[a] is _PIN[0] and b != target:
-            off |= 1 << b
-    return on, off
+                  view.transpose(*front, *(a for a in range(n + 1) if a not in front)))
 
 
 def _cut(runs: list, executions: int, psi: np.ndarray, axis, cols: int,
@@ -573,15 +548,14 @@ def _cut(runs: list, executions: int, psi: np.ndarray, axis, cols: int,
     present widths would save nothing.  Returns the steps and the budget
     left."""
     n = len(axis)
-    pins = [_pins(run, axis) for run in runs]
     steps, i = [], 0
     while i < len(runs):
         best, end, targets, reads, on, off = 0.0, i + 1, 0, 0, -1, -1
         for j in range(i, len(runs)):
             targets |= 1 << runs[j].gates[0].targets[0]
             reads |= runs[j].bits
-            on &= pins[j][0]
-            off &= pins[j][1]
+            on &= runs[j].pins[0]
+            off &= runs[j].pins[1]
             if j == i:
                 continue
             pinned = on | off
@@ -647,36 +621,36 @@ def _evolve(circuit: Circuit, amp: np.ndarray) -> None:
     """Apply every gate in place to `amp`, of shape (2^n, columns)."""
     n = circuit.num_qubits
     cols = amp.shape[1]
-    # A single column gets no axis; more get the last, which numpy runs fastest.
-    psi = amp.reshape((2,) * n + ((cols,) if cols > 1 else ()))
-    axis = tuple(n - psi.ndim - 1 - b for b in range(n))  # bit b, from the right
+    # One layout, a single column included: bit b on axis -2 - b, the columns last.
+    psi = amp.reshape((2,) * n + (cols,))
+    axis = tuple(range(-2, -n - 2, -1))
     plan, runs, segments = _plan(circuit.body)
     for run in runs.values():
         # A lone MP_Y's table pays from its third execution: the kernel
         # rebuilds its word tensor and cos/sin gather at every one.
         if run.executions > (2 if len(run.gates) == 1 else 1):
-            run.bits, run.table = _table(run.gates, axis, psi.ndim)
+            run.bits, run.pins, run.table = _table(run.gates, axis, n + 1)
     for segment in segments.values():
         for step in segment.steps:
             if type(step) is _Swaps and step.exchange is None:
-                step.exchange = _exchange(step.gates, axis, psi.ndim)
-    register = list(reversed(range(n)))
-    offers = []  # (seconds saved, segment, its operator's qubits)
+                step.exchange = _exchange(step.gates, axis, n + 1)
+    register = (1 << n) - 1
+    offers = []  # (seconds saved, segment, the mask of its operator's qubits)
     for segment in segments.values():
         if segment.executions > 1:
             offers.append(max(((_saving(len(segment.steps), segment.executions, n, cols,
-                                        len(qubits)), segment, qubits)
-                               for qubits in (_support(segment.steps, n), register)),
+                                        qubits.bit_count()), segment, qubits)
+                               for qubits in (_support(segment.steps), register)),
                               key=operator.itemgetter(0)))
     offers.sort(key=operator.itemgetter(0), reverse=True)
     budget = _OPERATOR_BYTES
     for saving, segment, qubits in offers:
-        if saving > 0 and 16 << 2 * len(qubits) <= budget:
-            budget -= 16 << 2 * len(qubits)
-            segment.operator = _operator(segment.steps, axis, qubits)
-            if len(qubits) < n:
-                front = [n - 1 - b for b in qubits]
-                segment.view = psi.transpose(*front, *(a for a in range(psi.ndim) if a not in front))
+        if saving > 0 and 16 << 2 * qubits.bit_count() <= budget:
+            budget -= 16 << 2 * qubits.bit_count()
+            block = _block(segment.steps, psi, axis, (0, 0, 0, qubits))
+            segment.operator = block.matrices[0]
+            if qubits != register:
+                segment.view = block.view
     _blocks(segments, psi, axis, cols, budget)
     _execute(amp, psi, plan, axis)
 

@@ -319,12 +319,15 @@ def kernel_table(run):
 def assert_table_matches_kernel(run, n):
     """`_table` for an n-qubit state vector pins the controls that every gate
     shares, gives each other operand bit a table axis, matches the kernel's
-    table at the pinned values, and reports the run's operand bits."""
+    table at the pinned values, and reports the run's operand bits and the
+    (on, off) masks of the controls that every gate shares."""
     axis = tuple(-1 - b for b in range(n))
-    bits, (index0, index1, *entries) = sim._table(run, axis, n)
+    bits, pins, (index0, index1, *entries) = sim._table(run, axis, n)
     assert bits == sum({1 << b for ins in run for b in ins.operand_bits})
     target = run[0].targets[0]
     shared = set.intersection(*(set(ins.controls) for ins in run))
+    assert pins == (sum(1 << c.bit for c in shared if c.on),
+                    sum(1 << c.bit for c in shared if not c.on))
     assert index0[axis[target]] == slice(0, 1) and index1[axis[target]] == slice(1, 2)
     for b in range(n):
         pin = next((slice(int(c.on), int(c.on) + 1) for c in shared if c.bit == b), slice(None))
@@ -401,7 +404,7 @@ def test_shared_control_is_pinned_and_mixed_control_is_not():
     gate and off in another: a table axis."""
     run = [roty(40.0, 0, (Control(3), Control(2))), sigx(0, (Control(3), Control(1))),
            roty(-75.0, 0, (Control(3), Control(2, False)))]
-    index0, index1, *entries = sim._table(run, (-1, -2, -3, -4), 4)[1]
+    index0, index1, *entries = sim._table(run, (-1, -2, -3, -4), 4)[2]
     assert index0[-4] == index1[-4] == slice(1, 2)
     assert index0[-3] == index0[-2] == slice(None)
     assert all(entry.shape == (1, 2, 2, 1) for entry in entries)
@@ -422,8 +425,8 @@ def test_closed_form_reduces_angles_by_whole_periods():
                 roty(-101.5 - 720.0 * turns, 0)]
 
     axis = (-1, -2, -3)
-    for got, want in zip(sim._table(run(periods), axis, 3)[1][2:],
-                         sim._table(run(0), axis, 3)[1][2:]):
+    for got, want in zip(sim._table(run(periods), axis, 3)[2][2:],
+                         sim._table(run(0), axis, 3)[2][2:]):
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
@@ -533,12 +536,23 @@ def test_apply_equals_gate_by_gate_on_the_deep_flow():
                                rtol=0, atol=1e-12)
 
 
+def record_operators(monkeypatch, describe):
+    """`describe(segment, psi)` of every segment operator built from now on,
+    taken as `_blocks` receives the segments, once their operators are chosen."""
+    built, blocks = [], sim._blocks
+
+    def record(segments, psi, *args):
+        built.extend(describe(segment, psi) for segment in segments.values()
+                     if segment.operator is not None)
+        return blocks(segments, psi, *args)
+
+    monkeypatch.setattr(sim, "_blocks", record)
+    return built
+
+
 def count_operators(monkeypatch):
     """The steps of every segment operator built from now on."""
-    built, operator = [], sim._operator
-    monkeypatch.setattr(sim, "_operator",
-                        lambda steps, *args: built.append(steps) or operator(steps, *args))
-    return built
+    return record_operators(monkeypatch, lambda segment, psi: list(segment.steps))
 
 
 def random_segment_circuit(seed):
@@ -594,11 +608,16 @@ def test_segment_repeated_in_loops_and_in_the_text_gets_one_operator(monkeypatch
 
 
 def operator_qubits(monkeypatch):
-    """The qubits (descending) of every segment operator built from now on."""
-    built, operator = [], sim._operator
-    monkeypatch.setattr(sim, "_operator", lambda steps, axis, qubits:
-                        built.append(qubits) or operator(steps, axis, qubits))
-    return built
+    """The qubits (descending) of every segment operator built from now on:
+    all of them if it has no view of the state, else the bits whose axes
+    lead its view, found by their strides (bit b on axis n - 1 - b)."""
+    def qubits(segment, psi):
+        n = psi.ndim - 1
+        if segment.view is None:
+            return list(range(n - 1, -1, -1))
+        k = len(segment.operator).bit_length() - 1
+        return [n - 1 - psi.strides[:n].index(stride) for stride in segment.view.strides[:k]]
+    return record_operators(monkeypatch, qubits)
 
 
 def generated(flow):
@@ -814,11 +833,46 @@ def test_swap_runs_match_gate_by_gate_and_oracle(seed):
         np.testing.assert_allclose(got, want @ state, rtol=0, atol=1e-12)
 
 
+def test_state_and_builds_share_one_layout(monkeypatch):
+    """`_run_steps` gets tensors of n + 1 axes, each bit's of size 2 or 1 and
+    the columns last: the state, of one column in `apply` and 2^n in
+    `to_matrix`, and every build of an operator or block, a batch of
+    identities of 2^|T| columns.  So a _Swaps step, whose permutation is made
+    for the state, runs as it is in an operator's build, in `apply` too."""
+    seen, run_steps = [], sim._run_steps
+    monkeypatch.setattr(sim, "_run_steps", lambda psi, steps, axis:
+                        seen.append((psi.shape, steps)) or run_steps(psi, steps, axis))
+    swaps_built = 0  # operator builds in `apply` that run a _Swaps step
+    for circuit, rng in [*map(random_swap_circuit, range(20)),
+                         *map(random_segment_circuit, range(40))]:
+        n, dim = circuit.num_qubits, 1 << circuit.num_qubits
+        want = oracle_matrix(circuit)
+        state = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+        for cols in (1, dim):
+            seen.clear()
+            got = sim.apply(circuit, state) if cols == 1 else sim.to_matrix(circuit)
+            np.testing.assert_allclose(got, want @ state if cols == 1 else want,
+                                       rtol=0, atol=1e-12)
+            for shape, steps in seen:
+                assert len(shape) == n + 1 and set(shape[:-1]) <= {1, 2}
+                assert shape[-1] in {1 << k for k in range(shape[:-1].count(2) + 1)}
+                swaps_built += cols == 1 and shape != (2,) * n + (1,) and any(
+                    type(step) is sim._Swaps for step in steps)
+    assert swaps_built > 0
+
+
 def count_blocks(monkeypatch):
-    """The (runs, masks) of every block built from now on."""
-    built, block = [], sim._block
-    monkeypatch.setattr(sim, "_block", lambda runs, psi, axis, masks:
-                        built.append((runs, masks)) or block(runs, psi, axis, masks))
+    """The (runs, masks) of every block that `_blocks` builds from now on
+    (segment operators are built by `_block` too, before it)."""
+    built, blocks, block = [], sim._blocks, sim._block
+
+    def counted(*args):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(sim, "_block", lambda runs, psi, axis, masks:
+                          built.append((runs, masks)) or block(runs, psi, axis, masks))
+            return blocks(*args)
+
+    monkeypatch.setattr(sim, "_blocks", counted)
     return built
 
 
