@@ -109,9 +109,12 @@ def inverse_qft(bits: Sequence[int]) -> tuple[Instruction, ...]:
     return tuple(out)
 
 
-def _v_body(beta: float, config: GeneratorConfig) -> tuple[Instruction | Loop, ...]:
-    layout = config.layout
-    w = emit_W(metropolis(config.problem, beta), layout).body
+def _walk(beta: float, config: GeneratorConfig) -> tuple[Instruction, ...]:
+    """The gates of the walk W(beta)."""
+    return emit_W(metropolis(config.problem, beta), config.layout).body
+
+
+def _v_body(w: tuple[Instruction, ...], config: GeneratorConfig) -> tuple[Instruction | Loop, ...]:
     a = config.pe.probe_bits
     body: list[Instruction | Loop] = []
     for block in range(config.pe.pe_steps):
@@ -130,15 +133,15 @@ def _v_body(beta: float, config: GeneratorConfig) -> tuple[Instruction | Loop, .
 
 def emit_V(beta: float, config: GeneratorConfig) -> Circuit:
     """The c-step phase-estimation operator against W(beta)."""
-    return Circuit(config.num_qubits, _v_body(beta, config))
+    return Circuit(config.num_qubits, _v_body(_walk(beta, config), config))
 
 
 def _q_gate(config: GeneratorConfig, angle_deg: float) -> Instruction:
     return phas(angle_deg, [Control(b, on=False) for b in config.probe_bit_list])
 
 
-def _v_pair(beta: float, config: GeneratorConfig) -> tuple[Seq, Seq]:
-    v = Seq(_v_body(beta, config))
+def _v_pair(w: tuple[Instruction, ...], config: GeneratorConfig) -> tuple[Seq, Seq]:
+    v = Seq(_v_body(w, config))
     return v, dagger((v,))[0]
 
 
@@ -146,10 +149,11 @@ def _r_body(v_pair: tuple[Seq, Seq], config: GeneratorConfig, q_angle_deg: float
     return v_pair[0], _q_gate(config, q_angle_deg), v_pair[1]  # inverse: negate the angle
 
 
-def emit_R_tilde(beta: float, config: GeneratorConfig,
+def emit_R_tilde(w: Circuit, config: GeneratorConfig,
                  q_angle_deg: float = Q_ANGLE_DEG) -> Circuit:
-    """V(beta)^dagger . Q . V(beta); Q's phase angle is overridable."""
-    return Circuit(config.num_qubits, _r_body(_v_pair(beta, config), config, q_angle_deg))
+    """V(beta)^dagger . Q . V(beta), phase estimation against the walk
+    w = W(beta) on the 2*nb walk qubits; Q's phase angle is overridable."""
+    return Circuit(config.num_qubits, _r_body(_v_pair(w.body, config), config, q_angle_deg))
 
 
 def _grover_pair(t: int, d: int, config: GeneratorConfig, v_pairs: dict) -> tuple[Seq, Seq]:
@@ -160,7 +164,7 @@ def _grover_pair(t: int, d: int, config: GeneratorConfig, v_pairs: dict) -> tupl
     if d < 0:
         raise ValueError(f"recursion depth must be >= 0, got {d}")
     for s in {t, t + 1} - v_pairs.keys():
-        v_pairs[s] = _v_pair(config.schedule.beta(s), config)
+        v_pairs[s] = _v_pair(_walk(config.schedule.beta(s), config), config)
     next_angle = -Q_ANGLE_DEG if config.conjugate_q else Q_ANGLE_DEG
     r_here, r_here_dag = (Seq(_r_body(v_pairs[t], config, a))
                           for a in (Q_ANGLE_DEG, -Q_ANGLE_DEG))

@@ -213,9 +213,9 @@ def _verify_checks(args: argparse.Namespace, config: GeneratorConfig):
             diff = sim.to_matrix(parse_english(expanded, num_qubits=w.num_qubits)) - u
             return float(np.abs(diff).max()), 1e-10
 
-        def fixed_point(data=data, beta=beta):
+        def fixed_point(walk=walk, data=data):
             state = walk_state(data().vectors[:, 0], config.layout)
-            out = sim.apply(emit_R_tilde(beta, config), state)
+            out = sim.apply(emit_R_tilde(walk()[0], config), state)
             want = np.exp(1j * np.pi / 3) * state
             return float(np.abs(out - want).max()), 1e-8
 
@@ -243,9 +243,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if args.nb > MAX_VERIFY_NB:
         return _fail(f"nb = {args.nb} exceeds the verification cap of {MAX_VERIFY_NB}", 2)
     total_qubits = 2 * args.nb + args.probe_bits * args.pe_steps
-    if total_qubits > sim.MAX_MATRIX_QUBITS:
+    if total_qubits > sim.MAX_STATE_QUBITS:
         return _fail(f"{total_qubits} qubits exceeds the simulation cap of "
-                     f"{sim.MAX_MATRIX_QUBITS}", 2)
+                     f"{sim.MAX_STATE_QUBITS}", 2)
     try:
         for beta in args.beta:
             check_beta(beta)

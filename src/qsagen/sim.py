@@ -70,9 +70,9 @@ one signed sum and one cos/sin per word.  Each angle is reduced before its
 conversion to radians, by its period, 720 degrees for ROTY and 360 for MP_Y,
 so whole turns drop out exactly and the sum stays within gates * 2pi.  A
 run of two or more gates gets a table when it executes more than once, a
-lone MP_Y from its third execution (the kernel rebuilds a multiplexor's
-word tensor and cos/sin gather every time); any other gate, HAD2 and P1PH
-included, goes to the kernel by itself.
+lone MP_Y from its third execution, a segment operator's build counting
+once (the kernel rebuilds a multiplexor's word tensor and cos/sin gather
+every time); any other gate, HAD2 and P1PH included, goes to the kernel.
 
 A maximal run of SWAPs with identical controls, a lone SWAP included, is
 one step, shared and counted like a run: its exchanges compose to one
@@ -91,46 +91,51 @@ rest).  Each distinct stretch of consecutive tabled runs is cut into
 blocks once, by the cost rule below, with its executions summed over its
 places.
 
-Segment operators.  A segment that executes more than once gets its
-support, the qubits its steps act on (a tabled run's operand bits come with
-its table).  Its operator is a dense 2^k x 2^k matrix on k qubits, its
-support or the whole register, built by `_block` as a block that pins and
-reads nothing: its steps (gates and tables, so the tables come first) run
-on the identity of that size, with an axis of size 1 for every other bit
-and its columns last, so that they index it as they index the state, a
-SWAP run's permutation included.  A whole-register operator is one product
-with the state as a (2^n, columns) matrix; any other multiplies a view of
-the state transposed so that its qubits lead, reshaped to 2^k rows, and
-writes the product back.  One fixed cost rule decides, with constants
-measured by timeit (numpy 2.4.6, Python 3.11, 2 vCPUs, one BLAS thread): a
-step costs 10 us + 5 ns per amplitude it runs on; a product 2 us + 0.5 ns
-per operator row, state amplitude and column, or 0.2 ns over the 2^n
-columns of `to_matrix` (measured: 0.13 ns on 10 qubits, 0.14-0.20 ns on all
-or all but one of 6 to 9, more on fewer), and 0.4 us per further matrix of
-a stack (measured: 0.4-0.5 us beyond its entries, stacks of 16 to 256
-matrices of 4 or 16 rows against 4 columns); a transpose one step.  A segment
-of s steps that executes e times saves e * s * (step on the state), less
-s * (step on 4^k amplitudes), the build, and e products and transposes.  It
-takes the k, support or n, that saves more, and gets an operator when that
-is positive.  At 6 qubits a segment of 26 steps on all of them pays from
-its third execution and one of 2 steps from its fourth; one of 26 steps on
-5 of them pays from its second, on the whole register from its 43rd.  At
-10 qubits a controlled power of W in phase estimation, 18 steps on 5
-qubits, pays from its second execution; a build on the whole register
-costs as much as 347 executions step by step.  The operators of one call
-hold at most 16 MiB (16 * 4^k bytes each), the most saving first: 256 on 6
-qubits, one on 10, none on 11.  A block of s runs with p pinned bits saves
-e * s steps on the state, less e products of 2^|C| matrices of 2^|T| rows
-over the 2^(n-p) amplitudes of its view, e transposes, and a build of s
-steps on 2^(p + |C| + 2|T|) amplitudes.  From each run of a stretch on,
-the block of two or more runs that saves most is taken when that is
-positive and its 16 * 2^|C| * 4^|T| bytes fit what the operators left of
-the budget; it grows no further than where one more step at its present
-widths would save nothing.  An embedding cascade of W at 11 qubits, 4 lone
+Segment operators.  A segment that executes more than once may run as a dense
+2^k x 2^k matrix on k qubits, built once by `_block` as a block that reads
+nothing: its steps run on a batch of identities in the state's layout, taken
+at the values of the bits it pins.  Its support is the qubits its steps act
+on, its pins the plain controls that all its gates share, a run's read once
+per distinct run.  Segments with pins are grouped by their steps, support less
+pins, pin count and end gates; those equal gate for gate once their pins are
+removed may share one operator on that support, each with its own view of the
+state, its pins fixed: at (nb, a, c) = (2, 3, 2) the four controlled powers
+W^(2^j) of phase estimation in V(beta) share one 16x16 operator on the walk
+qubits, pinned at their probe bits, and the four in V(beta)^dagger another.  A
+whole-register operator multiplies the state as a (2^n, columns) matrix, any
+other a view of it, pinned and transposed so that its qubits lead, reshaped to
+2^k rows.  One fixed cost rule decides, with constants measured by timeit
+(numpy 2.4.6, Python 3.11, 2 vCPUs, one BLAS thread): a step costs 10 us + 5
+ns per amplitude it runs on; a product 2 us + 0.5 ns per operator row, state
+amplitude and column, or 0.2 ns over the 2^n columns of `to_matrix` (measured:
+0.13 ns on 10 qubits, 0.14-0.20 ns on all or all but one of 6 to 9, more on
+fewer), and 0.4 us per further matrix of a stack (measured: 0.4-0.5 us beyond
+its entries, stacks of 16 to 256 matrices of 4 or 16 rows against 4 columns);
+a transpose one step.  A segment of s steps with p pins that executes e times
+saves e * s * (step on the state), less a build of s steps on 2^(p + 2k)
+amplitudes, and e products and transposes.  A segment's own operator pins
+nothing and takes the k, support or n, that saves more; a shared one sums e
+over its segments and is taken where it saves more than their own would
+together; a group that would not pay even if all its members were equal has no
+gate compared.  At 6 qubits a segment of 26 steps on all of them pays from its
+third execution and one of 2 steps from its fourth; one of 26 steps on 5 of
+them pays from its second, on the whole register from its 43rd.  At 10 qubits
+a controlled power of W at nb 2, 14 steps, pays from its first execution on
+the 4 walk qubits pinned at its probe and from its second on all 5; a build on
+the whole register costs as much as 347 executions step by step.  The
+operators of one call hold at most 16 MiB (16 * 4^k bytes each), the most
+saving first: 256 on 6 qubits, one on 10, none on 11.  A block of s runs with
+p pinned bits saves e * s steps on the state, less e products of 2^|C|
+matrices of 2^|T| rows over the 2^(n-p) amplitudes of its view, e transposes,
+and a build of s steps on 2^(p + |C| + 2|T|) amplitudes.  From each run of a
+stretch on, the block of two or more runs that saves most is taken when that
+is positive and its 16 * 2^|C| * 4^|T| bytes fit what the operators left of
+the budget; it grows no further than where one more step at its present widths
+would save nothing.  An embedding cascade of W at 11 qubits, 4 lone
 multiplexors with |T| = |C| = 4 and one pinned probe bit, saves 44 us per
-execution against a build of 0.2 ms (about 0.25 ms measured), and forms
-one block of all 4 from its ninth execution; below that a block of its
-first 3, which pays from its third, saves more.
+execution against a build of 0.2 ms (about 0.25 ms measured), and forms one
+block of all 4 from its ninth execution; below that a block of its first 3,
+which pays from its third, saves more.
 
 Tables and operators change the order of the floating-point operations,
 so results differ from gate-by-gate evaluation by rounding that grows with
@@ -322,9 +327,8 @@ def _table(run: list[Instruction], axis, ndim: int) -> tuple[int, tuple, tuple]:
 class _Run:
     """A maximal run of ROTY, SIGX and MP_Y gates on one target (two or
     more, or a lone MP_Y), one object per distinct run; `executions` counts its
-    occurrences, each weighted by its loops' reps.  Once its table is built
-    it also knows `_table`'s masks: its operand bits and its pins, the
-    (on, off) controls that all its gates share."""
+    occurrences, each weighted by its loops' reps.  Once `_masks` or `_table`
+    has read its gates it knows its operand bits and its (on, off) pins."""
 
     __slots__ = ("gates", "executions", "table", "bits", "pins")
 
@@ -333,13 +337,13 @@ class _Run:
 
 
 class _Swaps:
-    """A maximal run of SWAPs with identical controls, one object per
-    distinct run, counted like a _Run; once prepared, its `_exchange`."""
+    """A maximal run of SWAPs with identical controls, one object per distinct
+    run, counted like a _Run, with masks like it; once prepared, its `_exchange`."""
 
-    __slots__ = ("gates", "executions", "exchange")
+    __slots__ = ("gates", "executions", "exchange", "bits", "pins")
 
     def __init__(self, gates: list[Instruction]):
-        self.gates, self.executions, self.exchange = gates, 0, None
+        self.gates, self.executions, self.exchange, self.bits, self.pins = gates, 0, None, 0, None
 
 
 class _Block:
@@ -358,9 +362,8 @@ class _Block:
 class _Segment:
     """A maximal run of gates between Loops, one object per distinct segment:
     its steps (gates, _Runs, _Swaps and, once cut, _Blocks), its executions
-    counted like a _Run's, and its dense operator once one is built: the one
-    matrix of a `_block` of its steps, with, if that operator acts on fewer
-    qubits than the state has, the block's view of the state."""
+    counted like a _Run's, and its dense operator once one is built, maybe
+    shared, with its own view of the state unless that spans the register."""
 
     __slots__ = ("steps", "executions", "operator", "view")
 
@@ -465,18 +468,45 @@ def _plan(body: tuple) -> tuple[list, dict, dict]:
     return plan, {key: run for key, run in runs.items() if type(run) is _Run}, segments
 
 
-def _support(steps: list) -> int:
-    """The mask of the bits that a segment's steps act on: a tabled run's
-    from its table, any other step's from its gates."""
-    mask = 0
+def _controls(ins: Instruction, keep: int = -1) -> tuple[int, int]:
+    """The masks of a gate's plain controls in `keep` and of those that are on."""
+    mask = value = 0
+    for c in ins.controls:
+        mask |= 1 << c.bit
+        value |= c.on << c.bit
+    return mask & keep, value & keep
+
+
+def _masks(steps) -> tuple[int, int, int]:
+    """The masks of the bits that steps act on and of the plain controls all
+    their gates share, on and off; a run's are kept on it, read once."""
+    support, on, off = 0, -1, -1
     for step in steps:
-        if type(step) is _Run and step.table is not None:
-            mask |= step.bits
+        if type(step) is not Instruction:
+            if step.pins is None:
+                step.bits, *step.pins = _masks(step.gates)
+            support, on, off = support | step.bits, on & step.pins[0], off & step.pins[1]
             continue
-        for ins in (step,) if type(step) is Instruction else step.gates:
-            for b in ins.operand_bits:
-                mask |= 1 << b
-    return mask
+        mask, value = _controls(step)
+        on, off = on & value, off & (mask ^ value)
+        for b in step.operand_bits:
+            support |= 1 << b
+    return support, on, off
+
+
+def _same(steps: list, pins: int, other: list, other_pins: int) -> bool:
+    """Whether two segments' gates are equal one for one once each loses the
+    controls it pins, compared by ints and identity up to the first difference."""
+    gates, twins = ([g for s in seg for g in ((s,) if type(s) is Instruction else s.gates)]
+                    for seg in (steps, other))
+    if len(gates) != len(twins):
+        return False
+    for ins, twin in zip(gates, twins):
+        if (ins.angles_deg != twin.angles_deg or ins.opcode is not twin.opcode
+                or ins.targets != twin.targets or ins.mux_controls != twin.mux_controls
+                or _controls(ins, ~pins) != _controls(twin, ~other_pins)):
+            return False
+    return True
 
 
 def _saving(steps: int, executions: int, n: int, cols: int, rows: int,
@@ -486,7 +516,7 @@ def _saving(steps: int, executions: int, n: int, cols: int, rows: int,
     amplitudes that `pins` pinned bits select, with a transpose of the state
     unless its rows span the register, and a build of the steps on 2^(pins
     + reads + 2 rows) amplitudes.  A segment operator on k qubits has rows
-    k, reads 0 and pins 0."""
+    k and reads 0."""
     amplitudes = (1 << n) * cols
     step = _STEP_S + _AMPLITUDE_S * amplitudes
     entry = _MATVEC_ENTRY_S if cols == 1 else _GEMM_ENTRY_S
@@ -534,10 +564,15 @@ def _block(steps: list, psi: np.ndarray, axis, masks: tuple) -> _Block:
     order = [n - 1 - b for mask in (pinned, reads, targets) for b in bits if mask >> b & 1]
     at = tuple(on >> b & 1 for b in bits if pinned >> b & 1)
     matrices = batch.transpose(*order, *(a for a in range(n + 1) if a not in order))[at]
-    front = order[len(at):]
-    view = psi[tuple(_PIN[on >> b & 1] if pinned >> b & 1 else slice(None) for b in bits)]
-    return _Block(matrices.reshape(-1, dim, dim),
-                  view.transpose(*front, *(a for a in range(n + 1) if a not in front)))
+    return _Block(matrices.reshape(-1, dim, dim), _view(psi, pinned, on, order[len(at):]))
+
+
+def _view(psi: np.ndarray, pinned: int, on: int, front: list) -> np.ndarray:
+    """The view of the state a product multiplies: pins fixed, `front` leading."""
+    n = psi.ndim - 1
+    view = psi[tuple(_PIN[on >> b & 1] if pinned >> b & 1 else slice(None)
+                     for b in range(n - 1, -1, -1))]
+    return view.transpose(*front, *(a for a in range(n + 1) if a not in front))
 
 
 def _cut(runs: list, executions: int, psi: np.ndarray, axis, cols: int,
@@ -617,6 +652,49 @@ def _execute(amp: np.ndarray, psi: np.ndarray, plan: list, axis) -> None:
             view[...] = (node.operator @ view.reshape(len(node.operator), -1)).reshape(view.shape)
 
 
+def _offers(segments: dict, n: int, cols: int) -> list:
+    """The operators that would pay, the most saving first, (seconds saved, its
+    qubits, the (segment, pinned, on) masks it serves), as the module says."""
+    offers, groups = [], {}
+    for segment in segments.values():
+        steps = segment.steps
+        if segment.executions < 2 or not steps:
+            continue
+        support, on, off = _masks(steps)
+        own = max(((_saving(len(steps), segment.executions, n, cols, qubits.bit_count()), qubits,
+                    [(segment, 0, 0)]) for qubits in (support, (1 << n) - 1)),
+                  key=operator.itemgetter(0))
+        if not on | off:
+            offers.append(own)
+            continue
+        ends = [steps[i] if type(steps[i]) is Instruction else steps[i].gates[i] for i in (0, -1)]
+        key = (len(steps), support & ~(on | off), (on | off).bit_count(),
+               *((ins.opcode, ins.targets, ins.angles_deg) for ins in ends))
+        groups.setdefault(key, []).append((own, segment, on | off, on))
+
+    def shared(key: tuple, group: list) -> float:
+        """The saving of one operator for the group, if more than its own."""
+        steps, qubits, pins = key[:3]
+        saving = _saving(steps, sum(member[1].executions for member in group), n, cols,
+                         qubits.bit_count(), pins=pins)
+        return saving if saving > sum(max(member[0][0], 0.0) for member in group) else 0.0
+
+    for key, members in groups.items():
+        while members and shared(key, members):  # else no gate is compared
+            first, same, rest = members[0], [], []
+            for member in members:
+                (same if member is first or _same(first[1].steps, first[2], member[1].steps,
+                                                  member[2]) else rest).append(member)
+            saving, members = shared(key, same), rest
+            if saving:
+                offers.append((saving, key[1], [member[1:] for member in same]))
+            else:
+                offers.extend(member[0] for member in same)
+        offers.extend(member[0] for member in members)
+    return sorted((offer for offer in offers if offer[0] > 0), key=operator.itemgetter(0),
+                  reverse=True)
+
+
 def _evolve(circuit: Circuit, amp: np.ndarray) -> None:
     """Apply every gate in place to `amp`, of shape (2^n, columns)."""
     n = circuit.num_qubits
@@ -625,32 +703,33 @@ def _evolve(circuit: Circuit, amp: np.ndarray) -> None:
     psi = amp.reshape((2,) * n + (cols,))
     axis = tuple(range(-2, -n - 2, -1))
     plan, runs, segments = _plan(circuit.body)
-    for run in runs.values():
-        # A lone MP_Y's table pays from its third execution: the kernel
-        # rebuilds its word tensor and cos/sin gather at every one.
-        if run.executions > (2 if len(run.gates) == 1 else 1):
-            run.bits, run.pins, run.table = _table(run.gates, axis, n + 1)
     for segment in segments.values():
         for step in segment.steps:
             if type(step) is _Swaps and step.exchange is None:
                 step.exchange = _exchange(step.gates, axis, n + 1)
-    register = (1 << n) - 1
-    offers = []  # (seconds saved, segment, the mask of its operator's qubits)
-    for segment in segments.values():
-        if segment.executions > 1:
-            offers.append(max(((_saving(len(segment.steps), segment.executions, n, cols,
-                                        qubits.bit_count()), segment, qubits)
-                               for qubits in (_support(segment.steps), register)),
-                              key=operator.itemgetter(0)))
-    offers.sort(key=operator.itemgetter(0), reverse=True)
-    budget = _OPERATOR_BYTES
-    for saving, segment, qubits in offers:
-        if saving > 0 and 16 << 2 * qubits.bit_count() <= budget:
+    for run in runs.values():  # before the offers, which read their masks
+        if len(run.gates) > 1 and run.executions > 1:
+            run.bits, run.pins, run.table = _table(run.gates, axis, n + 1)
+    budget, taken = _OPERATOR_BYTES, []
+    for _, qubits, members in _offers(segments, n, cols):
+        if 16 << 2 * qubits.bit_count() <= budget:
             budget -= 16 << 2 * qubits.bit_count()
-            block = _block(segment.steps, psi, axis, (0, 0, 0, qubits))
-            segment.operator = block.matrices[0]
-            if qubits != register:
-                segment.view = block.view
+            taken.append((qubits, members))
+            for i, (segment, _, _) in enumerate(members):  # one build runs them all
+                for step in segment.steps:
+                    if type(step) is _Run and len(step.gates) == 1:
+                        step.executions -= segment.executions - (i == 0)
+    for run in runs.values():  # a lone MP_Y's, once a build counts once
+        if len(run.gates) == 1 and run.executions > 2:
+            run.bits, run.pins, run.table = _table(run.gates, axis, n + 1)
+    for qubits, members in taken:
+        segment, pinned, on = members[0]
+        matrix = _block(segment.steps, psi, axis, (pinned, on, 0, qubits)).matrices[0]
+        front = [n - 1 - b for b in range(n - 1, -1, -1) if qubits >> b & 1]
+        for segment, pinned, on in members:
+            segment.operator = matrix
+            if qubits != (1 << n) - 1:
+                segment.view = _view(psi, pinned, on, front)
     _blocks(segments, psi, axis, cols, budget)
     _execute(amp, psi, plan, axis)
 

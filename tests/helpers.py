@@ -7,11 +7,14 @@ from dataclasses import replace
 import numpy as np
 from scipy.linalg import expm
 
+from qsagen.annealer import GeneratorConfig, emit_R_tilde
 from qsagen.ir import (Circuit, Control, Instruction, Loop, MuxControl, Opcode, ParseError, Seq,
                        _int_token, _parse_gate, _parse_loop, format_number, had2, mp_y, p0ph,
                        p1ph, phas, render, rotn, rotx, roty, rotz, sigx, sigy, sigz, swap)
+from qsagen.markov import metropolis
 from qsagen.mux_expander import expand_mux
 from qsagen.sim import _REAL, _Run, _Swaps
+from qsagen.szegedy import WalkLayout, emit_W
 
 GATE_MAKERS = "sig had rot rotn phas pph swap mpy".split()
 
@@ -436,3 +439,10 @@ def oracle_matrix(circuit: Circuit) -> np.ndarray:
     for ins in manual_unroll(circuit.body):
         out = oracle_gate(ins, circuit.num_qubits) @ out
     return out
+
+
+def r_tilde(beta: float, config: GeneratorConfig, **kwargs) -> Circuit:
+    """R~(beta) as `verify` builds it, against the walk W(beta) emitted on
+    the 2*nb walk qubits."""
+    walk = emit_W(metropolis(config.problem, beta), WalkLayout(config.nb))
+    return emit_R_tilde(walk, config, **kwargs)

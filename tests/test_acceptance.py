@@ -9,8 +9,7 @@ from contextlib import contextmanager
 import numpy as np
 
 from qsagen import sim
-from qsagen.annealer import (GeneratorConfig, PEParams, emit_full, emit_R_tilde,
-                             emit_U_grover)
+from qsagen.annealer import GeneratorConfig, PEParams, emit_full, emit_U_grover
 from qsagen.ir import (Circuit, Control, Loop, MuxControl, count_elementary_ops,
                        had2, mp_y, p0ph, p1ph, parse_english, phas, rotn,
                        rotx, roty, rotz, sigx, sigy, sigz, swap, write_english,
@@ -21,7 +20,7 @@ from qsagen.mux_expander import expand_file, expand_mux
 from qsagen.qembed import qembed_circuit
 from qsagen.szegedy import WalkLayout, emit_W, walk_state
 
-from helpers import manual_unroll, random_circuit, random_stochastic, spliced
+from helpers import manual_unroll, r_tilde, random_circuit, random_stochastic, spliced
 
 NB_GRID = (1, 2, 3)
 BETA_GRID = (0.0, 0.5, 1.0, 2.0)
@@ -117,8 +116,8 @@ def test_criterion_05_grover_recursion_identity():
     with criterion(5, "recursion holds as a matrix identity"):
         config = GeneratorConfig(default_problem(1), PEParams(1, 1, 2),
                                  AnnealingSchedule(0.5, 2))
-        r_here = sim.to_matrix(emit_R_tilde(config.schedule.beta(0), config))
-        r_next = sim.to_matrix(emit_R_tilde(config.schedule.beta(1), config))
+        r_here = sim.to_matrix(r_tilde(config.schedule.beta(0), config))
+        r_next = sim.to_matrix(r_tilde(config.schedule.beta(1), config))
         assert np.abs(sim.to_matrix(emit_U_grover(0, 0, config))
                       - np.eye(8)).max() == 0
         for d in (1, 2):

@@ -6,14 +6,14 @@ import pytest
 
 from qsagen import annealer, ir, sim, szegedy
 from qsagen.annealer import (GeneratorConfig, PEParams, _grover_pair, emit_full,
-                             emit_R_tilde, emit_U_grover, emit_V, inverse_qft)
+                             emit_U_grover, emit_V, inverse_qft)
 from qsagen.ir import (Circuit, Control, Instruction, Loop, Opcode, count_elementary_ops,
                        dagger, had2, phas, sigx, with_control, write_english)
 from qsagen.markov import (AnnealingSchedule, boltzmann, default_problem,
                            metropolis, spectral)
-from qsagen.szegedy import walk_state
+from qsagen.szegedy import WalkLayout, emit_W, walk_state
 
-from helpers import spliced
+from helpers import r_tilde, spliced
 
 
 def make_config(nb=1, a=1, c=1, d=1, delta=0.5, t_f=2, conjugate_q=False):
@@ -124,16 +124,28 @@ def test_v_estimates_nonzero_phase_away_from_zero():
 @pytest.mark.parametrize("beta", (0.0, 0.5))
 def test_r_tilde_fixed_point(beta):
     config = make_config(nb=1, a=2, c=1)
-    r = sim.to_matrix(emit_R_tilde(beta, config))
+    r = sim.to_matrix(r_tilde(beta, config))
     assert sim.unitarity_defect(r) < 1e-10
     state = stationary_input(config, beta)
     want = np.exp(1j * np.pi / 3) * state
     assert np.abs(r @ state - want).max() < 1e-8
 
 
+@pytest.mark.parametrize("a,c", [(3, 2), (3, 1), (2, 1)])
+def test_r_tilde_takes_the_walk_on_the_walk_qubits_alone(a, c):
+    """W(beta) on the 2nb walk qubits, as `verify` builds it, has the gates
+    of the W that `generate` embeds in the whole register, so R~ is the
+    same circuit from either."""
+    config = make_config(nb=2, a=a, c=c)
+    m = metropolis(config.problem, 0.5)
+    whole = emit_W(m, config.layout)
+    assert emit_W(m, WalkLayout(2)).body == whole.body
+    assert r_tilde(0.5, config) == annealer.emit_R_tilde(whole, config)
+
+
 def test_r_tilde_with_zero_angle_is_identity():
     config = make_config(nb=1, a=1, c=1)
-    r = sim.to_matrix(emit_R_tilde(0.5, config, q_angle_deg=0.0))
+    r = sim.to_matrix(r_tilde(0.5, config, q_angle_deg=0.0))
     np.testing.assert_allclose(r, np.eye(8), atol=1e-12)
 
 
@@ -146,12 +158,12 @@ def test_grover_depth_zero_is_identity():
 
 def test_grover_depth_one_is_two_reflections():
     config = make_config()
-    r_len = len(spliced(emit_R_tilde(0.0, config)).body)
+    r_len = len(spliced(r_tilde(0.0, config)).body)
     circuit = emit_U_grover(0, 1, config)
     assert len(spliced(circuit).body) == 2 * r_len
     got = sim.to_matrix(circuit)
-    r0 = sim.to_matrix(emit_R_tilde(config.schedule.beta(0), config))
-    r1 = sim.to_matrix(emit_R_tilde(config.schedule.beta(1), config))
+    r0 = sim.to_matrix(r_tilde(config.schedule.beta(0), config))
+    r1 = sim.to_matrix(r_tilde(config.schedule.beta(1), config))
     np.testing.assert_allclose(got, r0 @ r1, atol=1e-12)
 
 
@@ -160,8 +172,8 @@ def test_grover_recursion_matrix_identity(d):
     config = make_config(nb=1, a=1, c=1)
     u_prev = sim.to_matrix(emit_U_grover(0, d - 1, config))
     u_here = sim.to_matrix(emit_U_grover(0, d, config))
-    r_here = sim.to_matrix(emit_R_tilde(config.schedule.beta(0), config))
-    r_next = sim.to_matrix(emit_R_tilde(config.schedule.beta(1), config))
+    r_here = sim.to_matrix(r_tilde(config.schedule.beta(0), config))
+    r_next = sim.to_matrix(r_tilde(config.schedule.beta(1), config))
     want = u_prev @ r_here @ u_prev.conj().T @ r_next @ u_prev
     assert np.abs(u_here - want).max() < 1e-9
 
@@ -169,14 +181,14 @@ def test_grover_recursion_matrix_identity(d):
 def test_grover_conjugate_q_uses_inverse_phase():
     config = make_config(conjugate_q=True)
     got = sim.to_matrix(emit_U_grover(0, 1, config))
-    r0 = sim.to_matrix(emit_R_tilde(config.schedule.beta(0), config))
-    r1 = sim.to_matrix(emit_R_tilde(config.schedule.beta(1), config, q_angle_deg=-60.0))
+    r0 = sim.to_matrix(r_tilde(config.schedule.beta(0), config))
+    r1 = sim.to_matrix(r_tilde(config.schedule.beta(1), config, q_angle_deg=-60.0))
     np.testing.assert_allclose(got, r0 @ r1, atol=1e-12)
 
 
 def test_grover_count_recurrence():
     config = make_config(nb=1, a=2, c=1)
-    r_ops = count_elementary_ops(emit_R_tilde(0.0, config))
+    r_ops = count_elementary_ops(r_tilde(0.0, config))
     counts = [count_elementary_ops(emit_U_grover(0, d, config)) for d in range(3)]
     assert counts[0] == 0
     for d in (0, 1):
@@ -224,7 +236,7 @@ def test_full_preserves_normalization_and_reports_overlap(nb):
 @pytest.mark.parametrize("nb,a,c", [(1, 1, 1), (1, 2, 2), (2, 1, 1), (2, 2, 2)])
 def test_emitted_circuits_are_unitary(nb, a, c):
     config = make_config(nb=nb, a=a, c=c, d=1, t_f=1)
-    for circuit in (emit_V(0.5, config), emit_R_tilde(0.5, config),
+    for circuit in (emit_V(0.5, config), r_tilde(0.5, config),
                     emit_U_grover(0, 1, config), emit_full(config)):
         assert sim.unitarity_defect(sim.to_matrix(circuit)) < 1e-10
 

@@ -400,12 +400,24 @@ def test_corrupt_angle_shifts_a_multiplexor_at_index_zero():
 
 
 def test_verify_fixed_point_fails_on_wrong_q_phase(workdir, capsys, monkeypatch):
-    monkeypatch.setattr(cli, "emit_R_tilde", lambda beta, config: annealer.emit_R_tilde(
-        beta, config, q_angle_deg=annealer.Q_ANGLE_DEG - 10.0))
+    monkeypatch.setattr(cli, "emit_R_tilde", lambda w, config: annealer.emit_R_tilde(
+        w, config, q_angle_deg=annealer.Q_ANGLE_DEG - 10.0))
     assert main(["verify", "--nb", "1", "--probe-bits", "2"]) == 1
     rows = [line for line in capsys.readouterr().out.splitlines()
             if line.startswith("phase-reflection fixed point")]
     assert len(rows) == 2 and all("FAIL" in line for line in rows)
+
+
+def test_verify_builds_each_walk_once(workdir, capsys, monkeypatch):
+    """The fixed-point check reuses the W(beta) of the spectrum and
+    expansion checks."""
+    built = []
+    for module in (cli, annealer):
+        monkeypatch.setattr(module, "emit_W", lambda *args, emit=module.emit_W:
+                            built.append(args[0]) or emit(*args))
+    assert main(["verify", "--nb", "2", "--probe-bits", "2", "--beta", "0", "0.5", "1"]) == 0
+    assert len(built) == 3
+    assert "FAIL" not in capsys.readouterr().out
 
 
 def test_verify_expansion_fails_on_a_wrong_ladder_angle(workdir, capsys, monkeypatch):
@@ -450,8 +462,7 @@ def test_verify_rejects_bad_inputs(workdir, capsys, argv, message):
 def test_verify_enforces_size_caps(workdir, capsys):
     assert main(["verify", "--nb", "3"]) == 2
     assert "cap" in capsys.readouterr().err
-    assert main(["verify", "--nb", "2", "--probe-bits", "3",
-                 "--pe-steps", "3"]) == 2
+    assert main(["verify", "--nb", "2", "--probe-bits", "13"]) == 2
     assert "cap" in capsys.readouterr().err
 
 

@@ -9,12 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qsagen import sim
-from qsagen.annealer import GeneratorConfig, PEParams, emit_full, emit_R_tilde, emit_U_grover
+from qsagen.annealer import GeneratorConfig, PEParams, emit_full, emit_U_grover
 from qsagen.ir import (Circuit, Control, Instruction, Loop, MuxControl, Seq, count_elementary_ops,
                        dagger, had2, mp_y, render, rotn, roty, sigx, swap, with_control)
 from qsagen.markov import AnnealingSchedule, default_problem
 
-from helpers import manual_unroll, random_gate, spliced
+from helpers import manual_unroll, r_tilde, random_gate, spliced
 
 
 def make_config(nb, a, c, d, t_f=2, conjugate_q=False):
@@ -34,7 +34,7 @@ def emitted_circuits(draw):
     t = draw(st.integers(0, t_f - 1))
     if kind == "grover":
         return emit_U_grover(t, d, config)
-    return emit_R_tilde(config.schedule.beta(t), config)
+    return r_tilde(config.schedule.beta(t), config)
 
 
 def nodes_of(body, found: dict) -> dict:
@@ -94,7 +94,7 @@ def test_emitted_segments_equal_the_spliced_segments():
     body: the same steps, executed as often."""
     for circuit in (emit_full(make_config(2, 2, 1, 2), prep=True),
                     emit_full(make_config(1, 1, 2, 3, conjugate_q=True)),
-                    emit_R_tilde(0.5, make_config(2, 3, 2, 1))):
+                    r_tilde(0.5, make_config(2, 3, 2, 1))):
         assert segment_shapes(circuit.body) == segment_shapes(spliced(circuit).body)
 
 

@@ -15,12 +15,12 @@ from qsagen.annealer import GeneratorConfig, PEParams, emit_full, inverse_qft
 from qsagen.cli import main
 from qsagen.ir import (Circuit, Control, Instruction, Loop, MuxControl, Seq, had2, mp_y, p0ph,
                        p1ph, parse_english, phas, rotn, rotx, roty, rotz, sigx, sigy, sigz,
-                       swap, write_english, write_picture)
+                       swap, with_control, write_english, write_picture)
 from qsagen.markov import AnnealingSchedule, default_problem
 from qsagen.mux_expander import expand_file, expand_mux
 
-from helpers import (manual_unroll, oracle_matrix, random_body, random_circuit, random_gate,
-                     random_run_body, random_run_circuit, scan_steps)
+from helpers import (manual_unroll, oracle_matrix, r_tilde, random_body, random_circuit,
+                     random_gate, random_run_body, random_run_circuit, scan_steps)
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -286,15 +286,21 @@ def test_table_words_follow_bit_order():
 
 
 LONE_MUX = mp_y(0, (MuxControl(2, 1), MuxControl(1, 0)), (35.0, -120.0, 64.5, 171.0))
+CONTROLLED_MUX = replace(LONE_MUX, controls=(Control(3, False),))
 
 
 @pytest.mark.parametrize("body,tables", [
-    ((Loop(3, (LONE_MUX, had2(3))),), 1),
-    ((Loop(3, (replace(LONE_MUX, controls=(Control(3, False),)), had2(3))),), 1),
-    ((Loop(2, (LONE_MUX, had2(3))),), 0),
+    ((LONE_MUX, had2(3), LONE_MUX, had2(3), LONE_MUX), 1),
+    ((CONTROLLED_MUX, had2(3), CONTROLLED_MUX, had2(3), CONTROLLED_MUX), 1),
+    ((LONE_MUX, had2(3), LONE_MUX), 0),
     ((had2(3), LONE_MUX, had2(3)), 0),
-], ids=["thrice", "thrice-plain-control", "twice", "once"])
+    ((Loop(3, (LONE_MUX, had2(3))),), 0),
+    ((Loop(3, (LONE_MUX, had2(3))), had2(2), LONE_MUX, had2(3), LONE_MUX), 1),
+], ids=["thrice", "thrice-plain-control", "twice", "once", "thrice-in-a-build",
+        "once-in-a-build-twice-outside"])
 def test_lone_multiplexor_gets_a_table_from_its_third_execution(body, tables, monkeypatch):
+    """A segment operator's build runs its steps once, however often the
+    segment executes: inside it a multiplexor counts one execution."""
     circuit = Circuit(4, (had2(1), had2(2), *body))
     built, table = [], sim._table
     monkeypatch.setattr(sim, "_table", lambda run, *args: built.append(run) or table(run, *args))
@@ -607,17 +613,47 @@ def test_segment_repeated_in_loops_and_in_the_text_gets_one_operator(monkeypatch
     np.testing.assert_allclose(got, oracle_matrix(circuit) @ state, rtol=0, atol=1e-12)
 
 
+def segment_qubits(segment, psi):
+    """The qubits (descending) of a segment operator: all of them if it has
+    no view of the state, else the bits whose axes lead its view, found by
+    their strides (bit b on axis n - 1 - b)."""
+    n = psi.ndim - 1
+    if segment.view is None:
+        return list(range(n - 1, -1, -1))
+    k = len(segment.operator).bit_length() - 1
+    return [n - 1 - psi.strides[:n].index(stride) for stride in segment.view.strides[:k]]
+
+
 def operator_qubits(monkeypatch):
-    """The qubits (descending) of every segment operator built from now on:
-    all of them if it has no view of the state, else the bits whose axes
-    lead its view, found by their strides (bit b on axis n - 1 - b)."""
-    def qubits(segment, psi):
+    """`segment_qubits` of every segment operator built from now on."""
+    return record_operators(monkeypatch, segment_qubits)
+
+
+def operator_pins(monkeypatch):
+    """(the identity of its matrix, the matrix's rows, its qubits, its pins)
+    of every segment operator built from now on.  The pins map each bit
+    that its view of the state pins to that bit's value: the bit by the
+    stride of a size-1 axis behind the leading ones (the columns' axis,
+    last, left out), the value by the view's offset into the state."""
+    def describe(segment, psi):
         n = psi.ndim - 1
-        if segment.view is None:
-            return list(range(n - 1, -1, -1))
-        k = len(segment.operator).bit_length() - 1
-        return [n - 1 - psi.strides[:n].index(stride) for stride in segment.view.strides[:k]]
-    return record_operators(monkeypatch, qubits)
+        qubits = segment_qubits(segment, psi)
+        view = psi if segment.view is None else segment.view
+        bit = {stride: n - 1 - axis for axis, stride in enumerate(psi.strides[:n])}
+        offset = view.__array_interface__["data"][0] - psi.__array_interface__["data"][0]
+        pins = {bit[stride]: offset // stride & 1
+                for size, stride in zip(view.shape[len(qubits):-1], view.strides[len(qubits):-1])
+                if size == 1}
+        return id(segment.operator), len(segment.operator), qubits, pins
+    return record_operators(monkeypatch, describe)
+
+
+def by_matrix(built):
+    """`operator_pins` records grouped by matrix: rows, qubits and pins of each."""
+    groups = {}
+    for matrix, rows, qubits, pins in built:
+        groups.setdefault(matrix, []).append((rows, qubits, pins))
+    return list(groups.values())
 
 
 def generated(flow):
@@ -639,18 +675,168 @@ def test_wide_circuit_gets_no_operator_above_three_qubits(monkeypatch):
     assert built == [[10, 9, 8]]   # the parsed file's; the emitted tree has none
 
 
-def test_phase_estimation_loops_get_operators_on_their_supports(monkeypatch):
+def test_phase_estimation_loops_share_one_pinned_walk_operator(monkeypatch):
     """At (nb, a, c) = (2, 3, 2) each controlled power W^(2^j), j > 0, of
-    phase estimation is a loop over a segment on the 2nb walk bits and its
-    probe bit, one in V and one in V-dagger for each of the three betas: a
-    32x32 operator each, and none on the whole register."""
+    phase estimation is a loop over a segment of W's gates, each with its
+    probe bit as one more control: four in V and four in V-dagger for each
+    of the three betas.  The four of V are equal gate for gate once that
+    control is removed, as are those of V-dagger, so each four share one
+    16x16 operator on the 2nb walk bits, built once, and each applies it to
+    the state with its probe bit pinned at 1.  This checks the plan, not the
+    numbers; the differential tests below check those."""
     nb, a, c = 2, 3, 2
     circuit = generated((nb, a, c, 1))
-    built = operator_qubits(monkeypatch)
+    built = operator_pins(monkeypatch)
     sim.apply(circuit, sim.basis_state(circuit.num_qubits))
     walk = list(reversed(range(2 * nb)))
     probes = [2 * nb + a * k + j for k in range(c) for j in range(1, a)]
-    assert sorted(built) == sorted([probe, *walk] for probe in probes for _ in range(6))
+    groups = by_matrix(built)
+    assert len(groups) == 6 and len(built) == 24
+    for group in groups:
+        assert sorted(group, key=str) == sorted([(16, walk, {probe: 1}) for probe in probes],
+                                                key=str)
+
+
+def random_state(rng, n):
+    state = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+    return state / np.linalg.norm(state)
+
+
+@pytest.mark.parametrize("flow", [(1, 2, 2), (2, 3, 2), (2, 4, 2)])
+def test_shared_walk_operators_match_gate_by_gate(flow, monkeypatch):
+    """R~(0.5), as `verify` applies it, against every gate of its unrolled
+    body: its controlled walk powers run as pinned operators, each shared
+    by the copies of V or of V-dagger."""
+    nb, a, c = flow
+    circuit = r_tilde(0.5, GeneratorConfig(default_problem(nb), PEParams(a, c, 1),
+                                           AnnealingSchedule(0.5, 1)))
+    built = operator_pins(monkeypatch)
+    state = random_state(np.random.default_rng(19), circuit.num_qubits)
+    got = sim.apply(circuit, state)
+    groups = by_matrix(built)
+    assert len(groups) == 2 and all(len(group) == c * (a - 1) for group in groups)
+    assert all(pins for group in groups for _, _, pins in group)
+    np.testing.assert_allclose(got, gate_by_gate(circuit, state)[:, 0], rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("expanded", [False, True], ids=["mux", "expanded"])
+def test_verify_flow_files_share_pinned_operators(expanded, monkeypatch):
+    """The multiplexor-level and the expanded file of the `verify` bench
+    flow, (2,3,2,1) with state preparation, against every gate of their
+    unrolled bodies; in both, the copies of a controlled walk power share
+    pinned operators."""
+    circuit = generated((2, 3, 2, 1))
+    english = write_english(circuit)
+    if expanded:
+        _, english, _ = expand_file(english, write_picture(circuit))
+    circuit = parse_english(english)
+    built = operator_pins(monkeypatch)
+    state = random_state(np.random.default_rng(20), circuit.num_qubits)
+    got = sim.apply(circuit, state)
+    assert any(len(group) > 1 and all(pins for _, _, pins in group) for group in by_matrix(built))
+    np.testing.assert_allclose(got, gate_by_gate(circuit, state)[:, 0], rtol=0, atol=1e-12)
+
+
+WALK_LIKE = (phas(180.0, (Control(0, False), Control(1, False))),
+             mp_y(2, (MuxControl(0, 0), MuxControl(1, 1)), (20.0, -35.0, 70.0, 125.0)),
+             mp_y(3, (MuxControl(2, 0),), (15.0, -60.0)),
+             swap(0, 2), swap(1, 3),
+             roty(40.0, 1, (Control(0, True),)), sigx(1, (Control(3, True),)), roty(-25.0, 1),
+             p1ph(33.0, 0, (Control(2, False),)), had2(3))
+PROBES = (Control(4), Control(5), Control(6, False))
+
+
+def replaced(body, i, gate):
+    return body[:i] + (gate,) + body[i + 1:]
+
+
+def probe_copies(copies):
+    """Copies of a body, each under its probe, looped 2, 4 and 2 times on 7
+    qubits."""
+    return Circuit(7, (*[had2(b) for b in range(7)], Loop(2, copies[0]), Loop(4, copies[1]),
+                       had2(0), Loop(2, copies[2])))
+
+
+@pytest.mark.parametrize("case", ["equal", "angle", "control", "missing"])
+def test_only_copies_equal_but_for_their_pins_share(case, monkeypatch):
+    """Three copies of a body under three probes share one operator only
+    where they are equal gate for gate once the probe is removed: a copy
+    with one angle changed, or with another control of one gate flipped,
+    gets its own; one where a gate lacks the probe pins nothing, so its
+    operator spans the probe too."""
+    copies = [with_control(WALK_LIKE, probe) for probe in PROBES]
+    if case == "angle":
+        copies[2] = with_control(replaced(WALK_LIKE, 5, roty(41.0, 1, (Control(0, True),))),
+                                 PROBES[2])
+    elif case == "control":
+        copies[2] = with_control(replaced(WALK_LIKE, 5, roty(40.0, 1, (Control(0, False),))),
+                                 PROBES[2])
+    elif case == "missing":
+        copies[1] = with_control(WALK_LIKE[:-1], PROBES[1]) + WALK_LIKE[-1:]
+    circuit = probe_copies(copies)
+    built = operator_pins(monkeypatch)
+    state = random_state(np.random.default_rng(21), 7)
+    got = sim.apply(circuit, state)
+    np.testing.assert_allclose(got, gate_by_gate(circuit, state)[:, 0], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(got, oracle_matrix(circuit) @ state, rtol=0, atol=1e-12)
+    walk = [3, 2, 1, 0]
+    groups = sorted(by_matrix(built), key=len, reverse=True)
+    if case == "equal":
+        assert groups == [[(16, walk, {4: 1}), (16, walk, {5: 1}), (16, walk, {6: 0})]]
+    elif case == "missing":
+        assert groups == [[(16, walk, {4: 1}), (16, walk, {6: 0})], [(32, [5, *walk], {})]]
+    else:
+        assert groups == [[(16, walk, {4: 1}), (16, walk, {5: 1})], [(16, walk, {6: 0})]]
+
+
+def random_probe_copies(seed):
+    """A random body on 4 qubits (PHAS on its controls alone included),
+    written under three probes, some copies with one gate changed or its
+    probe dropped, each looped 1 to 4 times between Hadamards."""
+    rng = np.random.default_rng(9900 + seed)
+    body = tuple(random_body(rng, 4, max_items=6, loops=False)) + (
+        phas(float(rng.uniform(-180.0, 180.0)), (Control(int(rng.integers(4)), True),)),)
+    copies = []
+    for probe in (Control(4), Control(5, False), Control(6)):
+        copy = with_control(body, probe)
+        if rng.random() < 0.3:
+            i = int(rng.integers(len(body)))
+            copy = replaced(copy, i, random_gate(rng, 4) if rng.random() < 0.5 else body[i])
+        copies.append(Loop(int(rng.integers(1, 5)), copy))
+    return Circuit(7, tuple(x for copy in copies for x in (*[had2(b) for b in range(7)], copy)))
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_random_probe_copies_match_gate_by_gate_and_oracle(seed, monkeypatch):
+    circuit = random_probe_copies(seed)
+    built = operator_pins(monkeypatch)
+    want = oracle_matrix(circuit)
+    np.testing.assert_allclose(sim.to_matrix(circuit), want, rtol=0, atol=1e-12)
+    state = random_state(np.random.default_rng(seed), 7)
+    got = sim.apply(circuit, state)
+    np.testing.assert_allclose(got, gate_by_gate(circuit, state)[:, 0], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(got, want @ state, rtol=0, atol=1e-12)
+
+
+def test_random_probe_copies_share_pinned_operators(monkeypatch):
+    built = operator_pins(monkeypatch)
+    for seed in range(30):
+        sim.apply(random_probe_copies(seed), sim.basis_state(7))
+    assert sum(len(group) > 1 for group in by_matrix(built)) >= 10
+
+
+def test_copies_that_pin_every_operand_share_a_phase(monkeypatch):
+    """Phases on the subspace their controls select pin all their bits: the
+    copies share a 1x1 operator, a phase on each copy's pinned view."""
+    controls = (Control(0), Control(2, False))
+    circuit = probe_copies([with_control((phas(30.0, controls), phas(45.0, controls)), probe)
+                            for probe in PROBES])
+    built = operator_pins(monkeypatch)
+    state = random_state(np.random.default_rng(22), 7)
+    got = sim.apply(circuit, state)
+    assert by_matrix(built) == [[(1, [], {0: 1, 2: 0, 4: 1}), (1, [], {0: 1, 2: 0, 5: 1}),
+                                 (1, [], {0: 1, 2: 0, 6: 0})]]
+    np.testing.assert_allclose(got, oracle_matrix(circuit) @ state, rtol=0, atol=1e-12)
 
 
 def test_deep_flow_keeps_its_whole_register_operators(monkeypatch):
