@@ -630,8 +630,8 @@ def operator_qubits(monkeypatch):
 
 
 def operator_pins(monkeypatch):
-    """(the identity of its matrix, the matrix's rows, its qubits, its pins)
-    of every segment operator built from now on.  The pins map each bit
+    """(its matrix, the matrix's rows, its qubits, its pins) of every
+    segment operator built from now on.  The pins map each bit
     that its view of the state pins to that bit's value: the bit by the
     stride of a size-1 axis behind the leading ones (the columns' axis,
     last, left out), the value by the view's offset into the state."""
@@ -644,15 +644,16 @@ def operator_pins(monkeypatch):
         pins = {bit[stride]: offset // stride & 1
                 for size, stride in zip(view.shape[len(qubits):-1], view.strides[len(qubits):-1])
                 if size == 1}
-        return id(segment.operator), len(segment.operator), qubits, pins
+        return segment.operator, len(segment.operator), qubits, pins
     return record_operators(monkeypatch, describe)
 
 
 def by_matrix(built):
-    """`operator_pins` records grouped by matrix: rows, qubits and pins of each."""
+    """`operator_pins` records grouped by the identity of their matrix, which
+    `built` keeps alive: the rows, qubits and pins of each."""
     groups = {}
     for matrix, rows, qubits, pins in built:
-        groups.setdefault(matrix, []).append((rows, qubits, pins))
+        groups.setdefault(id(matrix), []).append((rows, qubits, pins))
     return list(groups.values())
 
 
