@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import functools
 import os
+import random
 import sys
 
 import numpy as np
@@ -29,7 +30,6 @@ from .markov import (AnnealingSchedule, boltzmann, check_beta, default_problem,
 from .qembed import qembed_circuit
 from .szegedy import WalkLayout, emit_W, walk_state
 
-MAX_VERIFY_NB = 2
 _WRITE_SLICE = 1 << 20  # characters per write
 
 
@@ -160,12 +160,14 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def _verify_checks(args: argparse.Namespace, config: GeneratorConfig):
     """Yield (name, beta, callable) triples; each callable returns a defect
-    that must stay inside the advertised tolerance.  The walk W(beta), its
-    matrix and the spectral data are built once per beta, by the first check
-    that needs them; a build that raises is retried by the next."""
+    that must stay inside the advertised tolerance.  Every circuit is applied
+    to a few columns, never built as a matrix.  The walk W(beta), its image
+    of the walk columns and the spectral data are built once per beta, by the
+    first check that needs them; a build that raises is retried by the next."""
     problem, nb = config.problem, config.nb
     layout = WalkLayout(nb)
     ns = 1 << nb
+    walk_cols = np.column_stack([walk_state(e, layout) for e in np.eye(ns)])  # |x>_beta |0>_alpha
 
     for beta in args.beta:
         m = metropolis(problem, beta)
@@ -174,7 +176,7 @@ def _verify_checks(args: argparse.Namespace, config: GeneratorConfig):
         @functools.cache
         def walk(m=m):
             w = emit_W(m, layout)
-            return w, sim.to_matrix(w)
+            return w, sim.apply(w, walk_cols)
 
         @functools.cache
         def data(m=m, pi=pi):
@@ -189,29 +191,37 @@ def _verify_checks(args: argparse.Namespace, config: GeneratorConfig):
 
         def embedding(m=m):
             # column x holds sqrt(m[yt, x]) at row (yt << nb) | y for y == x, else 0
-            u = sim.to_matrix(_maybe_corrupt(qembed_circuit(m), args))
+            u = sim.apply(_maybe_corrupt(qembed_circuit(m), args), np.eye(ns * ns, ns))
             want = np.sqrt(m)[:, None, :] * np.eye(ns)
-            return float(np.abs(u[:, :ns].reshape(ns, ns, ns) - want).max()), 1e-10
+            return float(np.abs(u.reshape(ns, ns, ns) - want).max()), 1e-10
 
         def spectrum(walk=walk, data=data):
-            phis = data().phis
-            w, u = walk()
+            # W acts on Q, a basis of span(A, WA) for the walk columns A, as
+            # H = Q^dagger W Q with eigenphases 0 and +-2 phi_j, and fixes
+            # every vector orthogonal to Q: here 4 seeded random ones.
+            phis = data().phis[1:]
+            w, wa = walk()
             corrupted = _maybe_corrupt(w, args)
             if corrupted is not w:
-                u = sim.to_matrix(corrupted)
-            expected = [0.0] * (ns * ns - 2 * (ns - 1))
-            for phi in phis[1:]:
-                expected += [2 * phi, -2 * phi]
-            ok = sim.phases_match(sim.eig_unitary(u), expected, tol=1e-8)
-            return (0.0 if ok else 1.0), 1e-8
+                w, wa = corrupted, sim.apply(corrupted, walk_cols)
+            q = np.linalg.svd(np.hstack([walk_cols, wa]), full_matrices=False)[0][:, :2 * ns - 1]
+            noise = np.frombuffer(random.Random(0).randbytes(8 * ns * ns), np.uint8) - 127.5
+            r = noise.reshape(ns * ns, 8).view(complex)
+            r -= q @ (q.conj().T @ r)
+            r /= np.linalg.norm(r, axis=0)
+            wq, wr = np.hsplit(sim.apply(w, np.hstack([q, r])), [2 * ns - 1])
+            h = q.conj().T @ wq
+            phases = np.concatenate([[0.0], 2 * phis, -2 * phis])
+            return max(float(np.abs(wq - q @ h).max()), float(np.abs(wr - r).max()),
+                       _circle_defect(np.linalg.eigvals(h), phases)), 1e-8
 
         def expansion(walk=walk):
             # the bytes `expand` writes for W, parsed back
-            w, u = walk()
+            w, wa = walk()
             _, english, picture = render(w)
             _, expanded, _ = mux_expander.expand_file(english, picture)
-            diff = sim.to_matrix(parse_english(expanded, num_qubits=w.num_qubits)) - u
-            return float(np.abs(diff).max()), 1e-10
+            out = sim.apply(parse_english(expanded, num_qubits=w.num_qubits), walk_cols)
+            return float(np.abs(out - wa).max()), 1e-10
 
         def fixed_point(walk=walk, data=data):
             state = walk_state(data().vectors[:, 0], config.layout)
@@ -227,6 +237,22 @@ def _verify_checks(args: argparse.Namespace, config: GeneratorConfig):
         yield "phase-reflection fixed point", beta, fixed_point
 
 
+def _circle_defect(values, phases) -> float:
+    """Largest distance between the values and the unit-circle points
+    exp(i*phases), each phase matched in turn to its nearest unmatched value;
+    inf if the counts differ."""
+    values = np.asarray(values, dtype=complex)
+    if len(values) != len(phases):
+        return float("inf")
+    worst = 0.0
+    for z in np.exp(1j * np.asarray(phases, dtype=float)):
+        dists = np.abs(values - z)
+        best = dists.argmin()
+        worst = max(worst, float(dists[best]))
+        values = np.delete(values, best)
+    return worst
+
+
 def _maybe_corrupt(circuit: Circuit, args: argparse.Namespace) -> Circuit:
     """The circuit with 5 degrees added to the first angle of its first
     MP_Y outside Loops, if --corrupt-angle is given."""
@@ -240,8 +266,6 @@ def _maybe_corrupt(circuit: Circuit, args: argparse.Namespace) -> Circuit:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    if args.nb > MAX_VERIFY_NB:
-        return _fail(f"nb = {args.nb} exceeds the verification cap of {MAX_VERIFY_NB}", 2)
     total_qubits = 2 * args.nb + args.probe_bits * args.pe_steps
     if total_qubits > sim.MAX_STATE_QUBITS:
         return _fail(f"{total_qubits} qubits exceeds the simulation cap of "

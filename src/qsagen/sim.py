@@ -155,7 +155,6 @@ from .ir import Circuit, Instruction, Loop, Opcode, Seq
 
 MAX_STATE_QUBITS = 16   # apply: 2^n amplitudes
 MAX_MATRIX_QUBITS = 12  # to_matrix: 4^n amplitudes
-UNITARY_TOL = 1e-8  # eig_unitary: the largest unitarity defect
 _PIN = (slice(0, 1), slice(1, 2))  # size-1 slices keep every axis for broadcasting
 # The cost rule of segment operators and blocks (see the module docstring):
 # seconds per step and per amplitude, per product, per operator entry and
@@ -762,35 +761,3 @@ def basis_state(num_qubits: int, index: int = 0) -> np.ndarray:
     state = np.zeros(1 << num_qubits, dtype=complex)
     state[index] = 1.0
     return state
-
-
-def unitarity_defect(op: np.ndarray) -> float:
-    op = np.asarray(op)
-    return float(np.abs(op @ op.conj().T - np.eye(op.shape[0])).max())
-
-
-def eig_unitary(op: np.ndarray) -> np.ndarray:
-    """Eigenphases of a unitary matrix, sorted ascending in (-pi, pi]."""
-    op = np.asarray(op, dtype=complex)
-    if op.ndim != 2 or op.shape[0] != op.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {op.shape}")
-    defect = unitarity_defect(op)
-    if defect > UNITARY_TOL:
-        raise ValueError(f"matrix is not unitary (defect {defect:.3e} > {UNITARY_TOL:.1e})")
-    return np.sort(np.angle(np.linalg.eigvals(op)))
-
-
-def phases_match(actual, expected, tol: float = 1e-8) -> bool:
-    """Multiset equality of two eigenphase lists, compared on the unit circle."""
-    actual = np.asarray(actual, dtype=float)
-    expected = np.asarray(expected, dtype=float)
-    if actual.shape[0] != expected.shape[0]:
-        return False
-    remaining = list(np.exp(1j * actual))
-    for z in np.exp(1j * expected):
-        dists = [abs(z - w) for w in remaining]
-        best = int(np.argmin(dists))
-        if dists[best] > tol:
-            return False
-        remaining.pop(best)
-    return True

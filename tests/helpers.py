@@ -353,6 +353,21 @@ def random_stochastic(rng: np.random.Generator, ns: int) -> np.ndarray:
     return rng.dirichlet(np.ones(ns), size=ns).T
 
 
+def random_reversible_chain(rng: np.random.Generator, ns: int) -> tuple[np.ndarray, np.ndarray]:
+    """A Metropolis chain (column-stochastic) of a random distribution pi
+    under a random symmetric proposal, and pi: reversible, irreducible and
+    aperiodic."""
+    pi = rng.uniform(0.1, 1.0, ns)
+    pi /= pi.sum()
+    proposal = rng.uniform(0.0, 1.0, (ns, ns))
+    proposal = proposal + proposal.T
+    proposal /= 1.01 * proposal.sum(axis=0).max()
+    m = proposal * np.minimum(1.0, pi[:, None] / pi[None, :])
+    np.fill_diagonal(m, 0.0)
+    np.fill_diagonal(m, 1.0 - m.sum(axis=0))
+    return m, pi
+
+
 def per_word_qembed_angles(q: np.ndarray) -> list[tuple[float, ...]]:
     """The embedding's stage angles one control word at a time, each sum a
     strided slice of one column: the oracle of `qembed_angles`."""
@@ -446,3 +461,40 @@ def r_tilde(beta: float, config: GeneratorConfig, **kwargs) -> Circuit:
     the 2*nb walk qubits."""
     walk = emit_W(metropolis(config.problem, beta), WalkLayout(config.nb))
     return emit_R_tilde(walk, config, **kwargs)
+
+
+# --- dense spectral oracle ------------------------------------------------------
+
+UNITARY_TOL = 1e-8  # eig_unitary: the largest unitarity defect
+
+
+def unitarity_defect(op: np.ndarray) -> float:
+    op = np.asarray(op)
+    return float(np.abs(op @ op.conj().T - np.eye(op.shape[0])).max())
+
+
+def eig_unitary(op: np.ndarray) -> np.ndarray:
+    """Eigenphases of a unitary matrix, sorted ascending in (-pi, pi]."""
+    op = np.asarray(op, dtype=complex)
+    if op.ndim != 2 or op.shape[0] != op.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {op.shape}")
+    defect = unitarity_defect(op)
+    if defect > UNITARY_TOL:
+        raise ValueError(f"matrix is not unitary (defect {defect:.3e} > {UNITARY_TOL:.1e})")
+    return np.sort(np.angle(np.linalg.eigvals(op)))
+
+
+def phases_match(actual, expected, tol: float = 1e-8) -> bool:
+    """Multiset equality of two eigenphase lists, compared on the unit circle."""
+    actual = np.asarray(actual, dtype=float)
+    expected = np.asarray(expected, dtype=float)
+    if actual.shape[0] != expected.shape[0]:
+        return False
+    remaining = list(np.exp(1j * actual))
+    for z in np.exp(1j * expected):
+        dists = [abs(z - w) for w in remaining]
+        best = int(np.argmin(dists))
+        if dists[best] > tol:
+            return False
+        remaining.pop(best)
+    return True

@@ -20,7 +20,8 @@ from qsagen.mux_expander import expand_file, expand_mux
 from qsagen.qembed import qembed_circuit
 from qsagen.szegedy import WalkLayout, emit_W, walk_state
 
-from helpers import manual_unroll, r_tilde, random_circuit, random_stochastic, spliced
+from helpers import (eig_unitary, manual_unroll, phases_match, r_tilde, random_circuit,
+                     random_stochastic, spliced)
 
 NB_GRID = (1, 2, 3)
 BETA_GRID = (0.0, 0.5, 1.0, 2.0)
@@ -105,7 +106,7 @@ def test_criterion_04_walk_spectrum():
                 expected = [0.0] * (ns * ns - 2 * (ns - 1))
                 for phi in data.phis[1:]:
                     expected.extend((2 * phi, -2 * phi))
-                assert sim.phases_match(sim.eig_unitary(w), expected, tol=1e-8)
+                assert phases_match(eig_unitary(w), expected, tol=1e-8)
         # hand check: nb=1, beta=0 has cos(2*phi_1) = -7/9
         phi1 = spectral(metropolis(default_problem(1), 0.0),
                         boltzmann(default_problem(1), 0.0)).phis[1]

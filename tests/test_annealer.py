@@ -13,7 +13,7 @@ from qsagen.markov import (AnnealingSchedule, boltzmann, default_problem,
                            metropolis, spectral)
 from qsagen.szegedy import WalkLayout, emit_W, walk_state
 
-from helpers import r_tilde, spliced
+from helpers import r_tilde, spliced, unitarity_defect
 
 
 def make_config(nb=1, a=1, c=1, d=1, delta=0.5, t_f=2, conjugate_q=False):
@@ -101,7 +101,7 @@ def test_qubit_count_formula():
 def test_v_fixes_phase_zero_eigenvector(beta):
     config = make_config(nb=1, a=2, c=2)
     v = sim.to_matrix(emit_V(beta, config))
-    assert sim.unitarity_defect(v) < 1e-10
+    assert unitarity_defect(v) < 1e-10
     state = stationary_input(config, beta)
     assert np.abs(v @ state - state).max() < 1e-8
 
@@ -125,7 +125,7 @@ def test_v_estimates_nonzero_phase_away_from_zero():
 def test_r_tilde_fixed_point(beta):
     config = make_config(nb=1, a=2, c=1)
     r = sim.to_matrix(r_tilde(beta, config))
-    assert sim.unitarity_defect(r) < 1e-10
+    assert unitarity_defect(r) < 1e-10
     state = stationary_input(config, beta)
     want = np.exp(1j * np.pi / 3) * state
     assert np.abs(r @ state - want).max() < 1e-8
@@ -238,7 +238,7 @@ def test_emitted_circuits_are_unitary(nb, a, c):
     config = make_config(nb=nb, a=a, c=c, d=1, t_f=1)
     for circuit in (emit_V(0.5, config), r_tilde(0.5, config),
                     emit_U_grover(0, 1, config), emit_full(config)):
-        assert sim.unitarity_defect(sim.to_matrix(circuit)) < 1e-10
+        assert unitarity_defect(sim.to_matrix(circuit)) < 1e-10
 
 
 def test_pe_params_validation():

@@ -10,13 +10,15 @@ import numpy as np
 import pytest
 
 from qsagen import annealer, cli, sim
+from qsagen.annealer import GeneratorConfig, PEParams
 from qsagen.cli import main
 from qsagen.ir import (Circuit, Loop, MuxControl, Opcode, count_elementary_ops, had2, mp_y,
                        parse_english, write_english)
-from qsagen.markov import default_problem, metropolis
+from qsagen.markov import AnnealingSchedule, boltzmann, default_problem, metropolis, spectral
 from qsagen.qembed import qembed_circuit
+from qsagen.szegedy import WalkLayout, emit_W
 
-from helpers import OVERFLOWING_LADDERS
+from helpers import OVERFLOWING_LADDERS, eig_unitary, phases_match, random_reversible_chain
 
 GEN_ARGS = ["generate", "--prefix", "demo", "--nb", "1", "--probe-bits", "2",
             "--pe-steps", "1", "--grover-depth", "1", "--num-betas", "3",
@@ -375,6 +377,54 @@ def test_verify_detects_corrupted_angle(workdir, capsys):
     assert "walk spectrum" in out and "FAIL" in out
 
 
+@pytest.mark.parametrize("nb", [3, 4])
+def test_verify_passes_and_catches_a_corrupted_angle_above_nb2(workdir, capsys, nb):
+    assert main(["verify", "--nb", str(nb), "--probe-bits", "3"]) == 0
+    assert "FAIL" not in capsys.readouterr().out
+    assert main(["verify", "--nb", str(nb), "--corrupt-angle"]) == 1
+    rows = [line for line in capsys.readouterr().out.splitlines()
+            if line.startswith(("q-embedding amplitudes", "walk spectrum"))]
+    assert len(rows) == 4 and all("FAIL" in row for row in rows)
+
+
+def walk_spectrum_check(nb, beta):
+    """The callable of `verify`'s walk-spectrum line for one nb and beta."""
+    args = cli.build_parser().parse_args(["verify", "--nb", str(nb), "--beta", str(beta)])
+    config = GeneratorConfig(default_problem(nb), PEParams(1, 1, 1), AnnealingSchedule(0.5, 1))
+    return next(check for name, _, check in cli._verify_checks(args, config)
+                if name == "walk spectrum")
+
+
+@pytest.mark.parametrize("nb", [1, 2])
+@pytest.mark.parametrize("beta", [0.0, 0.5, 1.0, None], ids=["0", "0.5", "1", "random-chain"])
+def test_walk_spectrum_check_agrees_with_the_dense_eigensolver(monkeypatch, nb, beta):
+    """The walk-spectrum defect, from W on 2*ns+3 columns, is rounding on
+    the stock chains and on a random reversible one, whose full W passes
+    the dense eigensolver's phase match as well."""
+    if beta is None:
+        m, pi = random_reversible_chain(np.random.default_rng(nb), 1 << nb)
+        monkeypatch.setattr(cli, "metropolis", lambda problem, beta: m)
+        monkeypatch.setattr(cli, "boltzmann", lambda problem, beta: pi)
+        beta = 0.0
+    else:
+        m, pi = metropolis(default_problem(nb), beta), boltzmann(default_problem(nb), beta)
+    defect, tol = walk_spectrum_check(nb, beta)()
+    assert defect <= 1e-12 and tol == 1e-8
+    ns = 1 << nb
+    phis = spectral(m, pi).phis[1:]
+    expected = [0.0] * (ns * ns - 2 * (ns - 1)) + list(2 * phis) + list(-2 * phis)
+    assert phases_match(eig_unitary(sim.to_matrix(emit_W(m, WalkLayout(nb)))), expected)
+
+
+def test_circle_defect_matches_phases_on_the_unit_circle():
+    def defect(actual, expected):
+        return cli._circle_defect(np.exp(1j * np.array(actual)), expected)
+    assert defect([0.0, 1.0, -1.0], [1.0, 0.0, -1.0]) <= 1e-15
+    assert defect([np.pi, 0.0], [-np.pi, 0.0]) <= 1e-15  # same point on the circle
+    assert defect([0.0, 1.0], [0.0, 1.1]) == pytest.approx(2 * np.sin(0.05))
+    assert defect([0.0], [0.0, 0.0]) == np.inf
+
+
 def test_corrupt_angle_skips_loops_and_shifts_the_first_multiplexor():
     mux = mp_y(1, (MuxControl(0, 0),), (10.0, 20.0))
     loop = Loop(2, (had2(0), mp_y(1, (MuxControl(0, 0),), (1.0, 2.0))))
@@ -460,8 +510,8 @@ def test_verify_rejects_bad_inputs(workdir, capsys, argv, message):
 
 
 def test_verify_enforces_size_caps(workdir, capsys):
-    assert main(["verify", "--nb", "3"]) == 2
-    assert "cap" in capsys.readouterr().err
+    assert main(["verify", "--nb", "7"]) == 1
+    assert capsys.readouterr().err == "Message: nb must be in 1..6, got 7\n"
     assert main(["verify", "--nb", "2", "--probe-bits", "13"]) == 2
     assert "cap" in capsys.readouterr().err
 

@@ -19,8 +19,9 @@ from qsagen.ir import (Circuit, Control, Instruction, Loop, MuxControl, Seq, had
 from qsagen.markov import AnnealingSchedule, default_problem
 from qsagen.mux_expander import expand_file, expand_mux
 
-from helpers import (manual_unroll, oracle_matrix, r_tilde, random_body, random_circuit,
-                     random_gate, random_run_body, random_run_circuit, scan_steps)
+from helpers import (eig_unitary, manual_unroll, oracle_matrix, phases_match, r_tilde, random_body,
+                     random_circuit, random_gate, random_run_body, random_run_circuit, scan_steps,
+                     unitarity_defect)
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -196,7 +197,7 @@ def test_circuit_matrices_are_unitary():
     rng = np.random.default_rng(6)
     for _ in range(10):
         circuit = random_circuit(rng)
-        assert sim.unitarity_defect(sim.to_matrix(circuit)) < 1e-10
+        assert unitarity_defect(sim.to_matrix(circuit)) < 1e-10
 
 
 def test_apply_dimension_mismatch():
@@ -216,22 +217,22 @@ def test_apply_qubit_cap():
 
 
 def test_eig_unitary_identity_and_reflection():
-    assert np.allclose(sim.eig_unitary(np.eye(4)), 0.0)
+    assert np.allclose(eig_unitary(np.eye(4)), 0.0)
     circuit = Circuit(2, (phas(180.0, (Control(1, False), Control(0, False))),))
-    phases = sim.eig_unitary(sim.to_matrix(circuit))
+    phases = eig_unitary(sim.to_matrix(circuit))
     np.testing.assert_allclose(sorted(np.abs(phases)), [0, 0, 0, np.pi], atol=1e-12)
 
 
 def test_eig_unitary_rejects_nonunitary():
     with pytest.raises(ValueError, match="not unitary"):
-        sim.eig_unitary(np.diag([1.0, 0.5]))
+        eig_unitary(np.diag([1.0, 0.5]))
 
 
 def test_phases_match():
-    assert sim.phases_match([0.0, 1.0, -1.0], [1.0, 0.0, -1.0])
-    assert sim.phases_match([np.pi, 0.0], [-np.pi, 0.0])  # same point on the circle
-    assert not sim.phases_match([0.0, 1.0], [0.0, 1.1])
-    assert not sim.phases_match([0.0], [0.0, 0.0])
+    assert phases_match([0.0, 1.0, -1.0], [1.0, 0.0, -1.0])
+    assert phases_match([np.pi, 0.0], [-np.pi, 0.0])  # same point on the circle
+    assert not phases_match([0.0, 1.0], [0.0, 1.1])
+    assert not phases_match([0.0], [0.0, 0.0])
 
 
 # --- run tables ------------------------------------------------------------------

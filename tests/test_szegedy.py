@@ -8,6 +8,8 @@ from qsagen.markov import boltzmann, default_problem, metropolis, spectral
 from qsagen.szegedy import (WalkLayout, emit_reflection, emit_U, emit_W,
                             register_swaps, walk_state)
 
+from helpers import eig_unitary, phases_match, unitarity_defect
+
 
 def swap_matrix(layout):
     return sim.to_matrix(Circuit(layout.num_qubits, register_swaps(layout)))
@@ -95,20 +97,20 @@ def test_walk_fixes_stationary_state(nb, beta):
 def test_walk_spectrum_matches_chain_oracle(nb, beta):
     m, _, data = chain(nb, beta)
     w = sim.to_matrix(emit_W(m, WalkLayout(nb)))
-    assert sim.unitarity_defect(w) < 1e-10
+    assert unitarity_defect(w) < 1e-10
     ns = 1 << nb
     expected = [0.0] * (ns * ns - 2 * (ns - 1))
     for phi in data.phis[1:]:
         expected.extend((2 * phi, -2 * phi))
-    assert sim.phases_match(sim.eig_unitary(w), expected, tol=1e-8)
+    assert phases_match(eig_unitary(w), expected, tol=1e-8)
 
 
 def test_walk_nb1_beta0_hand_values():
     m, _, data = chain(1, 0.0)
     w = sim.to_matrix(emit_W(m, WalkLayout(1)))
-    phases = sim.eig_unitary(w)
+    phases = eig_unitary(w)
     phi1 = np.arccos(1 / 3)
-    assert sim.phases_match(phases, [0.0, 0.0, 2 * phi1, -2 * phi1], tol=1e-10)
+    assert phases_match(phases, [0.0, 0.0, 2 * phi1, -2 * phi1], tol=1e-10)
     np.testing.assert_allclose(np.cos(2 * phi1), -7 / 9, atol=1e-12)
 
 
@@ -164,7 +166,7 @@ def test_walk_acts_as_identity_off_the_busy_subspace(nb, beta):
 def test_walk_identity_multiplicity_counts_idle_space():
     m, _, data = chain(2, 0.5)
     w = sim.to_matrix(emit_W(m, WalkLayout(2)))
-    phases = sim.eig_unitary(w)
+    phases = eig_unitary(w)
     near_zero = int(np.sum(np.abs(np.exp(1j * phases) - 1) < 1e-8))
     assert near_zero == 16 - 2 * 3  # NS^2 - 2(NS-1) with NS = 4
 
