@@ -28,7 +28,7 @@ from .ir import Circuit, Instruction, Opcode, ParseError, format_number, parse_e
 from .markov import (AnnealingSchedule, boltzmann, check_beta, default_problem,
                      metropolis, spectral)
 from .qembed import qembed_circuit
-from .szegedy import WalkLayout, emit_W, walk_state
+from .szegedy import WalkLayout, emit_U, emit_W, walk_state
 
 _WRITE_SLICE = 1 << 20  # characters per write
 
@@ -161,8 +161,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def _verify_checks(args: argparse.Namespace, config: GeneratorConfig):
     """Yield (name, beta, callable) triples; each callable returns a defect
     that must stay inside the advertised tolerance.  Every circuit is applied
-    to a few columns, never built as a matrix.  The walk W(beta), its image
-    of the walk columns and the spectral data are built once per beta, by the
+    to a few columns, never built as a matrix.  Per beta, the columns [Q | R],
+    W and its image of them, and the spectral data are built once, by the
     first check that needs them; a build that raises is retried by the next."""
     problem, nb = config.problem, config.nb
     layout = WalkLayout(nb)
@@ -174,9 +174,21 @@ def _verify_checks(args: argparse.Namespace, config: GeneratorConfig):
         pi = boltzmann(problem, beta)
 
         @functools.cache
-        def walk(m=m):
+        def frame(m=m):
+            # Q: a basis of span(A, B), A the walk columns, B = U |0>_beta |y>_alpha;
+            # [A, B] has singular values sqrt(1 +- |lambda_j|), so only lambda_0 = 1
+            # drops out.  R: 4 seeded random columns orthogonal to Q.
+            b = sim.apply(emit_U(m, layout), np.eye(ns * ns, ns))
+            q = np.linalg.svd(np.hstack([walk_cols, b]), full_matrices=False)[0][:, :2 * ns - 1]
+            noise = np.frombuffer(random.Random(0).randbytes(8 * ns * ns), np.uint8) - 127.5
+            r = noise.reshape(ns * ns, 8).view(complex)
+            r -= q @ (q.conj().T @ r)
+            return np.hstack([q, r / np.linalg.norm(r, axis=0)])
+
+        @functools.cache
+        def walk(m=m, frame=frame):
             w = emit_W(m, layout)
-            return w, sim.apply(w, walk_cols)
+            return w, sim.apply(w, frame())
 
         @functools.cache
         def data(m=m, pi=pi):
@@ -195,33 +207,28 @@ def _verify_checks(args: argparse.Namespace, config: GeneratorConfig):
             want = np.sqrt(m)[:, None, :] * np.eye(ns)
             return float(np.abs(u.reshape(ns, ns, ns) - want).max()), 1e-10
 
-        def spectrum(walk=walk, data=data):
-            # W acts on Q, a basis of span(A, WA) for the walk columns A, as
-            # H = Q^dagger W Q with eigenphases 0 and +-2 phi_j, and fixes
-            # every vector orthogonal to Q: here 4 seeded random ones.
+        def spectrum(walk=walk, frame=frame, data=data):
+            # W acts on Q as H = Q^dagger W Q, with eigenphases 0 and
+            # +-2 phi_j, and fixes R
             phis = data().phis[1:]
-            w, wa = walk()
+            w, w_frame = walk()
             corrupted = _maybe_corrupt(w, args)
             if corrupted is not w:
-                w, wa = corrupted, sim.apply(corrupted, walk_cols)
-            q = np.linalg.svd(np.hstack([walk_cols, wa]), full_matrices=False)[0][:, :2 * ns - 1]
-            noise = np.frombuffer(random.Random(0).randbytes(8 * ns * ns), np.uint8) - 127.5
-            r = noise.reshape(ns * ns, 8).view(complex)
-            r -= q @ (q.conj().T @ r)
-            r /= np.linalg.norm(r, axis=0)
-            wq, wr = np.hsplit(sim.apply(w, np.hstack([q, r])), [2 * ns - 1])
+                w_frame = sim.apply(corrupted, frame())
+            q, r = np.hsplit(frame(), [2 * ns - 1])
+            wq, wr = np.hsplit(w_frame, [2 * ns - 1])
             h = q.conj().T @ wq
             phases = np.concatenate([[0.0], 2 * phis, -2 * phis])
             return max(float(np.abs(wq - q @ h).max()), float(np.abs(wr - r).max()),
                        _circle_defect(np.linalg.eigvals(h), phases)), 1e-8
 
-        def expansion(walk=walk):
-            # the bytes `expand` writes for W, parsed back
-            w, wa = walk()
+        def expansion(walk=walk, frame=frame):
+            # the bytes `expand` writes for W, parsed back, on the same columns
+            w, w_frame = walk()
             _, english, picture = render(w)
             _, expanded, _ = mux_expander.expand_file(english, picture)
-            out = sim.apply(parse_english(expanded, num_qubits=w.num_qubits), walk_cols)
-            return float(np.abs(out - wa).max()), 1e-10
+            out = sim.apply(parse_english(expanded, num_qubits=w.num_qubits), frame())
+            return float(np.abs(out - w_frame).max()), 1e-10
 
         def fixed_point(walk=walk, data=data):
             state = walk_state(data().vectors[:, 0], config.layout)

@@ -12,8 +12,8 @@ import pytest
 from qsagen import annealer, cli, sim
 from qsagen.annealer import GeneratorConfig, PEParams
 from qsagen.cli import main
-from qsagen.ir import (Circuit, Loop, MuxControl, Opcode, count_elementary_ops, had2, mp_y,
-                       parse_english, write_english)
+from qsagen.ir import (Circuit, Control, Loop, MuxControl, Opcode, count_elementary_ops, had2,
+                       mp_y, parse_english, phas, write_english)
 from qsagen.markov import AnnealingSchedule, boltzmann, default_problem, metropolis, spectral
 from qsagen.qembed import qembed_circuit
 from qsagen.szegedy import WalkLayout, emit_W
@@ -396,24 +396,56 @@ def walk_spectrum_check(nb, beta):
 
 
 @pytest.mark.parametrize("nb", [1, 2])
-@pytest.mark.parametrize("beta", [0.0, 0.5, 1.0, None], ids=["0", "0.5", "1", "random-chain"])
-def test_walk_spectrum_check_agrees_with_the_dense_eigensolver(monkeypatch, nb, beta):
+@pytest.mark.parametrize("chain", ["0", "0.5", "1", "random-chain", "zero-eigenvalue"])
+def test_walk_spectrum_check_agrees_with_the_dense_eigensolver(monkeypatch, nb, chain):
     """The walk-spectrum defect, from W on 2*ns+3 columns, is rounding on
-    the stock chains and on a random reversible one, whose full W passes
-    the dense eigensolver's phase match as well."""
-    if beta is None:
-        m, pi = random_reversible_chain(np.random.default_rng(nb), 1 << nb)
-        monkeypatch.setattr(cli, "metropolis", lambda problem, beta: m)
-        monkeypatch.setattr(cli, "boltzmann", lambda problem, beta: pi)
-        beta = 0.0
+    the stock chains at betas 0, 0.5 and 1, on a random reversible chain and
+    on the uniform chain, whose eigenvalues past the first are 0; each full
+    W passes the dense eigensolver's phase match as well."""
+    ns, beta = 1 << nb, 0.0
+    if chain == "random-chain":
+        m, pi = random_reversible_chain(np.random.default_rng(nb), ns)
+    elif chain == "zero-eigenvalue":
+        m, pi = np.full((ns, ns), 1 / ns), np.full(ns, 1 / ns)
     else:
+        beta = float(chain)
         m, pi = metropolis(default_problem(nb), beta), boltzmann(default_problem(nb), beta)
+    monkeypatch.setattr(cli, "metropolis", lambda problem, beta: m)
+    monkeypatch.setattr(cli, "boltzmann", lambda problem, beta: pi)
     defect, tol = walk_spectrum_check(nb, beta)()
     assert defect <= 1e-12 and tol == 1e-8
-    ns = 1 << nb
     phis = spectral(m, pi).phis[1:]
     expected = [0.0] * (ns * ns - 2 * (ns - 1)) + list(2 * phis) + list(-2 * phis)
     assert phases_match(eig_unitary(sim.to_matrix(emit_W(m, WalkLayout(nb)))), expected)
+
+
+def test_verify_passes_on_a_chain_with_a_zero_eigenvalue(workdir, capsys):
+    """At nb=1, up_bd_neig=2 and beta=0 every entry of the chain is 1/2: its
+    eigenvalues are 1 and 0, so W sends the second walk column to minus
+    itself and the walk columns and their images span only 2 of the 3 busy
+    dimensions."""
+    assert metropolis(default_problem(1, 2.0), 0.0).tolist() == [[0.5, 0.5], [0.5, 0.5]]
+    assert main(["verify", "--nb", "1", "--up-bd-neig", "2", "--beta", "0"]) == 0
+    assert "FAIL" not in capsys.readouterr().out
+
+
+def test_verify_expansion_reads_inputs_off_the_walk_columns(workdir, capsys, monkeypatch):
+    """A phase on alpha_0 = 1 put before the expanded W leaves every walk
+    column |x>_beta |0>_alpha alone, and still fails every expansion row."""
+    expand_file = cli.mux_expander.expand_file
+
+    def phase_first(eng_text, pic_text):
+        log, english, picture = expand_file(eng_text, pic_text)
+        circuit = parse_english(english)
+        hidden = Circuit(circuit.num_qubits, (phas(10.0, (Control(0, True),)),) + circuit.body)
+        return log, write_english(hidden), picture
+
+    monkeypatch.setattr(cli.mux_expander, "expand_file", phase_first)
+    assert main(["verify", "--nb", "2", "--probe-bits", "2"]) == 1
+    rows = capsys.readouterr().out.splitlines()[:-1]
+    assert len(rows) == 12
+    for row in rows:
+        assert ("FAIL" if row.startswith("mux expansion") else "PASS") in row, row
 
 
 def test_circle_defect_matches_phases_on_the_unit_circle():
