@@ -7,7 +7,7 @@ Subcommands:
     expand     rewrite a file pair with every multiplexor expanded into
                rotations and CNOTs (exact mode only)
     simulate   apply an english file to a basis state and print amplitudes
-    verify     run the numerical cross-checks at desk scale
+    verify     run the numerical cross-checks of `qsagen.checks` at desk scale
 
 Exit codes: 0 success, 1 validation or check failure, 2 usage error.
 Diagnostics go to stderr as ``Message: ...`` lines.
@@ -15,20 +15,15 @@ Diagnostics go to stderr as ``Message: ...`` lines.
 from __future__ import annotations
 
 import argparse
-import functools
 import os
-import random
 import sys
 
 import numpy as np
 
-from . import mux_expander, sim
-from .annealer import GeneratorConfig, PEParams, emit_R_tilde, emit_full
-from .ir import Circuit, Instruction, Opcode, ParseError, format_number, parse_english, render
-from .markov import (AnnealingSchedule, boltzmann, check_beta, default_problem,
-                     metropolis, spectral)
-from .qembed import qembed_circuit
-from .szegedy import WalkLayout, emit_U, emit_W, walk_state
+from . import checks, mux_expander, sim
+from .annealer import GeneratorConfig, PEParams, emit_full
+from .ir import ParseError, format_number, parse_english, render
+from .markov import AnnealingSchedule, boltzmann, check_beta, default_problem, metropolis
 
 _WRITE_SLICE = 1 << 20  # characters per write
 
@@ -158,120 +153,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 # --- verify ---------------------------------------------------------------------
 
-def _verify_checks(args: argparse.Namespace, config: GeneratorConfig):
-    """Yield (name, beta, callable) triples; each callable returns a defect
-    that must stay inside the advertised tolerance.  Every circuit is applied
-    to a few columns, never built as a matrix.  Per beta, the columns [Q | R],
-    W and its image of them, and the spectral data are built once, by the
-    first check that needs them; a build that raises is retried by the next."""
-    problem, nb = config.problem, config.nb
-    layout = WalkLayout(nb)
-    ns = 1 << nb
-    walk_cols = np.column_stack([walk_state(e, layout) for e in np.eye(ns)])  # |x>_beta |0>_alpha
-
-    for beta in args.beta:
-        m = metropolis(problem, beta)
-        pi = boltzmann(problem, beta)
-
-        @functools.cache
-        def frame(m=m):
-            # Q: a basis of span(A, B), A the walk columns, B = U |0>_beta |y>_alpha;
-            # [A, B] has singular values sqrt(1 +- |lambda_j|), so only lambda_0 = 1
-            # drops out.  R: 4 seeded random columns orthogonal to Q.
-            b = sim.apply(emit_U(m, layout), np.eye(ns * ns, ns))
-            q = np.linalg.svd(np.hstack([walk_cols, b]), full_matrices=False)[0][:, :2 * ns - 1]
-            noise = np.frombuffer(random.Random(0).randbytes(8 * ns * ns), np.uint8) - 127.5
-            r = noise.reshape(ns * ns, 8).view(complex)
-            r -= q @ (q.conj().T @ r)
-            return np.hstack([q, r / np.linalg.norm(r, axis=0)])
-
-        @functools.cache
-        def walk(m=m, frame=frame):
-            w = emit_W(m, layout)
-            return w, sim.apply(w, frame())
-
-        @functools.cache
-        def data(m=m, pi=pi):
-            return spectral(m, pi)
-
-        def column_sums(m=m):
-            return float(np.abs(m.sum(axis=0) - 1).max()), 1e-12
-
-        def detailed_balance(m=m, pi=pi):
-            flow = m * pi[np.newaxis, :]
-            return float(np.abs(flow - flow.T).max()), 1e-12
-
-        def embedding(m=m):
-            # column x holds sqrt(m[yt, x]) at row (yt << nb) | y for y == x, else 0
-            u = sim.apply(_maybe_corrupt(qembed_circuit(m), args), np.eye(ns * ns, ns))
-            want = np.sqrt(m)[:, None, :] * np.eye(ns)
-            return float(np.abs(u.reshape(ns, ns, ns) - want).max()), 1e-10
-
-        def spectrum(walk=walk, frame=frame, data=data):
-            # W acts on Q as H = Q^dagger W Q, with eigenphases 0 and
-            # +-2 phi_j, and fixes R
-            phis = data().phis[1:]
-            w, w_frame = walk()
-            corrupted = _maybe_corrupt(w, args)
-            if corrupted is not w:
-                w_frame = sim.apply(corrupted, frame())
-            q, r = np.hsplit(frame(), [2 * ns - 1])
-            wq, wr = np.hsplit(w_frame, [2 * ns - 1])
-            h = q.conj().T @ wq
-            phases = np.concatenate([[0.0], 2 * phis, -2 * phis])
-            return max(float(np.abs(wq - q @ h).max()), float(np.abs(wr - r).max()),
-                       _circle_defect(np.linalg.eigvals(h), phases)), 1e-8
-
-        def expansion(walk=walk, frame=frame):
-            # the bytes `expand` writes for W, parsed back, on the same columns
-            w, w_frame = walk()
-            _, english, picture = render(w)
-            _, expanded, _ = mux_expander.expand_file(english, picture)
-            out = sim.apply(parse_english(expanded, num_qubits=w.num_qubits), frame())
-            return float(np.abs(out - w_frame).max()), 1e-10
-
-        def fixed_point(walk=walk, data=data):
-            state = walk_state(data().vectors[:, 0], config.layout)
-            out = sim.apply(emit_R_tilde(walk()[0], config), state)
-            want = np.exp(1j * np.pi / 3) * state
-            return float(np.abs(out - want).max()), 1e-8
-
-        yield "column sums", beta, column_sums
-        yield "detailed balance", beta, detailed_balance
-        yield "q-embedding amplitudes", beta, embedding
-        yield "walk spectrum", beta, spectrum
-        yield "mux expansion", beta, expansion
-        yield "phase-reflection fixed point", beta, fixed_point
-
-
-def _circle_defect(values, phases) -> float:
-    """Largest distance between the values and the unit-circle points
-    exp(i*phases), each phase matched in turn to its nearest unmatched value;
-    inf if the counts differ."""
-    values = np.asarray(values, dtype=complex)
-    if len(values) != len(phases):
-        return float("inf")
-    worst = 0.0
-    for z in np.exp(1j * np.asarray(phases, dtype=float)):
-        dists = np.abs(values - z)
-        best = dists.argmin()
-        worst = max(worst, float(dists[best]))
-        values = np.delete(values, best)
-    return worst
-
-
-def _maybe_corrupt(circuit: Circuit, args: argparse.Namespace) -> Circuit:
-    """The circuit with 5 degrees added to the first angle of its first
-    MP_Y outside Loops, if --corrupt-angle is given."""
-    if args.corrupt_angle:
-        body = circuit.body
-        for i, node in enumerate(body):
-            if type(node) is Instruction and node.opcode is Opcode.MP_Y:
-                shifted = node.with_angles((node.angles_deg[0] + 5.0,) + node.angles_deg[1:])
-                return Circuit(circuit.num_qubits, body[:i] + (shifted,) + body[i + 1:])
-    return circuit
-
-
 def cmd_verify(args: argparse.Namespace) -> int:
     total_qubits = 2 * args.nb + args.probe_bits * args.pe_steps
     if total_qubits > sim.MAX_STATE_QUBITS:
@@ -286,17 +167,20 @@ def cmd_verify(args: argparse.Namespace) -> int:
     except ValueError as err:
         return _fail(str(err))
     failures = 0
-    for name, beta, check in _verify_checks(args, config):
-        try:
-            defect, tol = check()
-            ok = defect <= tol
-        except ValueError as err:
-            defect, ok = float("nan"), False
-            print(f"Message: {err}", file=sys.stderr)
-        status = "PASS" if ok else "FAIL"
-        failures += not ok
-        print(f"{name:<30} beta={format_number(beta):<8} {status}   "
-              f"(defect {defect:.2e})")
+    for beta in args.beta:
+        point = checks.Point(config, metropolis(config.problem, beta),
+                             boltzmann(config.problem, beta), args.corrupt_angle)
+        for name, check, tol in checks.CHECKS:
+            try:
+                defect = check(point)
+                ok = defect <= tol
+            except ValueError as err:
+                defect, ok = float("nan"), False
+                print(f"Message: {err}", file=sys.stderr)
+            status = "PASS" if ok else "FAIL"
+            failures += not ok
+            print(f"{name:<30} beta={format_number(beta):<8} {status}   "
+                  f"(defect {defect:.2e})")
     if failures:
         print(f"{failures} check(s) failed")
         return 1

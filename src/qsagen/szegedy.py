@@ -47,14 +47,6 @@ class WalkLayout:
         return tuple(range(self.nb, 2 * self.nb))
 
 
-def _check_dims(q: np.ndarray, layout: WalkLayout) -> np.ndarray:
-    q = validate_stochastic(q)
-    if q.shape[0] != 1 << layout.nb:
-        raise ValueError(
-            f"matrix dimension {q.shape[0]} does not match nb = {layout.nb}")
-    return q
-
-
 def register_swaps(layout: WalkLayout) -> tuple[Instruction, ...]:
     """SWAPs exchanging alpha_j with beta_j for every j."""
     return tuple(swap(layout.nb + j, j) for j in range(layout.nb))
@@ -62,33 +54,21 @@ def register_swaps(layout: WalkLayout) -> tuple[Instruction, ...]:
 
 def emit_U(q: np.ndarray, layout: WalkLayout) -> Circuit:
     """U = swap . Ucheck^dagger . swap . Ucheck (rightmost first in time)."""
-    q = _check_dims(q, layout)
+    q = validate_stochastic(q)
+    if q.shape[0] != 1 << layout.nb:
+        raise ValueError(f"matrix dimension {q.shape[0]} does not match nb = {layout.nb}")
     cascade = qembed_circuit(q, layout.num_qubits).body
     swaps = register_swaps(layout)
     return Circuit(layout.num_qubits, cascade + swaps + dagger(cascade) + swaps)
 
 
-def emit_reflection(layout: WalkLayout, which: str) -> Circuit:
-    """Sign flip of the all-zeros subspace of one register: a PHAS 180 line
-    controlled on every register bit being false."""
-    if which == "alpha":
-        bits = layout.alpha_bits
-    elif which == "beta":
-        bits = layout.beta_bits
-    else:
-        raise ValueError(f"which must be 'alpha' or 'beta', got {which!r}")
-    gate = phas(180.0, [Control(b, on=False) for b in bits])
-    return Circuit(layout.num_qubits, (gate,))
-
-
 def emit_W(q: np.ndarray, layout: WalkLayout) -> Circuit:
-    """The walk operator: alpha reflection, U dagger, beta reflection, U."""
+    """The walk operator: alpha reflection, U dagger, beta reflection, U; each
+    reflection is a PHAS 180 line controlled on every bit of its register being false."""
     u = emit_U(q, layout).body
-    body = (emit_reflection(layout, "alpha").body
-            + dagger(u)
-            + emit_reflection(layout, "beta").body
-            + u)
-    return Circuit(layout.num_qubits, body)
+    r_alpha, r_beta = (phas(180.0, [Control(b, on=False) for b in bits])
+                       for bits in (layout.alpha_bits, layout.beta_bits))
+    return Circuit(layout.num_qubits, (r_alpha,) + dagger(u) + (r_beta,) + u)
 
 
 def walk_state(vec: np.ndarray, layout: WalkLayout) -> np.ndarray:

@@ -1,5 +1,4 @@
 """End-to-end CLI behavior: files, logs, diagnostics, exit codes."""
-import argparse
 import hashlib
 import os
 import subprocess
@@ -9,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qsagen import annealer, cli, sim
+from qsagen import annealer, checks, cli, sim
 from qsagen.annealer import GeneratorConfig, PEParams
 from qsagen.cli import main
 from qsagen.ir import (Circuit, Control, Loop, MuxControl, Opcode, count_elementary_ops, had2,
@@ -387,22 +386,14 @@ def test_verify_passes_and_catches_a_corrupted_angle_above_nb2(workdir, capsys, 
     assert len(rows) == 4 and all("FAIL" in row for row in rows)
 
 
-def walk_spectrum_check(nb, beta):
-    """The callable of `verify`'s walk-spectrum line for one nb and beta."""
-    args = cli.build_parser().parse_args(["verify", "--nb", str(nb), "--beta", str(beta)])
-    config = GeneratorConfig(default_problem(nb), PEParams(1, 1, 1), AnnealingSchedule(0.5, 1))
-    return next(check for name, _, check in cli._verify_checks(args, config)
-                if name == "walk spectrum")
-
-
 @pytest.mark.parametrize("nb", [1, 2])
 @pytest.mark.parametrize("chain", ["0", "0.5", "1", "random-chain", "zero-eigenvalue"])
-def test_walk_spectrum_check_agrees_with_the_dense_eigensolver(monkeypatch, nb, chain):
+def test_walk_spectrum_check_agrees_with_the_dense_eigensolver(nb, chain):
     """The walk-spectrum defect, from W on 2*ns+3 columns, is rounding on
     the stock chains at betas 0, 0.5 and 1, on a random reversible chain and
     on the uniform chain, whose eigenvalues past the first are 0; each full
     W passes the dense eigensolver's phase match as well."""
-    ns, beta = 1 << nb, 0.0
+    ns = 1 << nb
     if chain == "random-chain":
         m, pi = random_reversible_chain(np.random.default_rng(nb), ns)
     elif chain == "zero-eigenvalue":
@@ -410,9 +401,9 @@ def test_walk_spectrum_check_agrees_with_the_dense_eigensolver(monkeypatch, nb, 
     else:
         beta = float(chain)
         m, pi = metropolis(default_problem(nb), beta), boltzmann(default_problem(nb), beta)
-    monkeypatch.setattr(cli, "metropolis", lambda problem, beta: m)
-    monkeypatch.setattr(cli, "boltzmann", lambda problem, beta: pi)
-    defect, tol = walk_spectrum_check(nb, beta)()
+    config = GeneratorConfig(default_problem(nb), PEParams(1, 1, 1), AnnealingSchedule(0.5, 1))
+    defect = checks.walk_spectrum(checks.Point(config, m, pi))
+    tol = next(tol for _, check, tol in checks.CHECKS if check is checks.walk_spectrum)
     assert defect <= 1e-12 and tol == 1e-8
     phis = spectral(m, pi).phis[1:]
     expected = [0.0] * (ns * ns - 2 * (ns - 1)) + list(2 * phis) + list(-2 * phis)
@@ -450,7 +441,7 @@ def test_verify_expansion_reads_inputs_off_the_walk_columns(workdir, capsys, mon
 
 def test_circle_defect_matches_phases_on_the_unit_circle():
     def defect(actual, expected):
-        return cli._circle_defect(np.exp(1j * np.array(actual)), expected)
+        return checks.circle_defect(np.exp(1j * np.array(actual)), expected)
     assert defect([0.0, 1.0, -1.0], [1.0, 0.0, -1.0]) <= 1e-15
     assert defect([np.pi, 0.0], [-np.pi, 0.0]) <= 1e-15  # same point on the circle
     assert defect([0.0, 1.0], [0.0, 1.1]) == pytest.approx(2 * np.sin(0.05))
@@ -461,11 +452,11 @@ def test_corrupt_angle_skips_loops_and_shifts_the_first_multiplexor():
     mux = mp_y(1, (MuxControl(0, 0),), (10.0, 20.0))
     loop = Loop(2, (had2(0), mp_y(1, (MuxControl(0, 0),), (1.0, 2.0))))
     circuit = Circuit(2, (loop, had2(1), mux, mux))
-    out = cli._maybe_corrupt(circuit, argparse.Namespace(corrupt_angle=True))
+    out = checks.corrupted(circuit, True)
     corrupted = mp_y(1, (MuxControl(0, 0),), (15.0, 20.0))
     assert out == Circuit(2, (loop, had2(1), corrupted, mux))
     assert out.body[0] is loop and out.body[3] is mux
-    assert cli._maybe_corrupt(circuit, argparse.Namespace(corrupt_angle=False)) is circuit
+    assert checks.corrupted(circuit, False) is circuit
 
 
 def test_corrupt_angle_shifts_a_multiplexor_at_index_zero():
@@ -474,7 +465,7 @@ def test_corrupt_angle_shifts_a_multiplexor_at_index_zero():
     circuit = qembed_circuit(metropolis(default_problem(2), 0.5))
     first = circuit.body[0]
     assert first.opcode is Opcode.MP_Y
-    out = cli._maybe_corrupt(circuit, argparse.Namespace(corrupt_angle=True))
+    out = checks.corrupted(circuit, True)
     assert out.body[0] == first.with_angles((first.angles_deg[0] + 5.0,) + first.angles_deg[1:])
     assert out.body[0] != first
     assert len(out.body) == len(circuit.body)
@@ -482,7 +473,7 @@ def test_corrupt_angle_shifts_a_multiplexor_at_index_zero():
 
 
 def test_verify_fixed_point_fails_on_wrong_q_phase(workdir, capsys, monkeypatch):
-    monkeypatch.setattr(cli, "emit_R_tilde", lambda w, config: annealer.emit_R_tilde(
+    monkeypatch.setattr(checks, "emit_R_tilde", lambda w, config: annealer.emit_R_tilde(
         w, config, q_angle_deg=annealer.Q_ANGLE_DEG - 10.0))
     assert main(["verify", "--nb", "1", "--probe-bits", "2"]) == 1
     rows = [line for line in capsys.readouterr().out.splitlines()
@@ -494,7 +485,7 @@ def test_verify_builds_each_walk_once(workdir, capsys, monkeypatch):
     """The fixed-point check reuses the W(beta) of the spectrum and
     expansion checks."""
     built = []
-    for module in (cli, annealer):
+    for module in (checks, annealer):
         monkeypatch.setattr(module, "emit_W", lambda *args, emit=module.emit_W:
                             built.append(args[0]) or emit(*args))
     assert main(["verify", "--nb", "2", "--probe-bits", "2", "--beta", "0", "0.5", "1"]) == 0

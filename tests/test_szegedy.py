@@ -5,8 +5,7 @@ import pytest
 from qsagen import sim
 from qsagen.ir import Circuit, Opcode, write_english
 from qsagen.markov import boltzmann, default_problem, metropolis, spectral
-from qsagen.szegedy import (WalkLayout, emit_reflection, emit_U, emit_W,
-                            register_swaps, walk_state)
+from qsagen.szegedy import WalkLayout, emit_U, emit_W, register_swaps, walk_state
 
 from helpers import eig_unitary, phases_match, unitarity_defect
 
@@ -53,8 +52,11 @@ def test_u_swap_identities(nb, beta):
 
 
 def test_reflection_line_and_matrix():
+    """W's first gate and the gate after U dagger are its alpha and beta
+    reflections."""
     layout = WalkLayout(2)
-    alpha = emit_reflection(layout, "alpha")
+    body = emit_W(chain(2, 0.5)[0], layout).body
+    alpha, beta = (Circuit(layout.num_qubits, (gate,)) for gate in (body[0], body[len(body) // 2]))
     assert write_english(alpha) == "PHAS 180.0 IF  1F  0F\n"
     mat = sim.to_matrix(alpha)
     want = np.eye(16, dtype=complex)
@@ -63,12 +65,10 @@ def test_reflection_line_and_matrix():
             want[idx, idx] = -1.0
     np.testing.assert_allclose(mat, want, atol=1e-12)
     np.testing.assert_allclose(mat @ mat, np.eye(16), atol=1e-12)
-    beta_mat = sim.to_matrix(emit_reflection(layout, "beta"))
+    beta_mat = sim.to_matrix(beta)
     for idx in range(16):
         expect = -1.0 if idx >> 2 == 0 else 1.0
         assert beta_mat[idx, idx] == pytest.approx(expect)
-    with pytest.raises(ValueError, match="alpha.*beta"):
-        emit_reflection(layout, "gamma")
 
 
 @pytest.mark.parametrize("nb", (1, 2, 3))
