@@ -6,8 +6,8 @@ are
 
     V(beta)     c sequential phase-estimation blocks against the walk
                 operator W(beta): Hadamards on the block, controlled
-                W^(2^j) powers (emitted as Loops), inverse Fourier
-                transform on the block;
+                W^(2^j) powers (W as a Seq, the others as Loops),
+                inverse Fourier transform on the block;
     Q           exp(i*pi/3) on the all-zero probe subspace;
     R(beta)     V(beta)^dagger . Q . V(beta), a soft reflection about the
                 stationary state;
@@ -114,9 +114,10 @@ def _walk(beta: float, config: GeneratorConfig) -> tuple[Instruction, ...]:
     return emit_W(metropolis(config.problem, beta), config.layout).body
 
 
-def _v_body(w: tuple[Instruction, ...], config: GeneratorConfig) -> tuple[Instruction | Loop, ...]:
+def _v_body(w: tuple[Instruction, ...],
+            config: GeneratorConfig) -> tuple[Instruction | Seq | Loop, ...]:
     a = config.pe.probe_bits
-    body: list[Instruction | Loop] = []
+    body: list[Instruction | Seq | Loop] = []
     for block in range(config.pe.pe_steps):
         base = 2 * config.nb + block * a
         block_bits = range(base, base + a)
@@ -124,7 +125,7 @@ def _v_body(w: tuple[Instruction, ...], config: GeneratorConfig) -> tuple[Instru
         for j in range(a):
             controlled = with_control(w, Control(base + j, on=True))
             if j == 0:
-                body.extend(controlled)
+                body.append(Seq(controlled))
             else:
                 body.append(Loop(1 << j, controlled))
         body.extend(inverse_qft(block_bits))

@@ -154,10 +154,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 # --- verify ---------------------------------------------------------------------
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    total_qubits = 2 * args.nb + args.probe_bits * args.pe_steps
-    if total_qubits > sim.MAX_STATE_QUBITS:
-        return _fail(f"{total_qubits} qubits exceeds the simulation cap of "
-                     f"{sim.MAX_STATE_QUBITS}", 2)
     try:
         for beta in args.beta:
             check_beta(beta)
@@ -166,6 +162,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
                                  AnnealingSchedule(0.5, 1))
     except ValueError as err:
         return _fail(str(err))
+    if config.num_qubits > sim.MAX_STATE_QUBITS:
+        return _fail(f"{config.num_qubits} qubits exceeds the simulation cap of "
+                     f"{sim.MAX_STATE_QUBITS}", 2)
     failures = 0
     for beta in args.beta:
         point = checks.Point(config, metropolis(config.problem, beta),

@@ -24,8 +24,8 @@ five references; the parser gives every distinct span of gate lines
 between LOOP/NEXT lines one shared Seq.  The Circuit checks, the op count,
 `dagger` and `with_control` handle each node once per object, in
 O(distinct nodes); `render` adds one step per placement of a node, to write
-its LOOP/NEXT labels, not one per line.  (The simulator reads a Seq that
-nests through, wherever it is placed.)
+its LOOP/NEXT labels, not one per line.  (The simulator plans each distinct
+node once as well.)
 
 Multiplexor lines (``MP_Y``) rotate their target about y by one of ``2**k``
 angles, selected by ``k`` *named* controls: the control named ``j`` supplies
@@ -468,7 +468,8 @@ def render(circuit: Circuit,
     LOOP line, which its NEXT repeats.
 
     Each Seq and Loop is rendered once per object, into a _Fragment whose
-    labels are line offsets.  A run of gates in a node is joined into one
+    labels are line offsets; a Seq takes the gates of the gate-only Seqs it
+    holds into its own runs.  A run of gates in a node is joined into one
     text when the copy takes fewer bytes than the list slots it saves, two
     of 8 bytes per chunk and placement: the emitters' blocks, written
     thousands of times, are joined, and a parsed span written a few times
@@ -517,8 +518,12 @@ def render(circuit: Circuit,
                 english, pictures = [], []
             frag = fragments.get(id(node))
             if frag is None:
-                frag = fragments[id(node)] = fragment(
-                    node.body, node.reps if type(node) is Loop else 0)
+                if type(node) is Loop:
+                    frag = fragment(node.body, node.reps)
+                else:  # the gates of its gate-only Seqs join its runs
+                    frag = fragment([g for child in node.body for g in (
+                        child.body if type(child) is Seq and not child.nests else (child,))], 0)
+                fragments[id(node)] = frag
             parts.append((lines, frag))
             lines += frag.lines
             ops += frag.ops

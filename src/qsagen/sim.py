@@ -32,24 +32,22 @@ term per mux axis and gathers that pair's cos/sin.
 Axes are addressed from the right, so the same code runs on any number of
 leading axes.
 
-Segments.  Each loop body (the body of a Circuit or of a `Loop`) is cut into
-segments: maximal runs of gates between its Loops, so nothing below crosses
-a Loop's boundary.  A Seq that holds Seqs or Loops (the emitters' shared
-V, R and G nodes) is read through, so the tree is cut where its flat tuple
-of gates and Loops would be; a Seq of gates only (what the parser builds,
-one per span between LOOP/NEXT lines) is one piece of a run.  Each
-distinct sequence of pieces is one segment, cut into steps once: runs
-(below) are told apart by the identities of their instructions, segments
-by those of their pieces.  A run is also found by its first gate: where
-the gates of the last run that began with that object recur (one C-level
-identity comparison), they are not scanned again, and the run is taken
-unless the next gate extends it.  The parser gives every distinct span of
-gate lines one Seq and every distinct line one Instruction, and the
-emitters share one object per distinct gate, so every repetition of a
-loop body, every repeat of a block in the text and every repeat of a
-multiplexor's ladder is one segment or one run, prepared once per call;
-each counts its executions, weighted by its loops' reps.  The plan is one
-walk over the placements of the nodes, O(executed ops) at most.
+Segments.  The plan takes each distinct node once.  In a body (the circuit's, a
+Seq's or a Loop's) each maximal run of gates between nodes is a segment, as is
+a Seq of gates only (the parser's, one per span between LOOP/NEXT lines); a Seq
+that nests (the emitters' shared V, R and G) is a shared sub-plan, and a Loop
+repeats its body's plan.  Segments are told apart by the identity of their Seq
+or gates and cut into steps once; runs (below) by the identities of their
+instructions.  A run is also found by its first gate: where the gates of the
+last run that began with that object recur (one C-level identity comparison),
+they are not scanned again, and the run is taken unless the next gate extends
+it.  The parser gives every distinct span of gate lines one Seq and every
+distinct line one Instruction, and the emitters share one object per distinct
+gate, so every repetition of a loop body, every repeat of a block in the text
+and every repeat of a multiplexor's ladder is one segment or one run, prepared
+once per call.  Each counts its executions, weighted by its loops' reps and
+passed over the distinct nodes parents first: planning is O(distinct nodes and
+their gates), and only execution visits every placement.
 
 Runs and tables.  A segment is cut into maximal runs of consecutive ROTY,
 SIGX and MP_Y gates on one target: every expanded ladder, the uniformly
@@ -91,18 +89,20 @@ rest).  Each distinct stretch of consecutive tabled runs is cut into
 blocks once, by the cost rule below, with its executions summed over its
 places.
 
-Segment operators.  A segment that executes more than once may run as a dense
-2^k x 2^k matrix on k qubits, built once by `_block` as a block that reads
+Segment operators.  A segment may run as a dense 2^k x 2^k matrix on k qubits,
+built once by `_block` as a block that reads
 nothing: its steps run on a batch of identities in the state's layout, taken
 at the values of the bits it pins.  Its support is the qubits its steps act
 on, its pins the plain controls that all its gates share, a run's read once
 per distinct run.  Segments with pins are grouped by their steps, support less
 pins, pin count and end gates; those equal gate for gate once their pins are
 removed may share one operator on that support, each with its own view of the
-state, its pins fixed: at (nb, a, c) = (2, 3, 2) the four controlled powers
-W^(2^j) of phase estimation in V(beta) share one 16x16 operator on the walk
-qubits, pinned at their probe bits, and the four in V(beta)^dagger another.  A
-whole-register operator multiplies the state as a (2^n, columns) matrix, any
+state, its pins fixed.  A segment that runs once gets no operator of its own,
+but if pinned may join a group: at (nb, a, c) = (2, 3, 2) the six controlled
+powers W^(2^j) of phase estimation in V(beta), j = 0 included, share one 16x16
+operator on the walk qubits, pinned at their probe bits, and the six in
+V(beta)^dagger another.
+A whole-register operator multiplies the state as a (2^n, columns) matrix, any
 other a view of it, pinned and transposed so that its qubits lead, reshaped to
 2^k rows.  One fixed cost rule decides, with constants measured by timeit
 (numpy 2.4.6, Python 3.11, 2 vCPUs, one BLAS thread): a step costs 10 us + 5
@@ -124,8 +124,12 @@ a controlled power of W at nb 2, 14 steps, pays from its first execution on
 the 4 walk qubits pinned at its probe and from its second on all 5; a build on
 the whole register costs as much as 347 executions step by step.  The
 operators of one call hold at most 16 MiB (16 * 4^k bytes each), the most
-saving first: 256 on 6 qubits, one on 10, none on 11.  A block of s runs with
-p pinned bits saves e * s steps on the state, less e products of 2^|C|
+saving first: 256 on 6 qubits, one on 10, none on 11.  A Loop of one segment
+with an operator applies the operator's reps-th power, built by repeated
+squaring once per operator and reps, in the budget, where the e * (reps - 1)
+products saved, e summed over the Loops that share it, cost more than
+2 log2(reps) squarings, rows^3 entries each at the rate of `to_matrix`.  A
+block of s runs with p pinned bits saves e * s steps on the state, less e products of 2^|C|
 matrices of 2^|T| rows over the 2^(n-p) amplitudes of its view, e transposes,
 and a build of s steps on 2^(p + |C| + 2|T|) amplitudes.  From each run of a
 stretch on, the block of two or more runs that saves most is taken when that
@@ -359,10 +363,10 @@ class _Block:
 
 
 class _Segment:
-    """A maximal run of gates between Loops, one object per distinct segment:
-    its steps (gates, _Runs, _Swaps and, once cut, _Blocks), its executions
-    counted like a _Run's, and its dense operator once one is built, maybe
-    shared, with its own view of the state unless that spans the register."""
+    """A maximal run of gates between nodes, or a Seq of gates only, one object
+    per distinct segment: its steps (gates, _Runs, _Swaps and, once cut,
+    _Blocks), its executions counted like a _Run's, and its dense operator once
+    built, maybe shared, with its own view of the state unless that spans all."""
 
     __slots__ = ("steps", "executions", "operator", "view")
 
@@ -413,58 +417,64 @@ def _steps(gates: tuple, runs: dict, firsts: dict | None = None) -> list:
     return steps
 
 
-def _walk(nodes: tuple, runs: dict, firsts: dict, spans: dict, weight: int) -> list:
-    """The loop tree with each maximal run of gates between Loops replaced
-    by its _Segment.  A Seq of gates only is one piece of a run, and a Seq
-    that nests is read through, so a body is cut where its flat tuple of
-    gates and Loops would be.  `spans` maps each distinct sequence of
-    pieces, by identity, to its _Segment, so a run is cut into steps once."""
-    plan: list = []
-    pieces: list = []  # the gates and gate-only Seqs since the last Loop
-    readers = [iter(nodes)]  # the bodies being read, innermost last
-    while readers:
-        for node in readers[-1]:
-            if type(node) is Loop:
-                if pieces:
-                    plan.append(_run_segment(pieces, runs, firsts, spans, weight))
-                    pieces = []
-                plan.append(Loop(node.reps,
-                                 _walk(node.body, runs, firsts, spans, weight * node.reps)))
-            elif type(node) is Seq and node.nests:
-                readers.append(iter(node.body))
-                break  # read it, then go on with this body
-            else:
-                pieces.append(node)
-        else:
-            readers.pop()
-    if pieces:
-        plan.append(_run_segment(pieces, runs, firsts, spans, weight))
-    return plan
+class _Nest:
+    """A distinct Seq that nests, a distinct Loop or the circuit's body: the
+    plan of its body, its reps (1 but for a Loop), its executions counted like
+    a segment's, and, once built, the reps-th power of its one segment's
+    operator, with that segment's view of the state."""
 
+    __slots__ = ("plan", "reps", "executions", "operator", "view")
 
-def _run_segment(pieces: list, runs: dict, firsts: dict, spans: dict, weight: int) -> _Segment:
-    """The _Segment of a run of pieces, which executes `weight` more times."""
-    key = id(pieces[0]) if len(pieces) == 1 else tuple(map(id, pieces))
-    segment = spans.get(key)
-    if segment is None:
-        gates = pieces[0].body if len(pieces) == 1 and type(pieces[0]) is Seq else [
-            g for piece in pieces for g in (piece.body if type(piece) is Seq else (piece,))]
-        segment = spans[key] = _Segment(_steps(gates, runs, firsts))
-    segment.executions += weight
-    return segment
+    def __init__(self, plan: list, reps: int):
+        self.plan, self.reps, self.executions, self.operator, self.view = plan, reps, 0, None, None
 
 
 def _plan(body: tuple) -> tuple[list, dict, dict]:
-    """The loop tree of segments, with the distinct runs and the distinct
-    segments, each knowing how often it executes, as does each _Swaps."""
-    runs: dict = {}
-    segments: dict = {}
-    plan = _walk(body, runs, {}, segments, 1)
-    for segment in segments.values():
-        for step in segment.steps:
+    """The distinct _Nests, the circuit's body first and each before those it
+    holds, with the distinct runs and the distinct segments, each knowing how
+    often it executes, as does each _Swaps."""
+    runs, firsts = {}, {}  # as `_steps` reads them
+    segments: dict = {}  # id(gate-only Seq), or the ids of loose gates -> _Segment
+    nests: dict = {}  # id(Seq or Loop) -> _Nest, each after those it holds
+
+    def segment(key, gates) -> _Segment:
+        found = segments.get(key)
+        if found is None:
+            found = segments[key] = _Segment(_steps(gates, runs, firsts))
+        return found
+
+    def plan(body: tuple) -> list:
+        items, gates = [], []
+        for node in body:
+            if type(node) is Instruction:
+                gates.append(node)
+                continue
+            if gates:
+                items.append(segment(tuple(map(id, gates)), gates))
+                gates = []
+            if type(node) is Seq and not node.nests:
+                if node.body:
+                    items.append(segment(id(node), node.body))
+                continue
+            nest = nests.get(id(node))
+            if nest is None:
+                nest = nests[id(node)] = _Nest(plan(node.body),
+                                               node.reps if type(node) is Loop else 1)
+            items.append(nest)
+        if gates:
+            items.append(segment(tuple(map(id, gates)), gates))
+        return items
+
+    order = [_Nest(plan(body), 1), *reversed(nests.values())]
+    order[0].executions = 1
+    for nest in order:  # parents first: each is complete before it counts its body
+        for item in nest.plan:
+            item.executions += nest.executions * nest.reps
+    for found in segments.values():
+        for step in found.steps:
             if type(step) is not Instruction:
-                step.executions += segment.executions
-    return plan, {key: run for key, run in runs.items() if type(run) is _Run}, segments
+                step.executions += found.executions
+    return order, {key: run for key, run in runs.items() if type(run) is _Run}, segments
 
 
 def _controls(ins: Instruction, keep: int = -1) -> tuple[int, int]:
@@ -639,11 +649,12 @@ def _blocks(segments: dict, psi: np.ndarray, axis, cols: int, budget: int) -> No
 
 def _execute(amp: np.ndarray, psi: np.ndarray, plan: list, axis) -> None:
     for node in plan:
-        if type(node) is Loop:
-            for _ in range(node.reps):
-                _execute(amp, psi, node.body, axis)
-        elif node.operator is None:
-            _run_steps(psi, node.steps, axis)
+        if node.operator is None:
+            if type(node) is _Segment:
+                _run_steps(psi, node.steps, axis)
+            else:
+                for _ in range(node.reps):
+                    _execute(amp, psi, node.plan, axis)
         elif node.view is None:  # the whole register: no transpose, no reshape
             amp[...] = node.operator @ amp
         else:
@@ -657,12 +668,12 @@ def _offers(segments: dict, n: int, cols: int) -> list:
     offers, groups = [], {}
     for segment in segments.values():
         steps = segment.steps
-        if segment.executions < 2 or not steps:
-            continue
         support, on, off = _masks(steps)
+        if segment.executions < 2 and not on | off:  # a single run may only join a group
+            continue
         own = max(((_saving(len(steps), segment.executions, n, cols, qubits.bit_count()), qubits,
                     [(segment, 0, 0)]) for qubits in (support, (1 << n) - 1)),
-                  key=operator.itemgetter(0))
+                  key=operator.itemgetter(0)) if segment.executions > 1 else (0.0, support, [])
         if not on | off:
             offers.append(own)
             continue
@@ -701,7 +712,7 @@ def _evolve(circuit: Circuit, amp: np.ndarray) -> None:
     # One layout, a single column included: bit b on axis -2 - b, the columns last.
     psi = amp.reshape((2,) * n + (cols,))
     axis = tuple(range(-2, -n - 2, -1))
-    plan, runs, segments = _plan(circuit.body)
+    nests, runs, segments = _plan(circuit.body)
     for segment in segments.values():
         for step in segment.steps:
             if type(step) is _Swaps and step.exchange is None:
@@ -729,8 +740,23 @@ def _evolve(circuit: Circuit, amp: np.ndarray) -> None:
             segment.operator = matrix
             if qubits != (1 << n) - 1:
                 segment.view = _view(psi, pinned, on, front)
+    loops: dict = {}  # (id(operator), reps) -> the Loops of one segment with that operator
+    for nest in nests:
+        if nest.reps > 1 and len(nest.plan) == 1 and nest.plan[0].operator is not None:
+            loops.setdefault((id(nest.plan[0].operator), nest.reps), []).append(nest)
+    entry = _MATVEC_ENTRY_S if cols == 1 else _GEMM_ENTRY_S
+    for (_, reps), group in loops.items():  # one product each, where that pays
+        matrix, view = group[0].plan[0].operator, group[0].plan[0].view
+        product = _PRODUCT_S + entry * len(matrix) * (amp.size if view is None else view.size)
+        saved = sum(nest.executions for nest in group) * (reps - 1) * product
+        squarings = 2 * (reps.bit_length() - 1) * len(matrix) ** 3 * _GEMM_ENTRY_S
+        if matrix.nbytes <= budget and saved > squarings:
+            budget -= matrix.nbytes
+            power = np.linalg.matrix_power(matrix, reps)
+            for nest in group:
+                nest.operator, nest.view = power, nest.plan[0].view
     _blocks(segments, psi, axis, cols, budget)
-    _execute(amp, psi, plan, axis)
+    _execute(amp, psi, nests[0].plan, axis)
 
 
 def apply(circuit: Circuit, state: np.ndarray) -> np.ndarray:

@@ -13,7 +13,7 @@ from qsagen.ir import (Circuit, Control, Instruction, Loop, MuxControl, Opcode, 
                        p1ph, phas, render, rotn, rotx, roty, rotz, sigx, sigy, sigz, swap)
 from qsagen.markov import metropolis
 from qsagen.mux_expander import expand_mux
-from qsagen.sim import _REAL, _Run, _Swaps
+from qsagen.sim import _REAL, _Run, _Swaps, _apply_gate
 from qsagen.szegedy import WalkLayout, emit_W
 
 GATE_MAKERS = "sig had rot rotn phas pph swap mpy".split()
@@ -237,6 +237,18 @@ def manual_unroll(body) -> list[Instruction]:
         else:
             out.extend(manual_unroll(node.body) * node.reps)
     return out
+
+
+def gate_by_gate(circuit, amp):
+    """The kernel on every gate of the literally unrolled body: no tables, no
+    segment operators, and the column axis last."""
+    n = circuit.num_qubits
+    amp = np.array(amp, dtype=complex).reshape(1 << n, -1)
+    psi = amp.reshape((2,) * n + (amp.shape[1],))
+    axis = tuple(range(-2, -n - 2, -1))
+    for ins in manual_unroll(circuit.body):
+        _apply_gate(psi, ins, axis)
+    return amp
 
 
 def flat_lines(body) -> list:

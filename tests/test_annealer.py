@@ -253,7 +253,7 @@ def test_pe_params_validation():
 # The recursion as first written: every level daggers the whole sequence so
 # far, and every R is rebuilt from a fresh V(beta) through dagger.
 def reference_r(beta, config, q_angle_deg):
-    v = emit_V(beta, config).body
+    v = spliced(emit_V(beta, config)).body
     q = phas(q_angle_deg, [Control(b, on=False) for b in config.probe_bit_list])
     return v + (q,) + dagger(v)
 

@@ -539,6 +539,12 @@ def test_verify_enforces_size_caps(workdir, capsys):
     assert "cap" in capsys.readouterr().err
 
 
+def test_verify_validates_its_input_before_the_qubit_cap(workdir, capsys):
+    """nb=10 would need 21 qubits, but it is out of range first."""
+    assert main(["verify", "--nb", "10"]) == 1
+    assert capsys.readouterr().err == "Message: nb must be in 1..6, got 10\n"
+
+
 def test_usage_error_exit_code(workdir):
     with pytest.raises(SystemExit) as info:
         main(["generate", "--bogus"])

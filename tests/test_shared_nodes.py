@@ -14,7 +14,7 @@ from qsagen.ir import (Circuit, Control, Instruction, Loop, MuxControl, Seq, cou
                        dagger, had2, mp_y, render, rotn, roty, sigx, swap, with_control)
 from qsagen.markov import AnnealingSchedule, default_problem
 
-from helpers import manual_unroll, r_tilde, random_gate, spliced
+from helpers import gate_by_gate, manual_unroll, r_tilde, random_gate, spliced
 
 
 def make_config(nb, a, c, d, t_f=2, conjugate_q=False):
@@ -79,23 +79,89 @@ def test_distinct_nodes_do_not_grow_with_depth():
     assert len(circuit) == 380366
 
 
-def segment_shapes(body) -> Counter:
-    """The simulator's segments of a body: the gates of each step, by
-    identity, and how often the segment executes.  A run of SWAPs is a new
-    object in each plan, like a run, so both are read by their gates."""
+def segment_gates(body) -> Counter:
+    """The simulator's segments of a body: the gates of each, by identity,
+    and how often it executes."""
     _, _, segments = sim._plan(body)
-    return Counter((tuple(tuple(map(id, step.gates)) if type(step) in (sim._Run, sim._Swaps)
-                          else id(step) for step in segment.steps), segment.executions)
-                   for segment in segments.values())
+    return Counter((tuple(id(g) for step in segment.steps for g in (
+        step.gates if type(step) in (sim._Run, sim._Swaps) else (step,))), segment.executions)
+        for segment in segments.values())
 
 
-def test_emitted_segments_equal_the_spliced_segments():
-    """The simulator cuts an emitted tree into the segments of its flat
-    body: the same steps, executed as often."""
+def node_rule_segments(body) -> Counter:
+    """The segments of planning each distinct node once, found by walking
+    every placement: in each body, each maximal run of gates between Seqs and
+    Loops, and each Seq of gates only, told apart by the identities of the
+    run's gates or of the Seq, with its executions weighted by its loops' reps."""
+    found: dict = {}  # key -> [the ids of its gates, executions]
+
+    def count(key, gates, weight):
+        found.setdefault(key, [tuple(map(id, gates)), 0])[1] += weight
+
+    def visit(body, weight):
+        gates = []
+        for node in (*body, None):
+            if type(node) is Instruction:
+                gates.append(node)
+                continue
+            if gates:
+                count(tuple(map(id, gates)), gates, weight)
+                gates = []
+            if type(node) is Loop:
+                visit(node.body, weight * node.reps)
+            elif type(node) is Seq and all(type(child) is Instruction for child in node.body):
+                if node.body:
+                    count(id(node), node.body, weight)
+            elif type(node) is Seq:
+                visit(node.body, weight)
+
+    visit(body, 1)
+    return Counter((gates, executions) for gates, executions in found.values())
+
+
+def test_emitted_segments_follow_the_node_rule():
+    """The simulator plans each distinct node of an emitted tree once, and
+    cuts it into the segments that the rule gives placement by placement,
+    executed as often; the tree's state equals the spliced tree's."""
     for circuit in (emit_full(make_config(2, 2, 1, 2), prep=True),
                     emit_full(make_config(1, 1, 2, 3, conjugate_q=True)),
                     r_tilde(0.5, make_config(2, 3, 2, 1))):
-        assert segment_shapes(circuit.body) == segment_shapes(spliced(circuit).body)
+        assert segment_gates(circuit.body) == node_rule_segments(circuit.body)
+        n = circuit.num_qubits
+        state = np.random.default_rng(n).normal(size=1 << n) + 0j
+        np.testing.assert_allclose(sim.apply(circuit, state), sim.apply(spliced(circuit), state),
+                                   rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("nb,a,c", [(nb, a, c) for nb in (1, 2) for a in (1, 2, 3) for c in (1, 2)])
+def test_emitted_trees_match_the_spliced_trees_and_every_gate(nb, a, c):
+    """At depths 0 to 4, the tree's plan against the spliced body's, and up
+    to 8 qubits against the kernel on every unrolled gate."""
+    for d in range(5):
+        circuit = emit_full(make_config(nb, a, c, d), prep=True)
+        n = circuit.num_qubits
+        state = np.random.default_rng(d).normal(size=1 << n) + 0j
+        got = sim.apply(circuit, state)
+        np.testing.assert_allclose(got, sim.apply(spliced(circuit), state), rtol=0, atol=1e-12)
+        if n <= 8:
+            np.testing.assert_allclose(got, gate_by_gate(circuit, state)[:, 0],
+                                       rtol=0, atol=1e-12)
+
+
+def test_depth_seven_tree_matches_the_spliced_tree():
+    """(2,2,1,7) with prep: 380,366 lines, about 1.5M executed ops."""
+    circuit = emit_full(make_config(2, 2, 1, 7), prep=True)
+    state = sim.basis_state(circuit.num_qubits)
+    np.testing.assert_allclose(sim.apply(circuit, state), sim.apply(spliced(circuit), state),
+                               rtol=0, atol=1e-12)
+
+
+def test_distinct_segments_do_not_grow_with_depth():
+    """From d = 3 on, a level adds only G(t, d) and its inverse, Seqs of
+    nodes with no gates of their own, so no segment."""
+    counts = [len(sim._plan(emit_full(make_config(2, 2, 1, d), prep=True).body)[2])
+              for d in range(3, 8)]
+    assert counts == counts[:1] * 5
 
 
 def test_transforms_share_what_their_input_shares():

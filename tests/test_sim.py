@@ -19,9 +19,9 @@ from qsagen.ir import (Circuit, Control, Instruction, Loop, MuxControl, Seq, had
 from qsagen.markov import AnnealingSchedule, default_problem
 from qsagen.mux_expander import expand_file, expand_mux
 
-from helpers import (eig_unitary, manual_unroll, oracle_matrix, phases_match, r_tilde, random_body,
-                     random_circuit, random_gate, random_run_body, random_run_circuit, scan_steps,
-                     unitarity_defect)
+from helpers import (eig_unitary, gate_by_gate, oracle_matrix, phases_match, r_tilde,
+                     random_body, random_circuit, random_gate, random_run_body,
+                     random_run_circuit, scan_steps, unitarity_defect)
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -519,18 +519,6 @@ def test_expanded_and_multiplexor_files_agree(tmp_path, monkeypatch, capsys):
 
 # --- segment operators -----------------------------------------------------------
 
-def gate_by_gate(circuit, amp):
-    """The kernel on every gate of the literally unrolled body: no tables, no
-    segment operators, and the column axis last."""
-    n = circuit.num_qubits
-    amp = np.array(amp, dtype=complex).reshape(1 << n, -1)
-    psi = amp.reshape((2,) * n + (amp.shape[1],))
-    axis = tuple(range(-2, -n - 2, -1))
-    for ins in manual_unroll(circuit.body):
-        sim._apply_gate(psi, ins, axis)
-    return amp
-
-
 def test_apply_equals_gate_by_gate_on_the_deep_flow():
     """The multiplexor-level file of the `deep` bench flow, (2,2,1,4) with
     state preparation and 19,042 executed ops, against every gate of its
@@ -669,34 +657,44 @@ def generated(flow):
 
 def test_wide_circuit_gets_no_operator_above_three_qubits(monkeypatch):
     """At 11 qubits an operator on more than 3 qubits costs more to build
-    than its products save."""
+    than its products save.  The emitted tree gets four on the probe bits:
+    the Hadamards and the inverse Fourier transform of V(beta_1), which runs
+    twice, and their inverses in V(beta_1)^dagger; the parsed file gets one."""
     circuit = generated((4, 3, 1, 1))
     built = operator_qubits(monkeypatch)
     sim.apply(circuit, sim.basis_state(circuit.num_qubits))
+    assert built == [[10, 9, 8]] * 4
     sim.apply(parse_english(write_english(circuit)), sim.basis_state(circuit.num_qubits))
-    assert built == [[10, 9, 8]]   # the parsed file's; the emitted tree has none
+    assert built == [[10, 9, 8]] * 5
 
 
 def test_phase_estimation_loops_share_one_pinned_walk_operator(monkeypatch):
-    """At (nb, a, c) = (2, 3, 2) each controlled power W^(2^j), j > 0, of
-    phase estimation is a loop over a segment of W's gates, each with its
-    probe bit as one more control: four in V and four in V-dagger for each
-    of the three betas.  The four of V are equal gate for gate once that
-    control is removed, as are those of V-dagger, so each four share one
-    16x16 operator on the 2nb walk bits, built once, and each applies it to
-    the state with its probe bit pinned at 1.  This checks the plan, not the
+    """At (nb, a, c) = (2, 3, 2) each controlled power W^(2^j) of phase
+    estimation is a segment of W's gates, each with its probe bit as one more
+    control, a Seq for j = 0 and a loop's body for j > 0: six in V and six
+    in V-dagger for each of the three betas.  The six of V are equal gate for
+    gate once that control is removed, as are those of V-dagger, so each six
+    share one 16x16 operator on the 2nb walk bits, built once, and each
+    applies it to the state with its probe bit pinned at 1; where V runs
+    once, its j = 0 copies join the group too.  The only other operators are
+    on the 3 probe bits of one block, unpinned: the Hadamards of the first
+    block and the inverse Fourier transform of the second, in V(beta_1),
+    which runs twice, and in its inverse.  This checks the plan, not the
     numbers; the differential tests below check those."""
     nb, a, c = 2, 3, 2
     circuit = generated((nb, a, c, 1))
     built = operator_pins(monkeypatch)
     sim.apply(circuit, sim.basis_state(circuit.num_qubits))
     walk = list(reversed(range(2 * nb)))
-    probes = [2 * nb + a * k + j for k in range(c) for j in range(1, a)]
+    probes = [2 * nb + a * k + j for k in range(c) for j in range(a)]
     groups = by_matrix(built)
-    assert len(groups) == 6 and len(built) == 24
-    for group in groups:
+    walk_groups = [group for group in groups if group[0][0] == 16]
+    assert len(walk_groups) == 6 and len(built) == 36 + 4
+    for group in walk_groups:
         assert sorted(group, key=str) == sorted([(16, walk, {probe: 1}) for probe in probes],
                                                 key=str)
+    assert sorted(group for group in groups if group[0][0] != 16) == [
+        [(8, [6, 5, 4], {})]] * 2 + [[(8, [9, 8, 7], {})]] * 2
 
 
 def random_state(rng, n):
@@ -716,7 +714,7 @@ def test_shared_walk_operators_match_gate_by_gate(flow, monkeypatch):
     state = random_state(np.random.default_rng(19), circuit.num_qubits)
     got = sim.apply(circuit, state)
     groups = by_matrix(built)
-    assert len(groups) == 2 and all(len(group) == c * (a - 1) for group in groups)
+    assert len(groups) == 2 and all(len(group) == c * a for group in groups)
     assert all(pins for group in groups for _, _, pins in group)
     np.testing.assert_allclose(got, gate_by_gate(circuit, state)[:, 0], rtol=0, atol=1e-12)
 
@@ -789,6 +787,29 @@ def test_only_copies_equal_but_for_their_pins_share(case, monkeypatch):
         assert groups == [[(16, walk, {4: 1}), (16, walk, {6: 0})], [(32, [5, *walk], {})]]
     else:
         assert groups == [[(16, walk, {4: 1}), (16, walk, {5: 1})], [(16, walk, {6: 0})]]
+
+
+@pytest.mark.parametrize("reps", range(1, 6))
+def test_loop_powers_match_repeated_application(reps, monkeypatch):
+    """Loops of `reps`, `reps` and `reps + 1` repetitions over copies of one
+    body under two probes, sharing one pinned operator: each Loop of two or
+    more applies the operator's power, built once per repetition count by
+    repeated squaring, in one product.  Against the kernel on every gate of
+    the unrolled body, for a state and for `to_matrix`."""
+    copies = [with_control(WALK_LIKE, probe) for probe in PROBES[:2]]
+    circuit = Circuit(7, (*[had2(b) for b in range(7)], Loop(reps, copies[0]), had2(0),
+                          Loop(reps, copies[1]), had2(5), Loop(reps + 1, copies[0])))
+    built, matrix_power = [], np.linalg.matrix_power
+    monkeypatch.setattr(np.linalg, "matrix_power",
+                        lambda matrix, k: built.append((len(matrix), k)) or matrix_power(matrix, k))
+    pins = operator_pins(monkeypatch)
+    state = random_state(np.random.default_rng(22), 7)
+    got = sim.apply(circuit, state)
+    assert by_matrix(pins) == [[(16, [3, 2, 1, 0], {4: 1}), (16, [3, 2, 1, 0], {5: 1})]]
+    assert sorted(built) == [(16, k) for k in sorted({reps, reps + 1}) if k > 1]
+    np.testing.assert_allclose(got, gate_by_gate(circuit, state)[:, 0], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(sim.to_matrix(circuit), gate_by_gate(circuit, np.eye(128)),
+                               rtol=0, atol=1e-12)
 
 
 def random_probe_copies(seed):
@@ -1265,7 +1286,7 @@ def test_memo_steps_match_the_scan(seed):
 @pytest.mark.parametrize("seed", range(20))
 def test_memo_plans_inside_loops_match_the_scan_gate_by_gate_and_oracle(seed):
     """The pool's gate tuples as Seqs, lone gates and Loops, nested: segments
-    of one Seq, of several pieces, and repeated in the text and in loops."""
+    of one Seq or of loose gates, repeated in the text and in loops."""
     rng = np.random.default_rng(9800 + seed)
     segments = random_memo_segments(rng)
     body: list = []
