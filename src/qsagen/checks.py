@@ -10,7 +10,7 @@ import numpy as np
 
 from . import mux_expander, sim
 from .annealer import GeneratorConfig, emit_R_tilde
-from .ir import Circuit, Instruction, Opcode, parse_english, render
+from .ir import Circuit, Instruction, Opcode, parse_english, render_text
 from .markov import spectral
 from .qembed import qembed_circuit
 from .szegedy import WalkLayout, emit_U, emit_W, walk_state
@@ -83,7 +83,7 @@ def walk_spectrum(p: Point) -> float:
 
 def mux_expansion(p: Point) -> float:
     # the bytes `expand` writes for W, parsed back, on the same columns
-    _, english, picture = render(p.walk)
+    _, english, picture = render_text(p.walk)
     _, expanded, _ = mux_expander.expand_file(english, picture)
     out = sim.apply(parse_english(expanded, num_qubits=p.walk.num_qubits), p.frame)
     return float(np.abs(out - p.walk_frame).max())

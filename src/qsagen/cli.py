@@ -15,8 +15,11 @@ Diagnostics go to stderr as ``Message: ...`` lines.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import functools
 import os
 import sys
+from typing import Callable, Iterator, TextIO
 
 import numpy as np
 
@@ -24,8 +27,6 @@ from . import checks, mux_expander, sim
 from .annealer import GeneratorConfig, PEParams, emit_full
 from .ir import ParseError, format_number, parse_english, render
 from .markov import AnnealingSchedule, boltzmann, check_beta, default_problem, metropolis
-
-_WRITE_SLICE = 1 << 20  # characters per write
 
 
 def _fail(message: str, code: int = 1) -> int:
@@ -37,14 +38,51 @@ class _FileError(Exception):
     """A file a command needs cannot be read or written; `main` reports it."""
 
 
-def _write(path: str, text: str) -> None:
-    """Write text in slices, so that encoding it never copies all of it."""
+def _writing(path: str, call, *args, **kwargs):
+    """call(*args, **kwargs), with an OSError reported as path unwritable."""
     try:
-        with open(path, "w", newline="\n") as handle:
-            for start in range(0, len(text), _WRITE_SLICE):
-                handle.write(text[start:start + _WRITE_SLICE])
+        return call(*args, **kwargs)
     except OSError as err:
         raise _FileError(f"cannot write {path}: {err.strerror}") from None
+
+
+def _write(path: str, handle: TextIO, chunks: list[str]) -> None:
+    """Append chunks to the file being written for path, in one join: `render`
+    hands on about a slice of text at a time, so no join copies more."""
+    _writing(path, handle.write, "".join(chunks))
+
+
+@contextlib.contextmanager
+def _creating(*paths: str) -> Iterator[list[Callable[[list[str]], None]]]:
+    """Writers of the files at paths, all or none.  Each writes a temporary
+    file beside its path; when the block completes, every one is closed and
+    then moved onto its path.  On any error the temporaries are removed."""
+    handles: dict[str, TextIO] = {}
+    try:
+        for path in paths:
+            temp = f"{path}.{os.urandom(4).hex()}.tmp"
+            handles[path] = _writing(path, open, temp, "x", newline="\n")
+        yield [functools.partial(_write, path, handle) for path, handle in handles.items()]
+        for path, handle in handles.items():
+            _writing(path, handle.close)
+        for path, handle in handles.items():
+            _writing(path, _move, handle.name, path)
+    finally:
+        for handle in handles.values():
+            with contextlib.suppress(OSError):
+                handle.close()
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(handle.name)
+
+
+def _move(temp: str, path: str) -> None:
+    """os.replace(temp, path), with any file at path removed first: a rename
+    over a file makes ext4 (auto_da_alloc) allocate temp's blocks and start
+    writing them at once, where a new name leaves them to the usual
+    writeback.  Between the two calls no file is at path."""
+    with contextlib.suppress(FileNotFoundError):
+        os.remove(path)
+    os.replace(temp, path)
 
 
 def _read(path: str) -> str:
@@ -78,24 +116,23 @@ def cmd_generate(args: argparse.Namespace) -> int:
     except ValueError as err:
         return _fail(str(err))
     circuit = emit_full(config, prep=args.prep)
-    num_ops, english, picture = render(circuit)
-    log = "".join(line + "\n" for line in (
-        f"File Prefix: {args.prefix}",
-        f"Number of State Bits: {args.nb}",
-        f"Number of Probe Bits: {args.probe_bits}",
-        f"Number of Phase Estimation Steps: {args.pe_steps}",
-        f"Grover Depth: {args.grover_depth}",
-        f"Upper Bound on Number of Neighbors: {format_number(args.up_bd_neig)}",
-        f"Number of Betas: {args.num_betas}",
-        f"Delta Beta Per Unit Time: {format_number(args.delta_beta)}",
-        f"State Preparation: {'yes' if args.prep else 'no'}",
-        f"Conjugate Q: {'yes' if args.conjugate_q else 'no'}",
-        f"Number of Qubits: {circuit.num_qubits}",
-        f"Number of Elementary Operations: {num_ops}",
-    ))
-    _write(f"{args.prefix}_qsann_log.txt", log)
-    _write(f"{args.prefix}_qsann_eng.txt", english)
-    _write(f"{args.prefix}_qsann_pic.txt", picture)
+    with _creating(f"{args.prefix}_qsann_log.txt", f"{args.prefix}_qsann_eng.txt",
+                   f"{args.prefix}_qsann_pic.txt") as (log, english, picture):
+        num_ops = render(circuit, english, picture)
+        log([f"{line}\n" for line in (
+            f"File Prefix: {args.prefix}",
+            f"Number of State Bits: {args.nb}",
+            f"Number of Probe Bits: {args.probe_bits}",
+            f"Number of Phase Estimation Steps: {args.pe_steps}",
+            f"Grover Depth: {args.grover_depth}",
+            f"Upper Bound on Number of Neighbors: {format_number(args.up_bd_neig)}",
+            f"Number of Betas: {args.num_betas}",
+            f"Delta Beta Per Unit Time: {format_number(args.delta_beta)}",
+            f"State Preparation: {'yes' if args.prep else 'no'}",
+            f"Conjugate Q: {'yes' if args.conjugate_q else 'no'}",
+            f"Number of Qubits: {circuit.num_qubits}",
+            f"Number of Elementary Operations: {num_ops}",
+        )])
     print(f"Number of Qubits: {circuit.num_qubits}")
     print(f"Number of Elementary Operations: {num_ops}")
     print(f"Wrote {args.prefix}_qsann_log.txt, {args.prefix}_qsann_eng.txt, "
@@ -113,14 +150,14 @@ def cmd_expand(args: argparse.Namespace) -> int:
     eng_text = _read(f"{args.in_prefix}_eng.txt")
     pic_text = _read(f"{args.in_prefix}_pic.txt")
     try:
-        log_tail, eng_out, pic_out = mux_expander.expand_file(eng_text, pic_text)
+        circuit = mux_expander.parse_pair(eng_text, pic_text)
+        with _creating(f"{args.out_prefix}_log.txt", f"{args.out_prefix}_eng.txt",
+                       f"{args.out_prefix}_pic.txt") as (log, english, picture):
+            log_tail = mux_expander.expand(circuit, english, picture)
+            log([f"Prefix for Input Files: {args.in_prefix}\n",
+                 f"Prefix for Output Files: {args.out_prefix}\n", log_tail])
     except (ParseError, ValueError) as err:
         return _fail(str(err))
-    log = (f"Prefix for Input Files: {args.in_prefix}\n"
-           f"Prefix for Output Files: {args.out_prefix}\n") + log_tail
-    _write(f"{args.out_prefix}_log.txt", log)
-    _write(f"{args.out_prefix}_eng.txt", eng_out)
-    _write(f"{args.out_prefix}_pic.txt", pic_out)
     print(log_tail.splitlines()[-1])
     print(f"Wrote {args.out_prefix}_log.txt, {args.out_prefix}_eng.txt, "
           f"{args.out_prefix}_pic.txt")

@@ -24,8 +24,9 @@ five references; the parser gives every distinct span of gate lines
 between LOOP/NEXT lines one shared Seq.  The Circuit checks, the op count,
 `dagger` and `with_control` handle each node once per object, in
 O(distinct nodes); `render` adds one step per placement of a node, to write
-its LOOP/NEXT labels, not one per line.  (The simulator plans each distinct
-node once as well.)
+its LOOP/NEXT labels, not one per line, and hands the two texts on about
+1 MiB at a time, never whole (`render_text` joins them).  (The simulator
+plans each distinct node once as well.)
 
 Multiplexor lines (``MP_Y``) rotate their target about y by one of ``2**k``
 angles, selected by ``k`` *named* controls: the control named ``j`` supplies
@@ -35,8 +36,11 @@ from __future__ import annotations
 
 import math
 import re
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import accumulate
+from operator import add
 from typing import Callable, Iterable, Sequence
 
 
@@ -442,12 +446,16 @@ def with_control(body: Sequence[Instruction | Seq | Loop],
 
 # --- writers --------------------------------------------------------------------
 
+_WRITE_SLICE = 1 << 20  # characters `render` hands on at a time, about
+
+
 class _Fragment:
     """A Seq or Loop as `render` writes it: its lines (a Loop's LOOP and NEXT
     lines included), its op count, its reps (0 for a Seq), and its parts:
-    runs of gate texts, as lists of chunks or joined, and (line offset,
-    _Fragment) placements of the Seqs and Loops in it, offsets counted from
-    the first line of its body.  `placed` counts where it is written."""
+    runs of gate texts, as (english chunks, picture chunks, characters),
+    the chunks in a list or joined into one, and (line offset, _Fragment, 0)
+    placements of the Seqs and Loops in it, offsets counted from the first
+    line of its body.  `placed` counts where it is written."""
 
     __slots__ = ("lines", "ops", "reps", "parts", "placed")
 
@@ -455,34 +463,38 @@ class _Fragment:
         self.lines, self.ops, self.reps, self.parts, self.placed = lines, ops, reps, parts, 0
 
 
-def render(circuit: Circuit,
-           write: Callable[..., tuple[str, str, int] | None] | None = None,
-           ) -> tuple[int, str, str]:
-    """(op count, english text, picture text) of a circuit.
+def render(circuit: Circuit, english: Callable[[list[str]], object],
+           picture: Callable[[list[str]], object],
+           write: Callable[..., tuple[str, str, int] | None] | None = None) -> int:
+    """Write a circuit's english and picture text; return its op count.
 
+    ``english`` and ``picture`` are called with the next chunks of each
+    text, in order, as new lists: once the chunks of both lists reach
+    _WRITE_SLICE characters, and at the end, so no whole text is held.
     ``write`` maps a gate and render's frame lookup (a gate's english text
     before and after its angles, and its picture line, built once per
-    operand set) to the chunk (english, picture, lines) it is written as, or
-    to None for the gate itself; the op count weights the written lines by
-    their loops' repetitions.  A LOOP label is the output line index of its
-    LOOP line, which its NEXT repeats.
+    operand set) to the chunk (english, picture, lines) it is written as,
+    or to None for the gate itself; the op count weights the written lines
+    by their loops' repetitions.  A LOOP label is the output line index of
+    its LOOP line, which its NEXT repeats.
 
     Each Seq and Loop is rendered once per object, into a _Fragment whose
     labels are line offsets; a Seq takes the gates of the gate-only Seqs it
-    holds into its own runs.  A run of gates in a node is joined into one
-    text when the copy takes fewer bytes than the list slots it saves, two
-    of 8 bytes per chunk and placement: the emitters' blocks, written
-    thousands of times, are joined, and a parsed span written a few times
-    is spliced in chunk by chunk.  Writing a fragment at a line then only
-    formats its LOOP/NEXT lines.  Each gate is written once per object and
-    once per value: equal instructions differ at most in the sign of a zero
-    angle, which format_number does not print.
+    holds into its own runs.  A run longer than _WRITE_SLICE characters is
+    sliced, and a slice is joined into one text when the copy takes fewer
+    bytes than the list slots it saves, two of 8 bytes per chunk and
+    placement: the emitters' blocks, written thousands of times, are
+    joined, and a parsed span written a few times is handed on chunk by
+    chunk.  Writing a fragment at a line then only formats its LOOP/NEXT
+    lines.  Each gate is written once per object and once per value: equal
+    instructions differ at most in the sign of a zero angle, which
+    format_number does not print.
     """
     n = circuit.num_qubits
     by_id: dict[int, tuple[str, str, int]] = {}  # id(gate) -> (english, picture, lines)
     by_value: dict[Instruction, tuple[str, str, int]] = {}
     frames: dict[tuple, tuple[str, str, str]] = {}  # operands -> english head, tail; picture
-    fragments: dict[int, _Fragment] = {}  # id(Seq or Loop) -> its fragment, children first
+    fragments: dict[int, _Fragment] = {}  # id(Seq or Loop) -> its fragment
 
     def frame(g: Instruction) -> tuple[str, str, str]:
         key = (g.opcode, g.targets, g.controls, g.mux_controls)
@@ -493,9 +505,9 @@ def render(circuit: Circuit,
         if chunk is None:
             chunk = write(gate, frame) if write else None
             if chunk is None:
-                head, tail, picture = frame(gate)
+                head, tail, picture_line = frame(gate)
                 chunk = (f"{head}{' '.join(map(format_number, gate.angles_deg))}{tail}\n",
-                         picture + "\n", 1)
+                         picture_line + "\n", 1)
             by_value[gate] = chunk
         by_id[id(gate)] = chunk
         return chunk
@@ -503,19 +515,19 @@ def render(circuit: Circuit,
     def fragment(body: tuple, reps: int) -> _Fragment:
         lines = ops = 0
         parts: list[tuple] = []
-        english: list[str] = []  # the run of gate chunks since the last node
-        pictures: list[str] = []
+        run_english: list[str] = []  # the run of gate chunks since the last node
+        run_pictures: list[str] = []
         for node in body:
             if type(node) is Instruction:
                 chunk = by_id.get(id(node)) or first_chunk(node)
-                english.append(chunk[0])
-                pictures.append(chunk[1])
+                run_english.append(chunk[0])
+                run_pictures.append(chunk[1])
                 lines += chunk[2]
                 ops += chunk[2]
                 continue
-            if english:
-                parts.append((english, pictures))
-                english, pictures = [], []
+            if run_english:
+                parts += _slices(run_english, run_pictures)
+                run_english, run_pictures = [], []
             frag = fragments.get(id(node))
             if frag is None:
                 if type(node) is Loop:
@@ -524,53 +536,92 @@ def render(circuit: Circuit,
                     frag = fragment([g for child in node.body for g in (
                         child.body if type(child) is Seq and not child.nests else (child,))], 0)
                 fragments[id(node)] = frag
-            parts.append((lines, frag))
+            parts.append((lines, frag, 0))
             lines += frag.lines
             ops += frag.ops
-        if english:
-            parts.append((english, pictures))
+        if run_english:
+            parts += _slices(run_english, run_pictures)
         return _Fragment(lines + 2 if reps else lines, ops * max(reps, 1), reps, parts)
 
     root = fragment(circuit.body, 0)
     root.placed = 1
     for frag in (root, *reversed(fragments.values())):  # each after every node that holds it
-        for i, (first, second) in enumerate(frag.parts):
+        for i, (first, second, size) in enumerate(frag.parts):
             if type(first) is int:
                 second.placed += frag.placed
-            elif 16 * frag.placed * (len(first) - 1) > sum(map(len, first + second)):
-                frag.parts[i] = "".join(first), "".join(second)
+            elif 16 * frag.placed * (len(first) - 1) > size:
+                frag.parts[i] = ["".join(first)], ["".join(second)], size
+    english_out: list[str] = []
+    pictures_out: list[str] = []
+    pending = 0  # characters in the two lists
 
-    english: list[str] = []
-    pictures: list[str] = []
+    def hand_on() -> None:
+        nonlocal english_out, pictures_out, pending
+        english(english_out)
+        picture(pictures_out)
+        english_out, pictures_out, pending = [], [], 0
 
     def place(parts: list, line: int) -> None:
-        for first, second in parts:
-            if type(first) is str:
-                english.append(first)
-                pictures.append(second)
-            elif type(first) is list:
-                english.extend(first)
-                pictures.extend(second)
-            elif not second.reps:
-                place(second.parts, line + first)
-            else:
+        nonlocal english_out, pictures_out, pending
+        for first, second, size in parts:
+            if size:  # a run
+                english_out += first
+                pictures_out += second
+                pending += size
+                if pending >= _WRITE_SLICE:
+                    hand_on()
+            elif second.reps:
                 label = line + first
-                english.append(f"LOOP {label} REPS: {second.reps}\n")
-                pictures.append(f"LOOP {label} REPS:{second.reps}\n")
+                english_out.append(f"LOOP {label} REPS: {second.reps}\n")
+                pictures_out.append(f"LOOP {label} REPS:{second.reps}\n")
                 place(second.parts, label + 1)
-                english.append(f"NEXT {label}\n")
-                pictures.append(english[-1])
+                english_out.append(f"NEXT {label}\n")
+                pictures_out.append(english_out[-1])
+                pending += 4 * len(english_out[-1])  # the LOOP and NEXT lines, about
+                if pending >= _WRITE_SLICE:
+                    hand_on()
+            else:
+                place(second.parts, line + first)
 
     place(root.parts, 0)
-    return root.ops, "".join(english), "".join(pictures)
+    if english_out:
+        hand_on()
+    return root.ops
+
+
+def _slices(english: list[str], pictures: list[str]) -> list[tuple[list[str], list[str], int]]:
+    """A run of gate chunks as runs of at least _WRITE_SLICE characters (the
+    last one excepted), each with its character count, cut where the two
+    texts' running count first reaches it."""
+    size = sum(map(len, english)) + sum(map(len, pictures))
+    if size <= _WRITE_SLICE:
+        return [(english, pictures, size)]
+    ends = list(accumulate(map(add, map(len, english), map(len, pictures)), initial=0))
+    cuts = [0]
+    while ends[-1] - ends[cuts[-1]] > _WRITE_SLICE:
+        cuts.append(bisect_left(ends, ends[cuts[-1]] + _WRITE_SLICE, cuts[-1] + 1))
+    cuts.append(len(english))
+    return [(english[a:b], pictures[a:b], ends[b] - ends[a])
+            for a, b in zip(cuts, cuts[1:]) if a < b]
+
+
+def render_text(circuit: Circuit,
+                write: Callable[..., tuple[str, str, int] | None] | None = None,
+                ) -> tuple[int, str, str]:
+    """(op count, english text, picture text) of a circuit, as `render`
+    writes them."""
+    english: list[str] = []
+    picture: list[str] = []
+    ops = render(circuit, english.extend, picture.extend, write)
+    return ops, "".join(english), "".join(picture)
 
 
 def write_english(circuit: Circuit) -> str:
-    return render(circuit)[1]
+    return render_text(circuit)[1]
 
 
 def write_picture(circuit: Circuit) -> str:
-    return render(circuit)[2]
+    return render_text(circuit)[2]
 
 
 # --- english format -------------------------------------------------------------
@@ -661,7 +712,7 @@ def _newlines_only(text: str) -> bool:
 
 def _marker_breaks(text: str, end: int) -> list[int]:
     """The offsets of the newline before each line of text[:end] whose first
-    token is LOOP or NEXT, ascending; text starts with a newline.  Each token
+    token is LOOP or NEXT, ascending, with -1 for the first line.  Each token
     is found by its first letter (a memchr), checked in place, and then its
     line is skipped, so no other line is looked at."""
     breaks = []
@@ -689,8 +740,10 @@ def parse_english(text: str, num_qubits: int | None = None) -> Circuit:
     NEXT with the same label, properly nested; each LOOP/NEXT pair becomes
     one Loop.  Any malformed line raises ParseError with its line number.
 
-    The text is cut at its LOOP/NEXT lines, and each span of gate lines
-    between them becomes a Seq, so a body alternates Seqs and Loops.  Equal
+    The text is read in place, with no copy, unless it holds a line break
+    other than "\n": then its lines are first joined with "\n".  It is cut
+    at its LOOP/NEXT lines, and each span of gate lines between them
+    becomes a Seq, so a body alternates Seqs and Loops.  Equal
     spans share one Seq, split and parsed once; equal gate lines share one
     Instruction.  Gate lines that differ only in their angles share one
     operand frame (the opcode and every token but the angles), checked once:
@@ -699,16 +752,15 @@ def parse_english(text: str, num_qubits: int | None = None) -> Circuit:
     """
     if not _newlines_only(text):
         text = "\n".join(text.splitlines()) + "\n"
-    lines_end = len(text) + 1 - text.endswith("\n")
-    text = "\n" + text  # the lines are text[1:lines_end].split("\n"), if any
+    lines_end = len(text) - text.endswith("\n")  # the lines are text[:lines_end].split("\n")
     body: list[Seq | Loop] = []  # the innermost open block
     spans: dict[str, Seq] = {}  # span text -> its Seq
     gates: dict[str, Instruction] = {}  # gate line text -> its parsed instruction
     frames: dict[tuple, Instruction] = {}  # operand frame -> its first instruction
     open_loops: list[tuple[int, int, Loop, list]] = []  # (label, line number, Loop, outer body)
-    index, pos = 0, 1  # the 0-based index and the offset of the first line not yet read
+    index, pos = 0, 0  # the 0-based index and the offset of the first line not yet read
     breaks = _marker_breaks(text, lines_end)
-    if len(text) > 1:
+    if text:
         breaks.append(lines_end)  # after the last line
     for end in breaks:
         if end >= pos:  # the gate lines text[pos:end]

@@ -19,19 +19,20 @@ solved in the kernel convention and doubled on ROTY lines (whose kernel
 carries a half angle).  Plain controls are attached to every emitted gate.
 One helper gives both writers the angles and the CNOT order, checked finite.
 
-`expand_file` is `parse_english` followed by `ir.render`, whose hook writes
-each distinct MP_Y's ladder as one text chunk, with no gate per rung.  It is
-the one expansion of a whole circuit: the `expand` command writes its
-output, and `verify` parses that output back and compares its unitary.
+`expand` is `ir.render` with a hook that writes each distinct MP_Y's ladder
+as one text chunk, with no gate per rung.  It is the one expansion of a
+whole circuit: the `expand` command streams it to its files, and `verify`
+parses the text of `expand_file` back and compares its unitary.
 """
 from __future__ import annotations
 
 import functools
+from typing import Callable
 
 import numpy as np
 
-from .ir import (Control, Instruction, Opcode, _newlines_only, format_number, parse_english,
-                 render, roty, sigx)
+from .ir import (Circuit, Control, Instruction, Opcode, _newlines_only, format_number,
+                 parse_english, render, roty, sigx)
 
 
 def gray_code(i: int) -> int:
@@ -96,19 +97,31 @@ def _line_count(text: str) -> int:
     return text.count("\n") + (text[-1:] not in ("", "\n"))
 
 
-def expand_file(eng_text: str, pic_text: str) -> tuple[str, str, str]:
-    """Expand every multiplexor of a parsed file pair.
-
-    The picture input is validated only for line count (the english file
-    fully determines the circuit).  Returns (log tail, english, picture);
-    the written loop labels follow the new line numbering.
-    """
+def parse_pair(eng_text: str, pic_text: str) -> Circuit:
+    """The circuit of a file pair.  The picture input is validated only for
+    line count (the english file fully determines the circuit)."""
     circuit = parse_english(eng_text)
     pic_lines = _line_count(pic_text)
     if pic_lines != len(circuit):
         raise ValueError(
             f"picture file has {pic_lines} line(s) but english file has {len(circuit)}")
-    ops, english, picture = render(circuit, _ladder_text)
-    log = (f"Compilation Mode: Exact SEO\n"
-           f"Number of Elementary Operations: {ops}\n")
-    return log, english, picture
+    return circuit
+
+
+def expand(circuit: Circuit, english: Callable[[list[str]], object],
+           picture: Callable[[list[str]], object]) -> str:
+    """Write a circuit with every multiplexor expanded to english and
+    picture, as `render` does; return the log tail.  The written loop labels
+    follow the new line numbering."""
+    ops = render(circuit, english, picture, _ladder_text)
+    return (f"Compilation Mode: Exact SEO\n"
+            f"Number of Elementary Operations: {ops}\n")
+
+
+def expand_file(eng_text: str, pic_text: str) -> tuple[str, str, str]:
+    """(log tail, english, picture) of a file pair with every multiplexor
+    expanded: `expand` of `parse_pair`, joined in memory."""
+    english: list[str] = []
+    picture: list[str] = []
+    log = expand(parse_pair(eng_text, pic_text), english.extend, picture.extend)
+    return log, "".join(english), "".join(picture)

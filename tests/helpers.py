@@ -10,7 +10,7 @@ from scipy.linalg import expm
 from qsagen.annealer import GeneratorConfig, emit_R_tilde
 from qsagen.ir import (Circuit, Control, Instruction, Loop, MuxControl, Opcode, ParseError, Seq,
                        _int_token, _parse_gate, _parse_loop, format_number, had2, mp_y, p0ph,
-                       p1ph, phas, render, rotn, rotx, roty, rotz, sigx, sigy, sigz, swap)
+                       p1ph, phas, render_text, rotn, rotx, roty, rotz, sigx, sigy, sigz, swap)
 from qsagen.markov import metropolis
 from qsagen.mux_expander import expand_mux
 from qsagen.sim import _REAL, _Run, _Swaps, _apply_gate
@@ -218,7 +218,7 @@ def written_as(convert):
 def reference_expand_file(circuit: Circuit) -> tuple[str, str, str]:
     """`expand_file` of a circuit's written files, rendered gate by gate from
     `expand_mux`: the reference of the ladder text writer."""
-    ops, english, picture = render(circuit, written_as(ladders))
+    ops, english, picture = render_text(circuit, written_as(ladders))
     return (f"Compilation Mode: Exact SEO\nNumber of Elementary Operations: {ops}\n",
             english, picture)
 

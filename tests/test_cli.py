@@ -3,12 +3,13 @@ import hashlib
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qsagen import annealer, checks, cli, sim
+from qsagen import annealer, checks, cli, ir, mux_expander, sim
 from qsagen.annealer import GeneratorConfig, PEParams
 from qsagen.cli import main
 from qsagen.ir import (Circuit, Control, Loop, MuxControl, Opcode, count_elementary_ops, had2,
@@ -551,22 +552,122 @@ def test_usage_error_exit_code(workdir):
     assert info.value.code == 2
 
 
-def test_write_in_slices_keeps_the_bytes(workdir, monkeypatch):
-    text = "".join(f"LOOP {i} REPS: 2\nPHAS 1.5 IF  0T\nNEXT {i}\n" for i in range(500))
-    written = []
-    real_open = open
+# Ten loops of a 5-control MP_Y, whose ladder (64 lines) is one chunk of
+# about 2,800 characters, 500 loops of a PHAS line, 300 empty loops, and 500
+# gate lines with no loop.
+SLICED_ENGLISH = "".join(
+    [f"LOOP {3 * i} REPS: 2\nMP_Y  AT  0 IF {' '.join(f'{j}({j - 1}' for j in range(5, 0, -1))} BY "
+     + " ".join(str(float(i + j)) for j in range(32)) + f"\nNEXT {3 * i}\n" for i in range(10)]
+    + [f"LOOP {3 * i} REPS: 2\nPHAS 1.5 IF  0T\nNEXT {3 * i}\n" for i in range(10, 510)]
+    + [f"LOOP {i} REPS: 3\nNEXT {i}\n" for i in range(1530, 2130, 2)]
+    + [f"ROTY  {i}.5  AT  3\n" for i in range(500)])
 
-    def recording_open(*args, **kwargs):
-        handle = real_open(*args, **kwargs)
-        write = handle.write
-        handle.write = lambda piece: written.append(len(piece)) or write(piece)
-        return handle
+
+def test_writers_hand_on_slices_and_keep_the_bytes(workdir, capsys, monkeypatch):
+    """Chunks across slice boundaries, one chunk larger than the slice, and
+    empty files: the bytes are those of the text `expand_file` joins."""
+    pictures = "x\n" * len(SLICED_ENGLISH.splitlines())
+    (workdir / "in_eng.txt").write_text(SLICED_ENGLISH)
+    (workdir / "in_pic.txt").write_text(pictures)
+    _, english, picture = mux_expander.expand_file(SLICED_ENGLISH, pictures)
+    # the ten ladders, each with the LOOP line before it
+    ladder = [max(text.split("NEXT")[:10], key=len) for text in (english, picture)]
+    written: dict[str, list[int]] = {}
+    write = cli._write
+
+    def recording_write(path, handle, chunks):
+        written.setdefault(path, []).append(sum(map(len, chunks)))
+        write(path, handle, chunks)
 
     with monkeypatch.context() as patch:
-        patch.setattr(cli, "_WRITE_SLICE", 1000)
-        patch.setattr("builtins.open", recording_open)
-        cli._write("out.txt", text)
-    assert Path("out.txt").read_bytes() == text.encode()
-    assert max(written) == 1000 and sum(written) == len(text)
-    cli._write("empty.txt", "")
-    assert Path("empty.txt").read_bytes() == b""
+        patch.setattr(ir, "_WRITE_SLICE", 1000)
+        patch.setattr(cli, "_write", recording_write)
+        assert main(["expand", "--in-prefix", "in", "--out-prefix", "out"]) == 0
+        (workdir / "empty_eng.txt").write_text("")
+        (workdir / "empty_pic.txt").write_text("")
+        assert main(["expand", "--in-prefix", "empty", "--out-prefix", "none"]) == 0
+    capsys.readouterr()
+    assert len(ladder[0]) > 1000  # one chunk (a ladder) larger than the slice
+    assert (workdir / "out_eng.txt").read_bytes() == english.encode()
+    assert (workdir / "out_pic.txt").read_bytes() == picture.encode()
+    for path in ("out_eng.txt", "out_pic.txt"):
+        assert len(written[path]) > 5
+        # The two texts hold under 1000 characters before their last run, and
+        # a run holds under 1000 before its last chunk.
+        assert max(written[path]) < 2000 + len(ladder[0]) + len(ladder[1])
+    assert (workdir / "none_eng.txt").read_bytes() == b""
+    assert (workdir / "none_pic.txt").read_bytes() == b""
+    assert "none_eng.txt" not in written and "none_pic.txt" not in written
+
+
+def test_expand_that_fails_after_a_mib_of_output_writes_nothing(workdir, capsys):
+    """The overflowing MP_Y comes after more than 1 MiB of expanded lines;
+    the files of an earlier expand keep their bytes."""
+    mux = "MP_Y  AT  0 IF 2(1 1(0 BY 1.0 2.0 3.0 4.0\n"
+    lines = [mux] * 20000 + [f"MP_Y  AT  0 IF 1(0 BY {OVERFLOWING_LADDERS['sum-overflows'][0]} "
+                             f"{OVERFLOWING_LADDERS['sum-overflows'][1]}\n"]
+    (workdir / "late_eng.txt").write_text("".join(lines))
+    (workdir / "late_pic.txt").write_text("x\n" * len(lines))
+    (workdir / "ok_eng.txt").write_text(mux * 20000)
+    (workdir / "ok_pic.txt").write_text("x\n" * 20000)
+    assert main(["expand", "--in-prefix", "ok", "--out-prefix", "late_flat"]) == 0
+    assert (workdir / "late_flat_eng.txt").stat().st_size > 1 << 20
+    before = {p.name: p.read_bytes() for p in workdir.glob("late_flat_*")}
+    capsys.readouterr()
+    assert main(["expand", "--in-prefix", "late", "--out-prefix", "late_flat"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "Message: ROTY angles must be finite\n"
+    assert captured.out == ""
+    assert {p.name: p.read_bytes() for p in workdir.glob("late_flat_*")} == before
+    assert not list(workdir.glob("*.tmp"))
+    os.remove("late_flat_log.txt")
+    os.remove("late_flat_eng.txt")
+    os.remove("late_flat_pic.txt")
+    assert main(["expand", "--in-prefix", "late", "--out-prefix", "late_flat"]) == 1
+    assert not list(workdir.glob("*_flat_*")) and not list(workdir.glob("*.tmp"))
+
+
+def test_a_write_that_fails_midway_leaves_no_file(workdir):
+    """A file size limit of 1 MiB stops the expanded english or picture file
+    midway: no temporary file is left, and the old files keep their bytes."""
+    assert main(["generate", "--prefix", "big", "--nb", "4", "--probe-bits", "2",
+                 "--pe-steps", "1", "--grover-depth", "2", "--num-betas", "3",
+                 "--delta-beta", "0.5", "--prep"]) == 0
+    for name in ("log", "eng", "pic"):
+        (workdir / f"flat_{name}.txt").write_text(f"old {name}\n")
+    code = ("import resource, signal, sys\n"
+            "signal.signal(signal.SIGXFSZ, signal.SIG_IGN)\n"
+            "hard = resource.getrlimit(resource.RLIMIT_FSIZE)[1]\n"
+            "resource.setrlimit(resource.RLIMIT_FSIZE, (1 << 20, hard))\n"
+            "from qsagen.cli import main\n"
+            "sys.exit(main(['expand', '--in-prefix', 'big_qsann', '--out-prefix', 'flat']))\n")
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env=env, timeout=60)
+    assert result.returncode == 1
+    assert result.stderr in (f"Message: cannot write flat_{name}.txt: File too large\n"
+                             for name in ("eng", "pic"))
+    assert sorted(p.name for p in workdir.iterdir() if p.name.startswith("flat")) == [
+        "flat_eng.txt", "flat_log.txt", "flat_pic.txt"]
+    for name in ("log", "eng", "pic"):
+        assert (workdir / f"flat_{name}.txt").read_text() == f"old {name}\n"
+
+
+def test_expand_holds_under_half_the_bytes_it_writes(workdir, capsys):
+    """The traced allocation peak of an expand that writes 8 MB: no whole
+    file, nor the list of its chunks, is held."""
+    assert main(["generate", "--prefix", "mem", "--nb", "4", "--probe-bits", "2",
+                 "--pe-steps", "1", "--grover-depth", "2", "--num-betas", "3",
+                 "--delta-beta", "0.5", "--prep"]) == 0
+    tracemalloc.start()
+    try:
+        assert main(["expand", "--in-prefix", "mem_qsann", "--out-prefix", "mem_flat"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    written = sum((workdir / f"mem_flat_{name}.txt").stat().st_size for name in ("eng", "pic"))
+    assert written > 8_000_000
+    assert peak < written / 2

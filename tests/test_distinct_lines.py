@@ -16,7 +16,7 @@ import pytest
 
 from qsagen.ir import (Circuit, Control, Instruction, Loop, MuxControl, Opcode, ParseError,
                        _english_line, _picture_line, count_elementary_ops, mp_y,
-                       parse_english, render, rotn, roty, write_english, write_picture)
+                       parse_english, render_text, rotn, roty, write_english, write_picture)
 from qsagen.mux_expander import expand_file, expand_mux
 
 from helpers import (flat_lines, ladders_expanded, manual_unroll, per_line_parse_english,
@@ -80,7 +80,7 @@ def test_writers_equal_per_line_rendering(seed):
             picture.append(f"NEXT {label}")
     assert write_english(circuit) == "".join(line + "\n" for line in english)
     assert write_picture(circuit) == "".join(line + "\n" for line in picture)
-    assert render(circuit)[0] == len(manual_unroll(circuit.body))
+    assert render_text(circuit)[0] == len(manual_unroll(circuit.body))
 
 
 @pytest.mark.parametrize("seed", SEEDS)

@@ -1,16 +1,18 @@
 """IR construction, both writers (golden-pinned), the parser, and counting."""
 import re
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qsagen import ir
 from qsagen.ir import (Circuit, Control, Instruction, Loop, MuxControl, Opcode,
                        ParseError, _english_line, _picture_line, count_elementary_ops, dagger,
                        format_number, had2, mp_y, p0ph, p1ph, parse_english,
-                       phas, render, rotn, rotx, roty, rotz, sigx, sigy, sigz, swap,
+                       phas, render_text, rotn, rotx, roty, rotz, sigx, sigy, sigz, swap,
                        with_control, write_english, write_picture)
 from qsagen.mux_expander import expand_mux
 
@@ -489,7 +491,7 @@ def test_ladder_picture_on_a_wide_register():
     ins = mp_y(11, (MuxControl(9, 2), MuxControl(4, 1), MuxControl(0, 0)),
                (5.0, -10.0, 15.0, 20.0, -25.0, 30.0, 35.0, 40.0), (Control(6, False),))
     ladder = expand_mux(ins)
-    ops, english, picture = render(Circuit(12, (ins,)), written_as(expand_mux))
+    ops, english, picture = render_text(Circuit(12, (ins,)), written_as(expand_mux))
     assert ops == len(ladder) == 16
     assert picture == per_line_picture(ladder, 12)
     assert english == write_english(Circuit(12, tuple(ladder)))
@@ -506,12 +508,34 @@ def test_chunk_of_repeated_and_derived_gates_reads_like_single_lines():
              for g in pair] + [cnot, rotn(0.0, -0.0, 5.0, 1, c), cnot,
                                mp_y(1, (MuxControl(2, 0),), (-0.0, 4.0), c), phas(-0.0, c)]
     for gates in (chunk, chunk[::-1]):
-        ops, english, picture = render(Circuit(4, (had2(2), had2(1), had2(2))),
-                                       written_as(lambda ins: gates if ins.targets == (1,)
-                                                  else [ins]))
+        ops, english, picture = render_text(Circuit(4, (had2(2), had2(1), had2(2))),
+                                            written_as(lambda ins: gates if ins.targets == (1,)
+                                                       else [ins]))
         assert ops == len(gates) + 2
         assert english == "".join(per_line_english(g) for g in ([had2(2)], gates, [had2(2)]))
         assert picture == "".join(per_line_picture(g, 4) for g in ([had2(2)], gates, [had2(2)]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.integers(1, 2500), st.integers(1, 2500)), min_size=1, max_size=40))
+def test_slices_cut_a_run_where_its_count_first_reaches_the_slice(sizes):
+    english = [f"{i}e".ljust(e, ".") for i, (e, _) in enumerate(sizes)]
+    pictures = [f"{i}p".ljust(p, ".") for i, (_, p) in enumerate(sizes)]
+    with mock.patch.object(ir, "_WRITE_SLICE", 1000):
+        slices = ir._slices(english, pictures)
+    assert [c for eng, _, _ in slices for c in eng] == english
+    assert [c for _, pic, _ in slices for c in pic] == pictures
+    for eng, pic, size in slices:
+        assert len(eng) == len(pic) > 0
+        assert size == sum(map(len, eng + pic))
+        assert size - len(eng[-1]) - len(pic[-1]) < 1000  # it stops at the slice
+    assert all(size >= 1000 for _, _, size in slices[:-1])
+
+
+def test_render_hands_on_nothing_for_an_empty_circuit():
+    calls = []
+    assert ir.render(Circuit(3, ()), calls.append, calls.append) == 0
+    assert calls == [] and render_text(Circuit(3, ())) == (0, "", "")
 
 
 def test_range_check_names_first_line_of_a_repeated_bad_gate():

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from qsagen import ir, sim
 from qsagen.annealer import GeneratorConfig, PEParams, emit_full
 from qsagen.ir import (Circuit, Control, Loop, ParseError, Seq, count_elementary_ops,
-                       dagger, had2, parse_english, render, roty, sigx, with_control,
+                       dagger, had2, parse_english, render_text, roty, sigx, with_control,
                        write_english)
 from qsagen.markov import AnnealingSchedule, default_problem
 from qsagen.mux_expander import expand_file
@@ -104,6 +104,9 @@ def test_span_parser_equals_per_line_parser(case):
     "HAD2  AT  0\n\nLOOP 2 REPS: 1\nNEXT 2\n", "LOOP 0 REPS: 1\nNEXT 0\n\n",
     "NEXT 0\n", "LOOP 0 REPS: 1\n", "LOOPY AT 0\n", "  LOOP 0 REPS: 1\n\tNEXT 0",
     "LOOP 0 REPS: 1\nLOOP 1 REPS: 1\nNEXT 1\nNEXT 0\nHAD2  AT  3\n",
+    "LOOP 0 REPS: 2\nHAD2  AT  0\nNEXT 0", "HAD2  AT  0\r\nLOOP 1 REPS: 2\r\nNEXT 1\r\n",
+    "SIGQ  AT  0\nHAD2  AT  0\n", "HAD2  AT  0\nSIGQ  AT  0", "HAD2  AT  0\nSIGQ  AT  0\n",
+    "LOOP 0 REPS: x\nNEXT 0\n", "HAD2  AT  0\nLOOP 1 REPS: 1\nNEXT 2",
 ])
 def test_span_parser_equals_per_line_parser_on_edge_cases(text):
     for num_qubits in (None, 1, 3):
@@ -123,10 +126,9 @@ def test_marker_search_equals_the_old_regex(pieces, final_newline):
     """Leading spaces and tabs, tokens that only start with LOOP or NEXT,
     trailing blanks, and a last line with or without its newline."""
     text = "".join(pieces) + ("\n" if final_newline else "")
-    lines_end = len(text) + 1 - text.endswith("\n")
-    text = "\n" + text
+    lines_end = len(text) - text.endswith("\n")
     assert ir._marker_breaks(text, lines_end) == [
-        m.start() for m in OLD_MARKER_RE.finditer(text, 0, lines_end)]
+        m.start() - 1 for m in OLD_MARKER_RE.finditer("\n" + text, 0, lines_end + 1)]
 
 
 def test_seq_holds_only_nodes():
@@ -180,14 +182,14 @@ def test_walkers_on_seqs_equal_the_spliced_circuit(seed):
     circuit = grouped_circuit(seed)
     flat = spliced(circuit)
     n = circuit.num_qubits
-    assert render(circuit) == render(flat)
-    assert render(circuit, written_as(ladders)) == render(flat, written_as(ladders))
+    assert render_text(circuit) == render_text(flat)
+    assert render_text(circuit, written_as(ladders)) == render_text(flat, written_as(ladders))
     assert len(circuit) == len(flat)
     assert count_elementary_ops(circuit) == count_elementary_ops(flat)
     assert spliced(dagger(circuit.body)) == dagger(flat.body)
     control = Control(n, seed % 2 == 0)
     assert spliced(with_control(circuit.body, control)) == with_control(flat.body, control)
-    assert render(circuit, written_as(ladders)) == render(ladders_expanded(flat))
+    assert render_text(circuit, written_as(ladders)) == render_text(ladders_expanded(flat))
     rng = np.random.default_rng(seed)
     state = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
     np.testing.assert_allclose(sim.apply(circuit, state), sim.apply(flat, state),
@@ -213,7 +215,7 @@ def test_parser_shares_one_seq_per_distinct_span():
     """The expanded file of the `deep` flow: 15 distinct spans of gate lines
     between LOOP/NEXT lines, one Seq each, and one simulator segment each."""
     config = GeneratorConfig(default_problem(2), PEParams(2, 1, 4), AnnealingSchedule(0.5, 2))
-    _, english, picture = render(emit_full(config, prep=True))
+    _, english, picture = render_text(emit_full(config, prep=True))
     text = expand_file(english, picture)[1]
     assert len(text.splitlines()) == 70242
     spans, span = set(), []

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from qsagen import sim
 from qsagen.annealer import GeneratorConfig, PEParams, emit_full, emit_U_grover
 from qsagen.ir import (Circuit, Control, Instruction, Loop, MuxControl, Seq, count_elementary_ops,
-                       dagger, had2, mp_y, render, rotn, roty, sigx, swap, with_control)
+                       dagger, had2, mp_y, render_text, rotn, roty, sigx, swap, with_control)
 from qsagen.markov import AnnealingSchedule, default_problem
 
 from helpers import gate_by_gate, manual_unroll, r_tilde, random_gate, spliced
@@ -52,7 +52,7 @@ def nodes_of(body, found: dict) -> dict:
 def test_shared_tree_equals_the_spliced_tree(circuit):
     flat = spliced(circuit)
     assert not any(type(node) is Seq for node in nodes_of(flat.body, {}).values())
-    assert render(circuit) == render(flat)
+    assert render_text(circuit) == render_text(flat)
     assert len(circuit) == len(flat)
     assert count_elementary_ops(circuit) == len(manual_unroll(circuit.body))
     n = circuit.num_qubits
@@ -198,7 +198,7 @@ def test_with_controls_equals_a_rebuilt_instruction(seed):
         assert derived == want
         assert derived.operand_bits == want.operand_bits
         assert derived.angles_deg is ins.angles_deg and derived.targets is ins.targets
-        assert render(Circuit(7, (derived,))) == render(Circuit(7, (want,)))
+        assert render_text(Circuit(7, (derived,))) == render_text(Circuit(7, (want,)))
 
 
 def test_with_controls_keeps_mux_and_swap_operands():
